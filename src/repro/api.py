@@ -205,9 +205,8 @@ def run(
     :func:`workbench`) to reuse an annotated trace across calls.
 
     *backend* selects the execution backend — ``"reference"`` (the golden
-    tick loop), ``"event"`` (event-driven epoch skipping) or ``"batch"``
-    (the numpy lockstep kernel; needs the ``fast`` extra).  ``None`` defers
-    to ``$REPRO_BACKEND`` and then ``"reference"``.  Backends are
+    tick loop) or ``"event"`` (event-driven epoch skipping).  ``None``
+    defers to ``$REPRO_BACKEND`` and then ``"reference"``.  Backends are
     bit-identical, so this only changes execution speed::
 
         result = api.run("database", backend="event")
@@ -350,10 +349,8 @@ def sweep(
     interrupted sweep resumes instead of restarting; it composes with
     *shards* the same way it does for :func:`run`.
 
-    *backend* runs every grid point on the named execution backend;
-    ``backend="batch"`` additionally makes the engine advance the whole
-    grid as one in-process numpy lockstep batch instead of fanning out
-    across processes.  Results are bit-identical across backends.
+    *backend* runs every grid point on the named execution backend.
+    Results are bit-identical across backends.
 
     *trace* names a directory the engine (every worker process) writes
     JSONL trace files into; *obs* passes full :class:`ObsOptions`.

@@ -238,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument(
         "--backend", default=None, choices=list(backend_names()),
-        help="execution backend for every grid point; 'batch' runs the "
-             "whole grid as one in-process numpy lockstep batch",
+        help="execution backend for every grid point (default: "
+             "$REPRO_BACKEND or 'reference'); results are bit-identical",
     )
 
     tn = sub.add_parser(

@@ -53,7 +53,7 @@ from typing import Sequence
 
 from ...isa import InstructionClass
 from ...memory.annotate import AnnotatedTrace
-from ..backend import Backend, EpochDriver
+from ..backend import Backend
 from ..epoch import TerminationCondition, TriggerKind
 from ..mlpsim import MlpSimulator
 from ..window import DeferredLoad, EpochAccountant, WindowState
@@ -154,8 +154,8 @@ class EventSimulator(MlpSimulator):
     def install_tables(
         self, trace: AnnotatedTrace, tables: SkipTables
     ) -> None:
-        """Adopt precomputed tables for *trace* (the batch backend shares
-        one build across all lanes replaying the same trace)."""
+        """Adopt precomputed tables for *trace* (the backend shares one
+        build across every configuration replaying the same trace)."""
         if tables.n != len(trace):
             raise ValueError(
                 f"skip tables cover {tables.n} instructions, "
@@ -402,7 +402,7 @@ class EventSimulator(MlpSimulator):
 
 
 class EventBackend(Backend):
-    """Event-driven scanning behind the standard backend lifecycle.
+    """Event-driven scanning behind the standard backend interface.
 
     The backend keeps the skip tables of the most recent trace (they are
     config-independent), so a sweep running many configurations over one
@@ -429,11 +429,6 @@ class EventBackend(Backend):
         simulator = EventSimulator(config)
         simulator.install_tables(trace, self._tables_for(trace))
         return simulator
-
-    def prepare(self, config, trace, observer=None, **kwargs):
-        return EpochDriver(
-            self._simulator(config, trace), trace, observer, **kwargs,
-        )
 
     def simulate(self, config, trace, observer=None, **kwargs):
         return self._simulator(config, trace).run(trace, observer, **kwargs)

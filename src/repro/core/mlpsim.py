@@ -151,10 +151,11 @@ class MlpSimulator:
 
         - *resume* restarts from a :class:`SimulatorSnapshot` captured by an
           earlier run over the same trace, bit-identically.
-        - *stop* ends the run at a planned shard boundary: the epoch-loop
-          bottom where the cursor reaches *stop*.  The boundary must be one
-          this simulation actually passes through quiescently (a position
-          from a shard plan), else :class:`ShardBoundaryError`.
+        - *stop* ends the run at a planned shard boundary: the first
+          epoch-loop bottom where the cursor is at *stop* and the machine
+          is quiescent.  The boundary must be one this simulation actually
+          passes through quiescently (a position from a shard plan); a
+          cursor that moves past it raises :class:`ShardBoundaryError`.
         - *checkpoint_every* = K calls *checkpoint_sink* with a snapshot at
           the first epoch boundary at or past each multiple of K
           instructions.  The mark sequence depends only on K, so a resumed
@@ -162,32 +163,8 @@ class MlpSimulator:
         - *quiescent_log* collects ``(pos, cur)`` at every quiescent epoch
           boundary — the probe behind shard planning.
         """
-        core = self.core
+        state, accountant = self.new_state(trace, observer, resume=resume)
         n = len(trace)
-        stagnation_limit = core.store_queue + core.store_buffer + 8
-        attached_observer = observer if observer is not None else self.observer
-        if resume is not None:
-            if resume.version != SNAPSHOT_VERSION:
-                raise CheckpointCorruptError(
-                    f"snapshot version {resume.version} != "
-                    f"{SNAPSHOT_VERSION}"
-                )
-            if resume.instructions != n:
-                raise CheckpointCorruptError(
-                    f"snapshot belongs to a {resume.instructions}-instruction "
-                    f"trace, got {n} instructions"
-                )
-            state, accountant = restore_simulation(
-                resume, core, stagnation_limit, observer=attached_observer,
-            )
-        else:
-            accountant = EpochAccountant(instructions=n)
-            state = WindowState(
-                scoreboard=RegisterScoreboard(),
-                store_unit=StoreUnit(core),
-                stagnation_limit=stagnation_limit,
-                observer=attached_observer,
-            )
         # Epoch-boundary instrumentation is cold (once per epoch, not per
         # instruction); a single flag keeps the plain path to one check.
         instrumented = (
@@ -198,74 +175,87 @@ class MlpSimulator:
         if checkpoint_every > 0:
             next_mark = (state.pos // checkpoint_every + 1) * checkpoint_every
 
-        attached = state.observer
-        while True:
-            state.begin_epoch()
-            if attached is not None:
-                attached.on_epoch_begin(state)
-            self._scan_window(trace, state, accountant)
-            misses = self._close_epoch(trace, state, accountant)
-            state.advance_epoch()
-            if (
-                state.pos >= n
-                and not state.replay
-                and state.store_unit.all_completed(state.cur)
-            ):
-                break
-            state.check_progress(misses)
-            if instrumented:
-                pos = state.pos
-                if stop is not None and pos >= stop:
-                    if pos != stop or not is_quiescent(state):
-                        raise ShardBoundaryError(
-                            f"planned shard boundary {stop} was not reached "
-                            f"quiescently (cursor at {pos}); the shard plan "
-                            f"does not match this trace/configuration"
-                        )
+        step_epoch = self.step_epoch
+        while not step_epoch(trace, state, accountant)[0]:
+            if not instrumented:
+                continue
+            pos = state.pos
+            if stop is not None and pos >= stop:
+                if pos > stop:
+                    raise ShardBoundaryError(
+                        f"planned shard boundary {stop} was passed without "
+                        f"a quiescent epoch there (cursor at {pos}); the "
+                        f"shard plan does not match this trace/configuration"
+                    )
+                # The cursor can sit at the boundary for several epochs
+                # (a stalled instruction retries there); stop at the first
+                # quiescent one, the point the shard probe logged.
+                if is_quiescent(state):
                     # The unit is drained at a quiescent boundary, so
                     # finalize only copies the accumulated store statistics.
                     accountant.result.instructions = stop
                     return accountant.finalize(state.store_unit)
-                if (
-                    quiescent_log is not None
-                    and 0 < pos < n
-                    and is_quiescent(state)
-                ):
-                    quiescent_log.append((pos, state.cur))
-                if (
-                    checkpoint_every > 0
-                    and checkpoint_sink is not None
-                    and pos >= next_mark
-                ):
-                    checkpoint_sink(capture_snapshot(state, accountant, n))
-                    next_mark = (
-                        pos // checkpoint_every + 1
-                    ) * checkpoint_every
+            if (
+                quiescent_log is not None
+                and 0 < pos < n
+                and is_quiescent(state)
+            ):
+                quiescent_log.append((pos, state.cur))
+            if (
+                checkpoint_every > 0
+                and checkpoint_sink is not None
+                and pos >= next_mark
+            ):
+                checkpoint_sink(capture_snapshot(state, accountant, n))
+                next_mark = (
+                    pos // checkpoint_every + 1
+                ) * checkpoint_every
 
         # Final drain: entries whose misses completed in the last epoch are
         # committed here so the bandwidth accounting covers every store.
         state.store_unit.pump(state.cur + 1)
         return accountant.finalize(state.store_unit)
 
-    # ------------------------------------------------- external stepping --
+    # ------------------------------------------------------------ stepping --
 
     def new_state(
         self,
         trace: AnnotatedTrace,
         observer: WindowObserver | None = None,
+        *,
+        resume: SimulatorSnapshot | None = None,
     ) -> Tuple[WindowState, EpochAccountant]:
-        """A fresh ``(state, accountant)`` pair exactly as :meth:`run`
-        builds them — the entry point for externally driven simulations
-        (:mod:`repro.smt`) that interleave epochs from several contexts."""
+        """The ``(state, accountant)`` pair a simulation of *trace* starts
+        from: fresh, or restored from a *resume* snapshot.
+
+        :meth:`run` and externally driven simulations (:mod:`repro.smt`,
+        which interleaves epochs from several contexts) both start here
+        and advance with :meth:`step_epoch`.
+        """
         core = self.core
-        accountant = EpochAccountant(instructions=len(trace))
-        state = WindowState(
-            scoreboard=RegisterScoreboard(),
-            store_unit=StoreUnit(core),
-            stagnation_limit=core.store_queue + core.store_buffer + 8,
-            observer=observer if observer is not None else self.observer,
+        n = len(trace)
+        stagnation_limit = core.store_queue + core.store_buffer + 8
+        attached = observer if observer is not None else self.observer
+        if resume is None:
+            state = WindowState(
+                scoreboard=RegisterScoreboard(),
+                store_unit=StoreUnit(core),
+                stagnation_limit=stagnation_limit,
+                observer=attached,
+            )
+            return state, EpochAccountant(instructions=n)
+        if resume.version != SNAPSHOT_VERSION:
+            raise CheckpointCorruptError(
+                f"snapshot version {resume.version} != {SNAPSHOT_VERSION}"
+            )
+        if resume.instructions != n:
+            raise CheckpointCorruptError(
+                f"snapshot belongs to a {resume.instructions}-instruction "
+                f"trace, got {n} instructions"
+            )
+        return restore_simulation(
+            resume, core, stagnation_limit, observer=attached,
         )
-        return state, accountant
 
     def step_epoch(
         self,
@@ -273,14 +263,12 @@ class MlpSimulator:
         state: WindowState,
         accountant: EpochAccountant,
     ) -> Tuple[bool, int]:
-        """Advance one epoch of an externally driven simulation.
+        """Advance one epoch: open the window, scan, close, advance the
+        epoch clock.
 
-        One iteration of :meth:`run`'s loop body, verbatim: open the
-        window, scan, close, advance the epoch clock.  Returns
-        ``(done, misses)``; once *done* the caller owns the final drain
-        (``state.store_unit.pump(state.cur + 1)`` then
-        ``accountant.finalize``), mirroring :meth:`run`'s tail so a
-        single-context stepped run stays bit-identical to ``run()``.
+        Returns ``(done, misses)``; once *done* the caller owns the final
+        drain (``state.store_unit.pump(state.cur + 1)`` then
+        ``accountant.finalize``), as :meth:`run`'s tail does.
         """
         state.begin_epoch()
         observer = state.observer

@@ -116,8 +116,8 @@ class JobSpec:
     (``"kill@M"``/``"corrupt@M"``).  All default to "off", keeping plain
     jobs byte-compatible with previously serialized specs.
 
-    ``backend`` names the execution backend (``"reference"``, ``"event"``,
-    ``"batch"``) the simulation runs on; ``""`` defers to ``$REPRO_BACKEND``
+    ``backend`` names the execution backend (``"reference"`` or
+    ``"event"``) the simulation runs on; ``""`` defers to ``$REPRO_BACKEND``
     and then the default.  Backends are bit-identical, so the field changes
     how the job executes, never what it returns.
 
@@ -969,10 +969,7 @@ class EngineRunner:
             if tracer is not None else None
         )
         try:
-            if self._lockstep_eligible(specs):
-                results = self._run_lockstep(specs)
-                workers = 1
-            elif self.workers <= 1 or len(specs) <= 1:
+            if self.workers <= 1 or len(specs) <= 1:
                 results = self._run_serial(specs)
                 workers = 1
             else:
@@ -1022,115 +1019,6 @@ class EngineRunner:
         )
         thread.start()
         return handle
-
-    # ------------------------------------------------------------ lockstep --
-
-    def _lockstep_eligible(self, specs: Sequence[JobSpec]) -> bool:
-        """True when a batch should run as one in-process lockstep kernel.
-
-        Requires every job to be a plain (non-sharded) simulate spec whose
-        effective backend is ``batch``, plus an importable numpy.  When
-        numpy is missing the batch falls through to the per-job paths,
-        which surface the structured
-        :class:`~repro.errors.BackendUnavailableError` per job.
-        """
-        if len(specs) < 2:
-            return False
-        if not all(
-            spec.action == "simulate"
-            and not spec.sharded
-            and spec.contexts == 1
-            and spec.effective_backend() == "batch"
-            for spec in specs
-        ):
-            return False
-        from ..core.backends.batch import numpy_available
-
-        return numpy_available()
-
-    def _run_lockstep(self, specs: List[JobSpec]) -> List[JobResult]:
-        """Advance the whole batch in lockstep, one epoch per lane per round.
-
-        Annotation still goes through the (cached) Workbench per spec, so
-        identical trace requests share one object — and therefore one set
-        of numpy-built skip tables.  The lockstep wall clock is shared;
-        each job is attributed an equal slice of it on top of its own
-        annotation time.
-        """
-        from ..core.backends.batch import BatchLane, LockstepBatch
-
-        bench = self._planning_bench()
-        tracer = self._obs_tracer()
-        span = (
-            tracer.span("lockstep_batch", jobs=len(specs), backend="batch")
-            if tracer is not None else None
-        )
-        payloads: List[Dict[str, Any]] = []
-        lanes: List[BatchLane] = []
-        try:
-            for index, spec in enumerate(specs):
-                start = time.perf_counter()
-                hits0, misses0 = bench.artifacts.stats.snapshot()
-                try:
-                    annotated = bench.annotated(
-                        spec.workload, spec.variant, spec.memory_config,
-                        spec.sharing, spec.tag,
-                    )
-                    config = bench.resolved_config(
-                        spec.workload, spec.variant, spec.config,
-                        **dict(spec.core_changes),
-                    )
-                except Exception as exc:
-                    status, error = "failed", "".join(
-                        traceback.format_exception_only(type(exc), exc)
-                    ).strip()
-                else:
-                    status, error = "ok", ""
-                    lanes.append(
-                        BatchLane(config=config, trace=annotated, tag=index)
-                    )
-                hits1, misses1 = bench.artifacts.stats.snapshot()
-                payloads.append({
-                    "status": status,
-                    "result": None,
-                    "error": error,
-                    "wall_time": time.perf_counter() - start,
-                    "cache_hits": hits1 - hits0,
-                    "cache_misses": misses1 - misses0,
-                })
-            sim_start = time.perf_counter()
-            outcomes = LockstepBatch(lanes).run() if lanes else []
-            share = (
-                (time.perf_counter() - sim_start) / len(lanes) if lanes else 0.0
-            )
-            for outcome in outcomes:
-                payload = payloads[outcome.tag]
-                payload["wall_time"] += share
-                if outcome.ok:
-                    payload["result"] = outcome.result
-                else:
-                    payload["status"] = "failed"
-                    payload["error"] = "".join(
-                        traceback.format_exception_only(
-                            type(outcome.error), outcome.error,
-                        )
-                    ).strip()
-        finally:
-            if span is not None:
-                span.__exit__()
-        out: List[JobResult] = []
-        for spec, payload in zip(specs, payloads):
-            attempts = 1
-            # Failed lanes retry on the ordinary serial path, which keeps
-            # the retry semantics of a non-lockstep batch.
-            while payload["status"] != "ok" and attempts <= self.retries:
-                attempts += 1
-                payload = _run_job(
-                    bench, spec,
-                    obs=self.obs, tracer=tracer, profiler=self._profiler,
-                )
-            out.append(JobResult(spec=spec, attempts=attempts, **payload))
-        return out
 
     # ------------------------------------------------------------- sharded --
 

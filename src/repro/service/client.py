@@ -32,7 +32,7 @@ import urllib.request
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..engine import serialize
-from ..engine.runner import JobSpec, RunReport
+from ..engine.runner import JobSpec, RunReport, ShardedReport
 from ..harness.sweeps import SweepSpec
 from ..tune import SearchSpace, TuneResult, TuneSpec
 from .protocol import PROTOCOL_VERSION
@@ -410,7 +410,9 @@ class ServiceClient:
         """Block until *job_id* finishes and return its decoded result.
 
         Sweep and simulate jobs return the real
-        :class:`~repro.engine.runner.RunReport`; tune jobs the real
+        :class:`~repro.engine.runner.RunReport` (a
+        :class:`~repro.engine.runner.ShardedReport` for ``shards > 1``
+        simulate jobs); tune jobs the real
         :class:`~repro.tune.TuneResult`; estimate jobs the real
         :class:`~repro.estimate.EpiEstimate`; figure jobs the figure's
         data dict.  A failed or cancelled job raises
@@ -426,7 +428,7 @@ class ServiceClient:
             )
         result = status.get("result") or {}
         if "report" in result:
-            return RunReport.from_dict(result["report"])
+            return serialize.from_jsonable(result["report"])
         if result.get("kind") == "tune":
             return TuneResult.from_dict(result["tune_result"])
         if result.get("kind") == "estimate":
@@ -462,9 +464,12 @@ class ServiceClient:
             interval = min(interval * 1.5, 2.0)
 
     @staticmethod
-    def decode_report(status: Dict[str, Any]) -> RunReport:
+    def decode_report(
+        status: Dict[str, Any],
+    ) -> Union[RunReport, ShardedReport]:
         """The real :class:`RunReport` inside a terminal sweep/simulate
-        status payload — simulation results and all."""
+        status payload — simulation results and all — or the
+        :class:`ShardedReport` of a ``shards > 1`` simulate job."""
         if status.get("state") != "done":
             raise ValueError(
                 f"job is {status.get('state')!r}, not done: "
@@ -475,7 +480,7 @@ class ServiceClient:
             raise ValueError(
                 f"{result.get('kind', 'unknown')!r} payload has no report"
             )
-        return RunReport.from_dict(result["report"])
+        return serialize.from_jsonable(result["report"])
 
     @staticmethod
     def decode(payload: Any) -> Any:

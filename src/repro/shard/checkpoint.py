@@ -24,8 +24,9 @@ recovery tests and the CI fault-injection smoke:
 - ``"corrupt@M"`` — same trigger, but the persisted record is tampered
   first, so the retry's resume attempt must detect the corruption.
 
-Both fire once per cache directory (a marker file records the firing), so
-the retry that follows demonstrates real recovery instead of dying again.
+Both fire once per job and cache directory (a marker file records the
+firing; every shard of a sharded job shares it), so the retry that follows
+demonstrates real recovery instead of dying again.
 """
 
 from __future__ import annotations

@@ -151,10 +151,18 @@ def run_shard_job(
                     pos=resumed_pos, token=token,
                 )
 
-    injector = (
-        FaultInjector(spec.fault, bench.artifacts, token)
-        if spec.fault else None
-    )
+    injector = None
+    if spec.fault:
+        # The fault fires once per job, not once per shard: every shard of
+        # a sharded job carries it, and shards racing to it in one pool
+        # round would otherwise fire again, one by one, in later rounds.
+        whole_job = dataclasses.replace(
+            spec, shard_start=-1, shard_stop=-1, label="",
+        )
+        injector = FaultInjector(
+            spec.fault, bench.artifacts,
+            store.token(whole_job, bench.settings),
+        )
     written = 0
 
     def sink(snapshot: SimulatorSnapshot) -> None:

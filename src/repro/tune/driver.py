@@ -20,7 +20,7 @@ cost order before any simulation runs:
    measured-EPI scale so selection still learns the region is bad.
 
 Survivors run as one :class:`EngineRunner` batch — the tuner population
-exercises the same parallel/lockstep engine paths as a sweep — under a
+exercises the same parallel engine paths as a sweep — under a
 ``tune_generation`` tracer span, and the state record is re-persisted
 after every generation.  Only *measured* candidates consume budget.
 """

@@ -4,14 +4,12 @@ The contract under test is the strongest one the subsystem makes: every
 backend returns a :class:`~repro.core.results.SimulationResult` that is
 field-for-field equal to the reference tick loop — on curated workload
 variants, on seeded random configurations over seeded random traces, and
-under sharding and checkpoint/resume.  The ``batch`` backend additionally
-needs numpy (the ``fast`` extra); its tests skip, not fail, without it.
+under sharding and checkpoint/resume.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -32,24 +30,11 @@ from repro.core.backend import (
     backend_names,
     resolve_backend,
 )
-from repro.core.backends.batch import (
-    BatchLane,
-    LockstepBatch,
-    build_skip_tables_np,
-    numpy_available,
-    require_numpy,
-)
-from repro.core.backends.events import build_skip_tables
-from repro.errors import BackendUnavailableError, UnknownBackendError
+from repro.errors import UnknownBackendError
 from repro.harness import ExperimentSettings
 from repro.harness.experiment import Workbench
 from repro.harness.figures import smac_memory_config
 from repro.isa import InstructionClass as IC
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(),
-    reason="numpy not installed (pip install 'repro[fast]')",
-)
 
 TINY = ExperimentSettings(warmup=1000, measure=3000, seed=7,
                           calibrate=False)
@@ -62,10 +47,7 @@ TRACE_COUNT = 4
 
 
 def _alternative_backends():
-    names = ["event"]
-    if numpy_available():
-        names.append("batch")
-    return names
+    return [name for name in backend_names() if name != "reference"]
 
 
 @pytest.fixture(autouse=True)
@@ -91,11 +73,16 @@ class TestRegistry:
         assert resolve_backend(None).name == "reference"
 
     def test_builtins_registered(self):
-        assert backend_names() == ("batch", "event", "reference")
+        assert backend_names() == ("event", "reference")
+        # Every registered backend is a name plus ``simulate``, and runs
+        # a tiny trace to the reference answer.
+        trace = [annotated(IC.ALU), annotated(IC.STORE, miss=True)]
+        golden = MlpSimulator(SimulationConfig()).run(trace)
         for name in backend_names():
             backend = resolve_backend(name)
             assert isinstance(backend, Backend)
             assert backend.name == name
+            assert backend.simulate(SimulationConfig(), trace) == golden
 
     def test_unknown_backend_is_structured(self):
         with pytest.raises(UnknownBackendError) as excinfo:
@@ -116,50 +103,6 @@ class TestRegistry:
         monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
         with pytest.raises(UnknownBackendError):
             resolve_backend()
-
-
-# ------------------------------------------------------------ numpy gating --
-
-
-class TestNumpyGating:
-    def test_available_path(self):
-        if not numpy_available():
-            pytest.skip("numpy not installed")
-        assert require_numpy().__name__ == "numpy"
-
-    def test_unavailable_is_structured(self, monkeypatch):
-        # Hiding numpy behind a None module entry makes ``import numpy``
-        # raise ImportError without uninstalling anything.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert not numpy_available()
-        with pytest.raises(BackendUnavailableError) as excinfo:
-            require_numpy()
-        assert excinfo.value.code == "backend-unavailable"
-        assert "repro[fast]" in str(excinfo.value)
-
-    def test_batch_registers_without_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert "batch" in backend_names()
-        backend = resolve_backend("batch")
-        trace = [annotated(IC.ALU), annotated(IC.STORE, miss=True)]
-        with pytest.raises(BackendUnavailableError):
-            backend.prepare(SimulationConfig(), trace)
-
-
-# ----------------------------------------------------------- table builders --
-
-
-@needs_numpy
-class TestTableParity:
-    def test_numpy_tables_match_reference_builder(self):
-        rng = random.Random(SEED)
-        trace = _random_trace(rng, 400)
-        plain = build_skip_tables(trace)
-        vectorized = build_skip_tables_np(trace)
-        assert vectorized.n == plain.n
-        assert vectorized.next_plain == plain.next_plain
-        assert vectorized.next_barrier == plain.next_barrier
-        assert vectorized.store_prefix == plain.store_prefix
 
 
 # ----------------------------------------------- workload-level differential --
@@ -316,9 +259,11 @@ class TestEndToEnd:
                            backend=name) == golden
 
     def test_api_run_unknown_backend(self):
-        with pytest.raises(UnknownBackendError):
-            api.run("database", settings=TINY, cache_dir=None,
-                    backend="evnet")
+        # "batch" names a backend that no longer exists.
+        for name in ("evnet", "batch"):
+            with pytest.raises(UnknownBackendError):
+                api.run("database", settings=TINY, cache_dir=None,
+                        backend=name)
 
     def test_env_var_reaches_workbench(self, bench, monkeypatch):
         golden = bench.run("database")
@@ -335,39 +280,6 @@ class TestEndToEnd:
             records = api.sweep(spec, settings=TINY, cache_dir=None,
                                 workers=1, backend=name)
             assert records == golden, f"sweep via {name!r} diverged"
-
-
-@needs_numpy
-class TestLockstepBatch:
-    def test_lanes_match_serial_results(self, bench):
-        trace = bench.annotated("database", "pc")
-        configs = [
-            bench.resolved_config("database", "pc", store_queue=queue)
-            for queue in (16, 32, 64)
-        ]
-        lanes = [BatchLane(config=config, trace=trace, tag=index)
-                 for index, config in enumerate(configs)]
-        outcomes = LockstepBatch(lanes).run()
-        assert [outcome.tag for outcome in outcomes] == [0, 1, 2]
-        for config, outcome in zip(configs, outcomes):
-            assert outcome.ok, outcome.error
-            assert outcome.result == MlpSimulator(config).run(trace)
-
-    def test_failed_lane_does_not_poison_siblings(self, bench):
-        trace = bench.annotated("database", "pc")
-        config = bench.resolved_config("database", "pc")
-        lanes = [
-            BatchLane(config=config, trace=trace, tag="ok"),
-            # A nonsense resume snapshot fails this lane at construction.
-            BatchLane(config=config, trace=trace, tag="bad",
-                      kwargs={"resume": object()}),
-        ]
-        outcomes = LockstepBatch(lanes).run()
-        by_tag = {outcome.tag: outcome for outcome in outcomes}
-        assert not by_tag["bad"].ok
-        assert by_tag["bad"].error is not None
-        assert by_tag["ok"].ok
-        assert by_tag["ok"].result == MlpSimulator(config).run(trace)
 
 
 # ------------------------------------------------------------ wire protocol --
@@ -393,14 +305,15 @@ class TestServiceProtocol:
     def test_unknown_backend_is_a_400(self):
         from repro.service.protocol import ProtocolError, parse_job_request
 
-        with pytest.raises(ProtocolError) as excinfo:
-            parse_job_request({
-                "kind": "simulate", "backend": "evnet",
-                "job": {"workload": "database"},
-            })
-        assert excinfo.value.status == 400
-        for name in backend_names():
-            assert name in str(excinfo.value)
+        for bad in ("evnet", "batch"):
+            with pytest.raises(ProtocolError) as excinfo:
+                parse_job_request({
+                    "kind": "simulate", "backend": bad,
+                    "job": {"workload": "database"},
+                })
+            assert excinfo.value.status == 400
+            for name in backend_names():
+                assert name in str(excinfo.value)
 
     def test_backend_rejected_on_figure_jobs(self):
         from repro.service.protocol import ProtocolError, parse_job_request

@@ -122,13 +122,29 @@ class TestFleetExecution:
         receipt = client.submit({
             "kind": "simulate",
             "job": {"workload": "database", "variant": "pc"},
-            "backend": "batch",
+            "backend": "event",
         })
         status = client.wait(receipt["id"], timeout=120)
         assert status["state"] == "done"
         report = RunReport.from_dict(status["result"]["report"])
         assert report.jobs[0].ok
         assert report.jobs[0].result == golden
+
+    def test_sharded_result_decodes_to_sharded_report(
+        self, fleet_factory, golden,
+    ):
+        fleet = fleet_factory(workers=1)
+        client = fleet.client()
+        receipt = client.submit({
+            "kind": "simulate",
+            "job": {"workload": "database", "variant": "pc"},
+            "shards": 2,
+        })
+        report = client.result(receipt["id"], timeout=120)
+        assert isinstance(report, ShardedReport)
+        assert report.merged == golden
+        status = client.status(receipt["id"])
+        assert ServiceClient.decode_report(status).merged == golden
 
     def test_sweep_spreads_over_two_workers(self, fleet_factory, golden):
         fleet = fleet_factory(workers=2, max_inflight=1)
@@ -140,7 +156,7 @@ class TestFleetExecution:
                 "variant": "pc",
                 "axes": {"store_queue": [8, 16]},
             },
-            "backend": "batch",
+            "backend": "event",
         })
         status = client.wait(receipt["id"], timeout=180)
         assert status["state"] == "done"
@@ -227,7 +243,7 @@ class TestFleetExecution:
                 "workload": "database", "variant": "pc",
                 "core_changes": {"store_queue": 24},
             },
-            "backend": "batch",
+            "backend": "event",
         }
         fleet = fleet_factory(workers=1)
         client = fleet.client()
@@ -363,7 +379,7 @@ class TestFleetObservability:
                 "variant": "pc",
                 "axes": {"store_queue": [40, 48]},
             },
-            "backend": "batch",
+            "backend": "event",
         })
         assert client.wait(receipt["id"], timeout=180)["state"] == "done"
 
@@ -666,7 +682,7 @@ class TestFleetDrain:
                 "workload": "database", "variant": "pc",
                 "core_changes": {"store_queue": 32},
             },
-            "backend": "batch",
+            "backend": "event",
         })
         abandoned = fleet.coord.drain(timeout=120.0)
         assert abandoned == 0

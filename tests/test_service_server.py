@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.config import StorePrefetchMode
+from repro.engine.runner import ShardedReport
 from repro.harness import ExperimentSettings
 from repro.harness.experiment import Workbench
 from repro.estimate import EpiEstimate
@@ -217,6 +218,20 @@ class TestProtocolVersioning:
         report = client.result(receipt["id"], timeout=240.0)
         assert report.jobs[0].ok
         assert report.jobs[0].result.epoch_count > 0
+
+    def test_result_verb_decodes_sharded_report(self, service, client):
+        service.start_dispatcher()
+        receipt = client.submit({
+            "kind": "simulate",
+            "job": {"workload": "database", "variant": "pc"},
+            "shards": 2,
+        })
+        report = client.result(receipt["id"], timeout=240.0)
+        assert isinstance(report, ShardedReport)
+        direct = Workbench(SMALL, cache_dir=None).run("database")
+        assert report.merged == direct
+        status = client.status(receipt["id"])
+        assert ServiceClient.decode_report(status).merged == direct
 
     def test_result_verb_raises_on_cancelled_job(self, service, client):
         # dispatcher never started: the job stays queued until cancelled

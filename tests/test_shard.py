@@ -109,6 +109,33 @@ class TestShardedBitIdentity:
             run_shard_job(bench, bad)
 
 
+class TestBoundaryReachedAfterStall:
+    """Seed 310 at default sizing plans a cut where the cursor first
+    arrives non-quiescent and only becomes quiescent an epoch later; the
+    shard must stop at that later epoch, not reject the boundary."""
+
+    SETTINGS = ExperimentSettings(seed=310)
+
+    @pytest.fixture(scope="class")
+    def cache_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("seed310-cache")
+
+    @pytest.fixture(scope="class")
+    def golden(self, cache_dir):
+        return api.run("database", settings=self.SETTINGS,
+                       cache_dir=cache_dir, backend="reference")
+
+    @pytest.mark.parametrize("backend", ["reference", "event"])
+    def test_two_shards_merge_bit_identically(
+        self, cache_dir, golden, backend,
+    ):
+        sharded = api.run(
+            "database", settings=self.SETTINGS, cache_dir=cache_dir,
+            shards=2, workers=1, backend=backend,
+        )
+        assert sharded == golden
+
+
 class TestApiRunSharded:
     def test_api_run_routes_through_sharded_path(
         self, tmp_path, goldens,

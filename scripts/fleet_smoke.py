@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """CI fleet smoke: real processes, a SIGKILLed worker, verified recovery.
 
-Starts a fleet coordinator and two worker *processes* (the same
-``mlpsim serve --fleet`` / ``mlpsim worker --join`` entry points a user
-runs), submits a sharded simulate job, SIGKILLs one worker while it holds
-a leased shard with at least one checkpoint persisted, and then asserts:
+Starts a coordinator without a local worker and two worker *processes*
+(the same ``mlpsim serve --workers 0`` / ``mlpsim worker --join`` entry
+points a user runs), submits a sharded simulate job, SIGKILLs one worker
+while it holds a leased shard with at least one checkpoint persisted, and
+then asserts:
 
 1. the coordinator evicts the dead worker and requeues its shard;
 2. the surviving worker resumes the shard from the killed worker's
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     serve_log = open(serve_log_path, "w")
     coordinator = subprocess.Popen(
         mlpsim + sizing + [
-            "serve", "--fleet", "--port", "0",
+            "serve", "--workers", "0", "--port", "0",
             "--lease-ttl", "1.0", "--max-inflight", "1",
             "--drain-timeout", "120",
             "--trace-dir", trace_dir,
@@ -128,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         def url_from_log():
             with open(serve_log_path) as handle:
                 for line in handle:
-                    marker = "fleet coordinator listening on "
+                    marker = "repro service listening on "
                     if marker in line:
                         return line.split(marker, 1)[1].strip()
             return None

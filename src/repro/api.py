@@ -40,7 +40,7 @@ all three:
       guess = api.estimate("database", scout="hws2")
       print(guess.predicted_epi_per_1000)
 
-- :func:`connect` — the same verbs against a running service daemon::
+- :func:`connect` — the same verbs against a running ``mlpsim serve``::
 
       client = api.connect("http://127.0.0.1:8137")
       receipt = client.submit_sweep("database", store_queue=[16, 32])
@@ -588,7 +588,7 @@ def connect(
     retries: int = 3,
     backoff: float = 0.1,
 ) -> ServiceClient:
-    """A client for a running simulation service daemon.
+    """A client for a running simulation service (``mlpsim serve``).
 
     The returned :class:`ServiceClient` speaks the versioned wire protocol
     and mirrors this module's verbs: ``submit`` (and the

@@ -19,9 +19,12 @@ Commands are thin wrappers over :mod:`repro.api` (the documented library
 facade) — anything the CLI does is a few lines of ``api.run`` /
 ``api.sweep`` / ``api.connect`` away in a script.
 
-or runs as / talks to a long-lived simulation service::
+or runs as / talks to a long-lived simulation service — one server, a
+fleet coordinator with an in-process worker (``--workers 0`` leaves the
+worker out; more workers join from any host)::
 
     mlpsim serve --port 8137 --workers 4
+    mlpsim worker --join http://127.0.0.1:8137
     mlpsim submit --url http://127.0.0.1:8137 --workload database \\
         --axis store_prefetch=sp0,sp1,sp2
     mlpsim status JOB_ID --url http://127.0.0.1:8137
@@ -359,13 +362,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="run the simulation service daemon (JSON HTTP API)",
+        help="run the simulation service: a fleet coordinator (JSON HTTP "
+             "API) plus an in-process worker",
     )
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8137,
                      help="listen port (0 binds an ephemeral port)")
     srv.add_argument("--workers", type=int, default=None,
-                     help="engine worker processes (default: min(4, cpus))")
+                     help="engine processes of the in-process worker "
+                          "(default: min(4, cpus)); 0 runs the coordinator "
+                          "alone, for workers joined with 'mlpsim worker "
+                          "--join URL'")
     srv.add_argument("--queue-capacity", type=int, default=256,
                      help="max queued (pending) jobs before 429")
     srv.add_argument("--job-timeout", type=float, default=600.0,
@@ -373,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--log-level", default="info",
         choices=["debug", "info", "warning", "error", "critical"],
-        help="daemon log level (default info)",
+        help="server log level (default info)",
     )
     srv.add_argument(
         "--log-format", default="text", choices=["text", "json"],
@@ -389,12 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
              ".2, ...; 0 disables rotation)",
     )
     srv.add_argument(
-        "--fleet", action="store_true",
-        help="run as a fleet coordinator (async front end + pull-based "
-             "workers joined with 'mlpsim worker --join URL') instead of "
-             "executing jobs in-process",
-    )
-    srv.add_argument(
         "--drain-timeout", type=float, default=30.0,
         help="seconds SIGTERM waits for in-flight work before abandoning "
              "it (exit status is nonzero when work was abandoned)",
@@ -405,17 +406,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--max-inflight", type=int, default=2,
-        help="fleet: max tasks leased per worker at once (backpressure "
-             "bound)",
+        help="per-worker in-flight task bound (backpressure); a worker "
+             "may still hold one task per engine process",
     )
     srv.add_argument(
         "--lease-batch", type=int, default=4,
-        help="fleet: tasks offered per lease long-poll",
+        help="tasks offered per lease long-poll",
     )
     srv.add_argument(
         "--default-backend", default="",
         choices=["", *backend_names()],
-        help="fleet: backend stamped on jobs that did not pick one",
+        help="backend stamped on jobs that did not pick one",
     )
 
     wk = sub.add_parser(
@@ -1064,8 +1065,8 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_serve(args, settings: ExperimentSettings) -> int:
+    from .fleet import serve_fleet
     from .obs import ObsOptions
-    from .service import serve
 
     obs = (
         ObsOptions.for_trace(
@@ -1073,25 +1074,7 @@ def _cmd_serve(args, settings: ExperimentSettings) -> int:
         )
         if args.trace_dir is not None else None
     )
-    if args.fleet:
-        from .fleet import serve_fleet
-
-        return serve_fleet(
-            host=args.host,
-            port=args.port,
-            settings=settings,
-            cache_dir=_cache_dir(args),
-            queue_capacity=args.queue_capacity,
-            lease_ttl=args.lease_ttl,
-            max_inflight=args.max_inflight,
-            lease_batch=args.lease_batch,
-            drain_timeout=args.drain_timeout,
-            log_level=args.log_level,
-            log_format=args.log_format,
-            obs=obs,
-            default_backend=args.default_backend,
-        )
-    return serve(
+    return serve_fleet(
         host=args.host,
         port=args.port,
         settings=settings,
@@ -1099,10 +1082,14 @@ def _cmd_serve(args, settings: ExperimentSettings) -> int:
         workers=args.workers,
         job_timeout=args.job_timeout,
         queue_capacity=args.queue_capacity,
+        lease_ttl=args.lease_ttl,
+        max_inflight=args.max_inflight,
+        lease_batch=args.lease_batch,
         drain_timeout=args.drain_timeout,
         log_level=args.log_level,
         log_format=args.log_format,
         obs=obs,
+        default_backend=args.default_backend,
     )
 
 

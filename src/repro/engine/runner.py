@@ -28,6 +28,7 @@ platforms where process pools are unavailable.
 from __future__ import annotations
 
 import contextvars
+import multiprocessing
 import os
 import threading
 import time
@@ -38,6 +39,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 from typing import (
     TYPE_CHECKING,
@@ -87,8 +89,14 @@ __all__ = [
     "JobSpec",
     "RunReport",
     "ShardedReport",
+    "default_workers",
     "execute_job",
 ]
+
+
+def default_workers() -> int:
+    """The pool size a runner gets when none is given: ``min(4, cpus)``."""
+    return min(4, os.cpu_count() or 1)
 
 
 def _ensure_wire_types() -> None:
@@ -659,22 +667,10 @@ def _init_worker(
     cache_dir: Any,
     profiles: Dict[str, WorkloadProfile],
     obs: Optional[ObsOptions] = None,
-    corr: str = "",
-    parent_span: str = "",
 ) -> None:
     global _WORKER_BENCH, _WORKER_OBS, _WORKER_TRACER, _WORKER_PROFILER
     _WORKER_BENCH = _build_bench(settings, cache_dir, profiles)
     _WORKER_OBS = obs
-    if corr:
-        # Correlation IDs are contextvars and do not cross the process
-        # boundary on their own; the parent snapshots its value into the
-        # initargs so worker-side trace events still tie back to the job.
-        set_correlation_id(corr)
-    if parent_span:
-        # Same for the cross-process parent span: installing it makes the
-        # worker's root spans children of the parent's batch span, so a
-        # fleet job's spans join into one tree across processes.
-        set_parent_span_id(parent_span)
     if obs is not None:
         _WORKER_TRACER = obs.open_tracer()
         if obs.profile_phases:
@@ -827,8 +823,16 @@ def _run_job(
     }
 
 
-def _run_job_in_worker(spec: JobSpec) -> Dict[str, Any]:
+def _run_job_in_worker(
+    spec: JobSpec, corr: str, parent_span: str,
+) -> Dict[str, Any]:
     assert _WORKER_BENCH is not None, "worker initializer did not run"
+    # Correlation IDs and the cross-process parent span are contextvars
+    # and do not cross the process boundary on their own; the submitter
+    # snapshots both into every job, so worker-side trace events tie back
+    # to the job and its root spans hang under the submitter's batch span.
+    set_correlation_id(corr)
+    set_parent_span_id(parent_span)
     return _run_job(
         _WORKER_BENCH, spec,
         obs=_WORKER_OBS, tracer=_WORKER_TRACER, profiler=_WORKER_PROFILER,
@@ -911,6 +915,11 @@ class EngineRunner:
         ``trace-<pid>.jsonl`` under ``obs.trace_dir`` and every simulate
         job runs with an :class:`~repro.obs.recorder.EpochTimelineRecorder`
         attached.  ``None`` (the default) keeps the zero-overhead path.
+    keep_pool:
+        Reuse one process pool across batches, so a long-lived caller (a
+        fleet worker) keeps its processes and their in-memory artifact
+        tiers warm.  A broken pool is replaced on the next batch;
+        :meth:`close` shuts it down.
     """
 
     def __init__(
@@ -922,9 +931,10 @@ class EngineRunner:
         job_timeout: float = 600.0,
         retries: int = 1,
         obs: Optional[ObsOptions] = None,
+        keep_pool: bool = False,
     ) -> None:
         if workers is None:
-            workers = min(4, os.cpu_count() or 1)
+            workers = default_workers()
         if job_timeout <= 0:
             raise EngineConfigError("job_timeout must be positive")
         if retries < 0:
@@ -939,13 +949,16 @@ class EngineRunner:
         self.retries = retries
         self.obs = obs
         self.telemetry = EngineTelemetry()
-        #: Reused across serial batches so a long-lived caller (the service
-        #: dispatcher) keeps its in-memory artifact tier warm between jobs.
+        #: Reused across serial batches so a long-lived caller (a fleet
+        #: worker) keeps its in-memory artifact tier warm between jobs.
         self._serial_bench: Optional[Workbench] = None
         #: This process's tracer/profiler (serial batches and batch-level
         #: spans); opened lazily so an obs-less runner never touches disk.
         self._tracer: Optional[Tracer] = None
         self._profiler: Optional[PhaseProfiler] = None
+        self.keep_pool = keep_pool
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
 
     def _obs_tracer(self) -> Optional[Tracer]:
         if self.obs is None:
@@ -969,7 +982,7 @@ class EngineRunner:
             if tracer is not None else None
         )
         try:
-            if self.workers <= 1 or len(specs) <= 1:
+            if self.workers <= 1 or (len(specs) <= 1 and not self.keep_pool):
                 results = self._run_serial(specs)
                 workers = 1
             else:
@@ -1000,9 +1013,9 @@ class EngineRunner:
         """
         specs = list(jobs)
         handle = BatchHandle()
-        # Snapshot the submitter's context so the batch thread (and, via
-        # pool initargs, the workers) inherit the correlation ID the
-        # dispatcher set for this job.
+        # Snapshot the submitter's context so the batch thread (and,
+        # through every submitted job, the pool workers) inherit the
+        # submitter's correlation ID.
         context = contextvars.copy_context()
 
         def _drive() -> None:
@@ -1126,35 +1139,74 @@ class EngineRunner:
     # ------------------------------------------------------------ parallel --
 
     def _run_parallel(self, specs: List[JobSpec]) -> List[JobResult]:
-        # A fresh pool is created per batch, so the initargs can carry the
-        # batch's correlation ID — and the enclosing span (the batch span
-        # when tracing, else any inherited cross-process parent) — into
-        # every worker process.
+        # Every job carries the batch's correlation ID and enclosing span
+        # (the batch span when tracing, else any inherited cross-process
+        # parent), so one kept pool can serve batches of many jobs.
         parent = (
             self._tracer._current_span()
             if self._tracer is not None
             else parent_span_id()
         )
-        initargs = (
-            self.settings, self.cache_dir, self.profiles,
-            self.obs, correlation_id(), parent,
-        )
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(specs)),
+        context = (correlation_id(), parent)
+        if not self.keep_pool:
+            with self._new_pool(min(self.workers, len(specs))) as pool:
+                return self._run_in(pool, specs, context)
+        with self._pool_lock:
+            if self._pool is None:
+                # Spawned: forking a long-lived threaded process (a fleet
+                # worker) can copy a lock another thread holds.
+                self._pool = self._new_pool(
+                    self.workers, multiprocessing.get_context("spawn"),
+                )
+            pool = self._pool
+        return self._run_in(pool, specs, context)
+
+    def _new_pool(
+        self, workers: int, context: Any = None,
+    ) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
             initializer=_init_worker,
-            initargs=initargs,
-        ) as pool:
-            futures = [pool.submit(_run_job_in_worker, spec) for spec in specs]
-            return [
-                self._collect(pool, spec, future)
-                for spec, future in zip(specs, futures)
-            ]
+            initargs=(self.settings, self.cache_dir, self.profiles, self.obs),
+        )
+
+    def _run_in(
+        self,
+        pool: ProcessPoolExecutor,
+        specs: List[JobSpec],
+        context: Tuple[str, str],
+    ) -> List[JobResult]:
+        futures = [self._submit(pool, spec, context) for spec in specs]
+        return [
+            self._collect(pool, spec, future, context)
+            for spec, future in zip(specs, futures)
+        ]
+
+    @staticmethod
+    def _submit(
+        pool: ProcessPoolExecutor, spec: JobSpec, context: Tuple[str, str],
+    ) -> "Future[Dict[str, Any]]":
+        try:
+            return pool.submit(_run_job_in_worker, spec, *context)
+        except Exception as exc:  # a broken pool: fail the job, not the batch
+            failed: "Future[Dict[str, Any]]" = Future()
+            failed.set_exception(exc)
+            return failed
+
+    def close(self) -> None:
+        """Shut down the kept process pool (a no-op without one)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     def _collect(
         self,
         pool: ProcessPoolExecutor,
         spec: JobSpec,
         future: "Future[Dict[str, Any]]",
+        context: Tuple[str, str],
     ) -> JobResult:
         """Await one job, retrying failures up to ``retries`` times."""
         attempts = 1
@@ -1171,6 +1223,11 @@ class EngineRunner:
                     wall_time=self.job_timeout,
                 )
             except Exception as exc:  # e.g. BrokenProcessPool
+                if isinstance(exc, BrokenProcessPool):
+                    with self._pool_lock:  # the next batch starts afresh
+                        if self._pool is pool:
+                            self._pool = None
+                            pool.shutdown(wait=False)
                 payload = {
                     "status": "failed",
                     "result": None,
@@ -1183,7 +1240,7 @@ class EngineRunner:
                 return JobResult(spec=spec, attempts=attempts, **payload)
             attempts += 1
             try:
-                future = pool.submit(_run_job_in_worker, spec)
+                future = pool.submit(_run_job_in_worker, spec, *context)
             except Exception as exc:  # pool already broken: give up
                 payload["error"] += f" (retry unavailable: {exc})"
                 return JobResult(spec=spec, attempts=attempts, **payload)

@@ -162,7 +162,7 @@ class SaturatedError(ReproError):
     """The service cannot accept work right now; retry after a delay.
 
     Carries the HTTP ``status`` to answer with (429 when the queue is full,
-    503 when no workers are live or the daemon is draining) and a
+    503 when no workers are live or the server is draining) and a
     ``retry_after`` hint in seconds, surfaced as the ``Retry-After`` header.
     """
 

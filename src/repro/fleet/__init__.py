@@ -1,9 +1,10 @@
 """repro.fleet — distributed multi-worker execution for the service layer.
 
 One coordinator (asyncio front end + job queue + cost-aware router) and N
-pull-based workers, speaking the same versioned wire protocol as the
-single-node daemon.  See DESIGN.md ("Distributed fleet") for the
-topology, the lease protocol and the failure semantics.
+pull-based workers, speaking the service's versioned wire protocol.  This
+is the only server: ``mlpsim serve`` is a coordinator plus one in-process
+worker.  See DESIGN.md ("Distributed fleet") for the topology, the lease
+protocol and the failure semantics.
 
 Quick start::
 
@@ -12,11 +13,11 @@ Quick start::
     coord = FleetCoordinator(port=0).start()
     worker = FleetWorker(coord.url).join()
     # worker.run() in a thread/process; then submit jobs via
-    # repro.api.connect(coord.url) exactly as against a daemon.
+    # repro.api.connect(coord.url).
 """
 
 from .cost import CostEstimate, estimate_job_cost
-from .frontend import FleetCoordinator, serve_fleet
+from .frontend import FleetCoordinator, local_worker, serve_fleet
 from .registry import WorkerInfo, WorkerRegistry
 from .router import Router, TaskRecord
 from .worker import FleetWorker, run_worker
@@ -30,6 +31,7 @@ __all__ = [
     "WorkerInfo",
     "WorkerRegistry",
     "estimate_job_cost",
+    "local_worker",
     "run_worker",
     "serve_fleet",
 ]

@@ -1,28 +1,34 @@
 """The fleet coordinator: asyncio HTTP front end + job → task orchestration.
 
-This is the horizontally scalable replacement for the single-process
-daemon's blocking accept loop.  One coordinator process owns:
+This is the repo's one server: ``mlpsim serve`` runs a coordinator plus
+one in-process :class:`~repro.fleet.worker.FleetWorker` thread (``--workers
+0`` leaves it out, for hosts whose workers join with ``mlpsim worker
+--join``).  One coordinator process owns:
 
 - an **asyncio front end** (stdlib ``asyncio.start_server``, HTTP/1.1 with
-  keep-alive) speaking the *existing* versioned wire protocol — clients,
-  ``repro.api.connect`` and ``mlpsim submit`` work unchanged against a
-  coordinator — plus the ``/v1/fleet/*`` worker protocol,
-- the same bounded, deduplicating :class:`~repro.service.jobqueue.JobQueue`
-  the daemon uses, with admission control in front of it (429/503 +
-  ``Retry-After``, priority-aware shedding),
+  keep-alive) speaking the versioned wire protocol — clients,
+  ``repro.api.connect`` and ``mlpsim submit`` — plus the ``/v1/fleet/*``
+  worker protocol,
+- a bounded, deduplicating :class:`~repro.service.jobqueue.JobQueue`, with
+  admission control in front of it (429/503 + ``Retry-After``,
+  priority-aware shedding),
 - a :class:`~repro.fleet.registry.WorkerRegistry` (lease heartbeats,
   drain, eviction) and a :class:`~repro.fleet.router.Router` (cost-aware
   LPT placement, bounded per-worker in-flight),
 - the content-addressed :class:`~repro.engine.cache.ArtifactCache` as the
   cluster-wide shared result store: completed job payloads are published
-  under the request signature, so dedup-by-request-hash extends across
-  nodes and across coordinator restarts.
+  under the request signature and the coordinator's experiment settings,
+  so dedup-by-request-hash extends across nodes and across coordinator
+  restarts, but never across settings.
 
-The coordinator runs **no simulations itself**.  A dispatcher thread
-expands each claimed job into engine-level tasks (sweep grid points, or
-:class:`ShardPlan` shards for sharded simulates); workers long-poll
+The coordinator runs **no simulations itself** (``estimate`` is pure
+arithmetic and is answered on submit).  A dispatcher thread expands each
+claimed job into tasks: sweep grid points, :class:`ShardPlan` shards for
+sharded simulates, or — for figure and tune jobs, whose drivers cannot be
+split — one task carrying the whole request.  Workers long-poll
 ``/v1/fleet/lease``, execute specs through their own
-:class:`~repro.engine.runner.EngineRunner`, and POST results back.  A
+:class:`~repro.engine.runner.EngineRunner` (whole requests through
+:class:`~repro.service.executor.ServiceEngine`), and POST results back.  A
 worker SIGKILLed mid-shard misses its heartbeats, is evicted, and its
 leased shards requeue — the next worker to lease them resumes from the
 last verified checkpoint in the shared cache (content-keyed, so no
@@ -43,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.backend import backend_names
 from ..engine import serialize
-from ..engine.cache import ArtifactCache, resolve_cache_dir
+from ..engine.cache import ArtifactCache, content_key, resolve_cache_dir
 from ..engine.runner import JobResult, JobSpec, RunReport, ShardedReport
 from ..errors import ProtocolError, SaturatedError, UnknownWorkerError
 from ..harness.experiment import ExperimentSettings, Workbench
@@ -53,24 +59,27 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.options import ObsOptions
 from ..obs.trace import Tracer
 from ..service.jobqueue import Job, JobQueue, JobState, QueueFullError
-from ..service.protocol import PROTOCOL_VERSION, parse_job_request
-from .cost import estimate_job_cost
+from ..service.executor import estimate_payload
+from ..service.protocol import PROTOCOL_VERSION, JobRequest, parse_job_request
+from .cost import CostEstimate, estimate_job_cost
 from .federation import MetricsFederation
 from .registry import WorkerRegistry
-from .router import Router, TaskRecord
+from .router import RequestOutcome, Router, TaskRecord
+from .worker import FleetWorker
 
-__all__ = ["FleetCoordinator", "serve_fleet"]
+__all__ = ["FleetCoordinator", "local_worker", "serve_fleet"]
 
 _log = get_logger("fleet")
 
-#: Submission bodies larger than this are rejected outright (matches the
-#: single-node daemon).  Worker completions carry whole serialized results
-#: and get a much larger allowance.
+#: Submission bodies larger than this are rejected outright (64 KiB is
+#: orders of magnitude above any legitimate sweep spec).  Worker
+#: completions carry whole serialized results and get a much larger
+#: allowance.
 MAX_BODY_BYTES = 64 * 1024
 MAX_WORKER_BODY_BYTES = 64 * 1024 * 1024
 
 #: The artifact-cache kind under which finished job payloads are published
-#: (the cluster-wide dedup-by-request-hash store).
+#: (the cluster-wide dedup-by-request-hash store; see ``_result_key``).
 RESULT_KIND = "service-result"
 
 #: Server-side cap on lease long-polling.
@@ -223,26 +232,13 @@ class FleetCoordinator:
     def submit(self, payload: Any) -> Tuple[Job, bool]:
         """Parse, admission-check and enqueue one submission."""
         request = parse_job_request(payload)
-        if request.kind == "figure":
-            raise ProtocolError(
-                "figure jobs are not fleet-routable (their drivers run "
-                "serially against one warm bench); submit them to a "
-                "single-node daemon (mlpsim serve without --fleet)",
-            )
-        if request.kind == "tune":
-            raise ProtocolError(
-                "tune jobs are not fleet-routable (generations are "
-                "sequential ask/tell rounds over one engine); submit them "
-                "to a single-node daemon (mlpsim serve without --fleet)",
-            )
         if request.kind == "estimate":
             # Pure arithmetic — resolved inline on the coordinator, no
             # worker lease, no queue wait.
-            from ..service.executor import estimate_payload
-
             job, deduped = self.queue.submit(request)
             if not deduped:
                 self.queue.resolve_queued(job.id, estimate_payload(request))
+                self._record_finish(job)
             self.metrics.inc("jobs_submitted_total")
             if deduped:
                 self.metrics.inc("jobs_deduped_total")
@@ -253,10 +249,11 @@ class FleetCoordinator:
                 status=503, retry_after=self._retry_after_hint(),
             )
         # Cluster-wide dedup: a completed payload for this exact request
-        # signature short-circuits the whole fleet.
-        signature = request.signature()
+        # under these settings short-circuits the whole fleet.
         sentinel = object()
-        cached = self.artifacts.get(RESULT_KIND, signature, default=sentinel)
+        cached = self.artifacts.get(
+            RESULT_KIND, self._result_key(request), default=sentinel,
+        )
         if cached is not sentinel:
             job, deduped = self.queue.submit(request)
             if not deduped and self.queue.resolve_queued(job.id, cached):
@@ -294,6 +291,15 @@ class FleetCoordinator:
         else:
             self._begin_job_trace(job)
         return job, deduped
+
+    def _result_key(self, request: JobRequest) -> str:
+        """Where a request's finished payload lives in the result store.
+
+        The request signature alone would let a coordinator running other
+        warmup/measure/seed/calibrate settings on the same cache directory
+        answer with a result measured under the wrong settings.
+        """
+        return content_key(RESULT_KIND, self.settings, request.signature())
 
     def _begin_job_trace(self, job: Job) -> None:
         """Open the job's root span — the anchor of its cross-process tree.
@@ -336,6 +342,19 @@ class FleetCoordinator:
         """Expand one claimed job into leasable engine tasks."""
         request = job.request
         backend = request.backend or self.default_backend
+        if request.kind in ("figure", "tune"):
+            return [
+                TaskRecord(
+                    id=f"{job.id}.0",
+                    job_id=job.id,
+                    index=0,
+                    spec=None,
+                    request=replace(request, backend=backend),
+                    priority=job.priority,
+                    cost=self._request_cost(request),
+                    corr=job.id,
+                )
+            ]
         if request.kind == "sweep":
             assert request.sweep is not None
             specs = request.sweep.to_jobs()
@@ -376,6 +395,17 @@ class FleetCoordinator:
             for index, spec in enumerate(specs)
         ]
 
+    def _request_cost(self, request: JobRequest) -> CostEstimate:
+        """A rough cost for a whole-request task: one plain simulate per
+        figure workload, or per tune evaluation."""
+        if request.kind == "tune":
+            assert request.tune is not None
+            workload, count = request.tune.workload, request.tune.budget
+        else:
+            workload, count = request.workloads[0], len(request.workloads)
+        spec = JobSpec(workload=workload)
+        return estimate_job_cost(spec, self.settings).scaled(max(1, count))
+
     def _plan_shards(self, spec: JobSpec, shards: int) -> Any:
         from ..shard.execute import shard_plan_for
 
@@ -394,7 +424,7 @@ class FleetCoordinator:
                 continue
             job = self.queue.next_job(timeout=0.1)
             if job is None:
-                if self.queue._closed:  # closed and drained
+                if self.queue.closed:  # closed and drained
                     return
                 continue
             try:
@@ -457,7 +487,10 @@ class FleetCoordinator:
             del self._completions[:-200]
 
     def complete_task(
-        self, worker_id: str, task_id: str, result: JobResult,
+        self,
+        worker_id: str,
+        task_id: str,
+        result: JobResult | RequestOutcome,
     ) -> Optional[TaskRecord]:
         task = self.router.complete(worker_id, task_id, result)
         if task is None:
@@ -484,8 +517,8 @@ class FleetCoordinator:
             self._tracer.event(
                 "fleet_task_complete", corr=task.corr, task=task.id,
                 worker=worker_id, state=task.state,
-                resumed_pos=result.resumed_pos,
-                checkpoints=result.checkpoints_written,
+                resumed_pos=getattr(result, "resumed_pos", -1),
+                checkpoints=getattr(result, "checkpoints_written", 0),
             )
         self._maybe_finish_job(task.job_id)
         return task
@@ -513,6 +546,7 @@ class FleetCoordinator:
                         f"{len(failed)} task(s) failed after "
                         f"{worst.attempts} attempt(s): {error}"
                     ),
+                    tb=getattr(worst.result, "traceback", ""),
                 )
                 self.router.forget_job(job_id)
                 self._plans.pop(job_id, None)
@@ -539,8 +573,15 @@ class FleetCoordinator:
                 self._plans.pop(job_id, None)
                 self._record_finish(job)
                 return
-            if self.artifacts.directory is not None:
-                self.artifacts.put(RESULT_KIND, job.key, payload)
+            # Tunes are not published: their per-generation state is in
+            # the cache already, and a resubmission resumes from it.
+            if (
+                self.artifacts.directory is not None
+                and job.request.kind != "tune"
+            ):
+                self.artifacts.put(
+                    RESULT_KIND, self._result_key(job.request), payload,
+                )
             self.queue.finish(job, result=payload)
             self.router.forget_job(job_id)
             self._plans.pop(job_id, None)
@@ -553,13 +594,20 @@ class FleetCoordinator:
             )
 
     def _assemble(self, job: Job, tasks: List[TaskRecord]) -> Dict[str, Any]:
-        """Merge per-task results into the single-node payload shape.
+        """Merge per-task results into the job's result payload.
 
-        The payloads mirror :mod:`repro.service.executor` exactly, so a
-        client cannot tell (and tests assert it cannot tell) whether a job
-        ran on one node or across the fleet.
+        A sweep or simulate decodes to the same report however many
+        workers ran its tasks (tests assert it is bit-identical to a
+        direct run); a figure or tune task already carries its payload.
         """
         request = job.request
+        if request.kind in ("figure", "tune"):
+            (outcome,) = (t.result for t in tasks)
+            if not isinstance(outcome, RequestOutcome):
+                raise ProtocolError(
+                    f"{request.kind} task answered with an engine result"
+                )
+            return outcome.payload
         results = [t.result for t in tasks]
         assert all(r is not None for r in results)
         wall = time.time() - (job.started_at or time.time())
@@ -733,26 +781,31 @@ class FleetCoordinator:
                     cost_units=round(task.cost.units, 1),
                 )
         return {
-            "tasks": [
-                {
-                    "task": task.id,
-                    "corr": task.corr,
-                    # The W3C-traceparent-style context the worker restores
-                    # before executing, so its spans join the job's tree.
-                    "traceparent": format_traceparent(
-                        task.corr, self._job_spans.get(task.job_id, ""),
-                    ),
-                    "attempt": task.attempts,
-                    "priority": task.priority,
-                    "spec": serialize.to_jsonable(task.spec),
-                }
-                for task in granted
-            ],
+            "tasks": [self._lease_entry(task) for task in granted],
             "draining": worker.draining or (
                 self.draining and self._backlog_drained()
             ),
             "shutdown": self._stopping,
         }
+
+    def _lease_entry(self, task: TaskRecord) -> Dict[str, Any]:
+        entry: Dict[str, Any] = {
+            "task": task.id,
+            "corr": task.corr,
+            # The W3C-traceparent-style context the worker restores
+            # before executing, so its spans join the job's tree.
+            "traceparent": format_traceparent(
+                task.corr, self._job_spans.get(task.job_id, ""),
+            ),
+            "attempt": task.attempts,
+            "priority": task.priority,
+        }
+        if task.spec is None:
+            assert task.request is not None
+            entry["request"] = task.request.to_dict()
+        else:
+            entry["spec"] = serialize.to_jsonable(task.spec)
+        return entry
 
     def complete_tasks(self, body: Dict[str, Any]) -> Dict[str, Any]:
         worker_id = str(body.get("worker", ""))
@@ -763,20 +816,32 @@ class FleetCoordinator:
         # Validate the whole batch BEFORE applying any of it: a malformed
         # entry mid-list must not leave the worker holding an error answer
         # for a partially-accepted batch.
-        parsed: List[Tuple[str, JobResult]] = []
+        parsed: List[Tuple[str, JobResult | RequestOutcome]] = []
         for position, entry in enumerate(results):
-            if not isinstance(entry, dict) or "task" not in entry:
+            if not isinstance(entry, dict) or "task" not in entry or not (
+                {"result", "payload", "error"} & entry.keys()
+            ):
                 raise ProtocolError(
-                    f"results[{position}] needs 'task' and 'result' fields"
+                    f"results[{position}] needs 'task' and 'result' fields "
+                    f"('payload' or 'error' for a figure or tune task)"
                 )
+            task_id = str(entry["task"])
+            if "result" not in entry:
+                # A whole-request task (figure or tune) answers with its
+                # payload, or the error and traceback of the attempt.
+                parsed.append((task_id, RequestOutcome(
+                    payload=entry.get("payload"),
+                    error=str(entry.get("error", "")),
+                    traceback=str(entry.get("traceback", "")),
+                )))
+                continue
             try:
-                result = JobResult.from_dict(entry.get("result"))
+                parsed.append((task_id, JobResult.from_dict(entry["result"])))
             except Exception as exc:
                 raise ProtocolError(
-                    f"results[{position}] ({entry.get('task')!r}) does not "
+                    f"results[{position}] ({task_id!r}) does not "
                     f"decode as a JobResult: {exc}"
                 ) from None
-            parsed.append((str(entry["task"]), result))
         accepted = 0
         stale = 0
         for task_id, result in parsed:
@@ -982,10 +1047,9 @@ class _AsyncFrontend:
     """Minimal asyncio HTTP/1.1 server bound to one coordinator.
 
     Runs its own event loop on a daemon thread so the coordinator embeds
-    in tests and the CLI the same way :class:`ReproService` does.  Replaces
-    the thread-per-request blocking accept loop: every connection is a
-    coroutine, so hundreds of concurrent clients (and long-polling
-    workers) cost one thread total.
+    in tests and the CLI alike.  Every connection is a coroutine, so
+    hundreds of concurrent clients (and long-polling workers) cost one
+    thread total.
     """
 
     def __init__(
@@ -1347,11 +1411,34 @@ class _AsyncFrontend:
 # ----------------------------------------------------------------- serve --
 
 
+def local_worker(
+    coordinator: FleetCoordinator,
+    workers: Optional[int] = None,
+    job_timeout: float = 600.0,
+    obs: Optional[ObsOptions] = None,
+) -> FleetWorker:
+    """Join an in-process worker to *coordinator* (what ``mlpsim serve``
+    runs next to it) and return it; run its pull loop on a thread.
+
+    *workers* sizes its runner pool.  Its engine, simulation and tuning
+    counters also appear unprefixed on the coordinator's ``/metrics``.
+    """
+    worker = FleetWorker(
+        coordinator.url, name="local", runner_workers=workers,
+        job_timeout=job_timeout, obs=obs,
+    ).join()
+    assert worker.engine is not None
+    worker.engine.register_metrics(coordinator.metrics)
+    return worker
+
+
 def serve_fleet(
     host: str = "127.0.0.1",
     port: int = 8137,
     settings: Optional[ExperimentSettings] = None,
     cache_dir: Any = "auto",
+    workers: Optional[int] = None,
+    job_timeout: float = 600.0,
     queue_capacity: int = 256,
     lease_ttl: float = 5.0,
     max_inflight: int = 2,
@@ -1362,11 +1449,17 @@ def serve_fleet(
     obs: Optional[ObsOptions] = None,
     default_backend: str = "",
 ) -> int:
-    """Run a fleet coordinator in the foreground until interrupted.
+    """Run ``mlpsim serve`` in the foreground until interrupted.
+
+    Starts a coordinator plus one in-process worker whose runner pool has
+    *workers* processes (default ``min(4, cpus)``); ``workers=0`` runs the
+    coordinator alone, for workers that join with ``mlpsim worker --join``.
 
     SIGTERM (and Ctrl-C) triggers a graceful drain: stop accepting, let
     workers finish or checkpoint in-flight work within *drain_timeout*,
-    then exit — nonzero when work had to be abandoned.
+    then exit — nonzero when work had to be abandoned.  Shells start
+    backgrounded children with SIGINT ignored, so ``kill -TERM`` is how
+    scripts shut the server down.
     """
     setup_logging(level=log_level, fmt=log_format)
     log = get_logger("fleet")
@@ -1390,7 +1483,14 @@ def serve_fleet(
     signal.signal(signal.SIGTERM, _signalled)
     signal.signal(signal.SIGINT, _signalled)
     coordinator.start()
-    log.info("repro fleet coordinator listening on %s", coordinator.url)
+    local: Optional[threading.Thread] = None
+    if workers != 0:
+        worker = local_worker(coordinator, workers, job_timeout, obs)
+        local = threading.Thread(
+            target=worker.run, name="fleet-local-worker", daemon=True,
+        )
+        local.start()
+    log.info("repro service listening on %s", coordinator.url)
     if obs is not None and obs.trace_dir is not None:
         log.info("tracing to %s", obs.trace_dir)
     stop_event.wait()
@@ -1400,6 +1500,8 @@ def serve_fleet(
     deadline = time.monotonic() + coordinator.registry.lease_ttl
     while coordinator.registry.count() and time.monotonic() < deadline:
         time.sleep(0.05)
+    if local is not None:
+        local.join(timeout=coordinator.registry.lease_ttl)
     coordinator.stop()
     log.info("shutting down (%d work item(s) abandoned)", abandoned)
     return 1 if abandoned else 0

@@ -2,8 +2,11 @@
 
 One service *job* (a sweep, a sharded simulate) expands into one or more
 *tasks*, each a single :class:`~repro.engine.runner.JobSpec` — the unit a
-worker leases, executes and completes.  The router owns the task table
-and decides, when a worker asks for work, which tasks it gets:
+worker leases, executes and completes.  A figure or tune job is one task
+that carries the whole :class:`~repro.service.protocol.JobRequest`
+instead, and its worker answers with a :class:`RequestOutcome`.  The
+router owns the task table and decides, when a worker asks for work,
+which tasks it gets:
 
 - strict priority first (the job's service priority),
 - then **largest predicted cost first** within a priority (classic LPT —
@@ -13,7 +16,9 @@ and decides, when a worker asks for work, which tasks it gets:
 - FIFO as the final tie-break, so equal work is served fairly.
 
 Placement is bounded: a worker never holds more than ``max_inflight``
-leased tasks, which is the fleet's backpressure primitive — the
+leased tasks (or, if larger, its runner pool size, so every engine
+process of a big worker has a task), which is the fleet's backpressure
+primitive — the
 coordinator can translate "every worker is at its in-flight bound and the
 queue is deep" into a 429 with a cost-derived ``Retry-After``.
 
@@ -31,26 +36,42 @@ import heapq
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from .cost import CostEstimate
-from .registry import WorkerRegistry
+from .registry import WorkerInfo, WorkerRegistry
 
 if TYPE_CHECKING:
     from ..engine.runner import JobResult, JobSpec
+    from ..service.protocol import JobRequest
 
-__all__ = ["Router", "TaskRecord"]
+__all__ = ["RequestOutcome", "Router", "TaskRecord"]
+
+
+@dataclass
+class RequestOutcome:
+    """A worker's answer for a whole-request task: the job's result
+    payload, or the error and traceback of the failed attempt."""
+
+    payload: Any = None
+    error: str = ""
+    traceback: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.error
 
 
 @dataclass
 class TaskRecord:
-    """One leasable unit of work (a single engine JobSpec)."""
+    """One leasable unit of work: a single engine JobSpec, or (``spec``
+    ``None``) a whole figure or tune ``request``."""
 
     id: str
     job_id: str
     index: int  # position within the job's spec list (result ordering)
-    spec: "JobSpec"
+    spec: Optional["JobSpec"]
     priority: int
     cost: CostEstimate
     corr: str = ""
@@ -61,8 +82,15 @@ class TaskRecord:
     leased_at: float = 0.0
     #: When the task (re)entered the pending pool — the lease-wait clock.
     queued_at: float = 0.0
-    result: Optional["JobResult"] = None
-    _f: Any = field(default=None, repr=False)
+    result: Union["JobResult", RequestOutcome, None] = None
+    request: Optional["JobRequest"] = None
+
+    @property
+    def label(self) -> str:
+        if self.spec is None:
+            assert self.request is not None
+            return self.request.describe()
+        return self.spec.describe()
 
     def status_payload(self) -> Dict[str, Any]:
         return {
@@ -74,7 +102,7 @@ class TaskRecord:
             "attempts": self.attempts,
             "priority": self.priority,
             "cost_units": round(self.cost.units, 1),
-            "label": self.spec.describe(),
+            "label": self.label,
         }
 
 
@@ -113,6 +141,12 @@ class Router:
             (-task.priority, -task.cost.units, task.seq, task.id),
         )
 
+    def capacity(self, worker: WorkerInfo) -> int:
+        """Tasks *worker* may hold at once: ``max_inflight``, raised to the
+        runner pool size it registered with."""
+        pool = worker.capabilities.get("runner_workers")
+        return max(self.max_inflight, pool if isinstance(pool, int) else 0)
+
     # ------------------------------------------------------------- intake --
 
     def add_tasks(self, tasks: List[TaskRecord]) -> None:
@@ -150,7 +184,9 @@ class Router:
                 1 for task in self._tasks.values()
                 if task.state == "leased" and task.worker_id == worker_id
             )
-            budget = min(max(0, self.max_inflight - held), max(1, max_tasks))
+            budget = min(
+                max(0, self.capacity(worker) - held), max(1, max_tasks),
+            )
             if budget == 0 or not self._pending:
                 return []
             granted: List[TaskRecord] = []
@@ -168,7 +204,10 @@ class Router:
             return granted
 
     def complete(
-        self, worker_id: str, task_id: str, result: "JobResult",
+        self,
+        worker_id: str,
+        task_id: str,
+        result: Union["JobResult", RequestOutcome],
     ) -> Optional[TaskRecord]:
         """Record a worker's result for a leased task.
 
@@ -292,14 +331,6 @@ class Router:
                 if task.state in ("pending", "leased")
             )
 
-    def has_capacity(self) -> bool:
-        """True while at least one accepting worker is under its bound."""
-        held = self.inflight_by_worker()
-        return any(
-            held.get(worker.id, 0) < self.max_inflight
-            for worker in self.registry.accepting_workers()
-        )
-
     def wants_more(self) -> bool:
         """True while the outstanding backlog fits the fleet's slots.
 
@@ -311,7 +342,10 @@ class Router:
         overshoot by its own fan-out; the gate bounds jobs, not tasks.
         """
         counts = self.counts()
-        slots = len(self.registry.accepting_workers()) * self.max_inflight
+        slots = sum(
+            self.capacity(worker)
+            for worker in self.registry.accepting_workers()
+        )
         return counts["pending"] + counts["leased"] < slots
 
     def status_payload(self) -> List[Dict[str, Any]]:

@@ -1,13 +1,19 @@
 """The fleet worker: a thin pull-loop around :class:`EngineRunner`.
 
-A worker joins a coordinator (``mlpsim worker --join URL``), adopts the
-coordinator's experiment settings and shared artifact-cache directory
-(both ride back on the registration response — this is what guarantees
-bit-identical results and cross-worker checkpoint resume), then loops:
+A worker joins a coordinator (``mlpsim worker --join URL``, or the
+in-process worker ``mlpsim serve`` starts), adopts the coordinator's
+experiment settings and shared artifact-cache directory (both ride back
+on the registration response — this is what guarantees bit-identical
+results and cross-worker checkpoint resume), then loops:
 
     long-poll ``/v1/fleet/lease``  →  run the leased specs through the
-    local EngineRunner  →  POST the serialized results to
-    ``/v1/fleet/complete``
+    local EngineRunner (figure and tune tasks, which carry a whole
+    request, through :class:`~repro.service.executor.ServiceEngine`)  →
+    POST the serialized results to ``/v1/fleet/complete``
+
+With more than one engine process the runner keeps one process pool for
+the worker's life, and each lease asks for at least one task per
+process, so the pool stays warm and busy across leases and jobs.
 
 Liveness is a heartbeat thread renewing the lease every TTL/3.  If the
 process dies (or the machine does), the missed heartbeats evict it and the
@@ -25,17 +31,20 @@ import os
 import signal
 import threading
 import time
+import traceback
 import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional
 
 from ..engine import serialize
-from ..engine.runner import EngineRunner, JobSpec
+from ..engine.runner import EngineRunner, JobSpec, default_workers
 from ..errors import ReproError
 from ..harness.experiment import ExperimentSettings
 from ..obs.context import format_traceparent, trace_context
 from ..obs.logging import get_logger, setup_logging
 from ..obs.options import ObsOptions
+from ..service.executor import ServiceEngine
+from ..service.protocol import JobRequest
 
 __all__ = ["FleetWorker", "run_worker"]
 
@@ -54,24 +63,29 @@ class FleetWorker:
         coordinator_url: str,
         name: str = "",
         cache_dir: Optional[str] = None,
-        runner_workers: int = 1,
+        runner_workers: Optional[int] = 1,
         lease_batch: int = 0,
         lease_wait: float = 10.0,
         obs: Optional[ObsOptions] = None,
         max_connect_failures: int = 10,
+        job_timeout: float = 600.0,
     ) -> None:
         self.url = coordinator_url.rstrip("/")
         self.name = name
         self.cache_dir_override = cache_dir
-        self.runner_workers = runner_workers
+        self.runner_workers = (
+            default_workers() if runner_workers is None else runner_workers
+        )
         self.lease_batch = lease_batch
         self.lease_wait = lease_wait
         self.obs = obs
         self.max_connect_failures = max_connect_failures
+        self.job_timeout = job_timeout
         self.worker_id = ""
         self.lease_ttl = 5.0
         self.settings: Optional[ExperimentSettings] = None
         self.runner: Optional[EngineRunner] = None
+        self.engine: Optional[ServiceEngine] = None
         self.tasks_done = 0
         self._stop = threading.Event()
         self._heartbeat_thread: Optional[threading.Thread] = None
@@ -116,18 +130,23 @@ class FleetWorker:
         self.name = grant.get("name", self.name)
         self.lease_ttl = float(grant.get("lease_ttl", 5.0))
         if not self.lease_batch:
-            self.lease_batch = int(grant.get("lease_batch", 1)) or 1
+            self.lease_batch = max(
+                int(grant.get("lease_batch", 1)) or 1, self.runner_workers,
+            )
         self.settings = serialize.from_jsonable(grant["settings"])
+        # A null directory in the grant means the coordinator persists
+        # nothing, so this worker keeps its artifacts in memory too.
         cache_dir: Any = self.cache_dir_override or grant.get("cache_dir")
-        if cache_dir is None:
-            cache_dir = "auto"
         self.runner = EngineRunner(
             settings=self.settings,
             cache_dir=cache_dir,
             workers=self.runner_workers,
+            job_timeout=self.job_timeout,
             retries=0,  # the fleet router owns retry policy
             obs=self.obs,
+            keep_pool=True,
         )
+        self.engine = ServiceEngine(self.runner)
         self._metrics_baseline = self._metrics_snapshot()
         _log.info(
             "joined %s as %s (%s); lease ttl %.1fs, batch %d",
@@ -205,12 +224,18 @@ class FleetWorker:
             groups.setdefault(self._lease_traceparent(entry), []).append(entry)
         results = []
         for traceparent, entries in groups.items():
+            spec_entries = [e for e in entries if "spec" in e]
             specs: List[JobSpec] = [
-                serialize.from_jsonable(entry["spec"]) for entry in entries
+                serialize.from_jsonable(e["spec"]) for e in spec_entries
             ]
             with trace_context(traceparent):
+                for entry in entries:
+                    if "request" in entry:
+                        results.append(self._run_request(entry, traceparent))
+                if not specs:
+                    continue
                 report = self.runner.run(specs)
-            for entry, job_result in zip(entries, report.jobs):
+            for entry, job_result in zip(spec_entries, report.jobs):
                 results.append(
                     {
                         "task": entry["task"],
@@ -225,6 +250,32 @@ class FleetWorker:
                     job_result.spec.describe(),
                 )
         return results
+
+    def _run_request(
+        self, entry: Dict[str, Any], traceparent: str,
+    ) -> Dict[str, Any]:
+        """Run one whole-request task (a figure or tune job).
+
+        The completion carries the job's result payload, or the error and
+        traceback that the coordinator reports if no retry succeeds.
+        """
+        assert self.engine is not None
+        request = JobRequest.from_dict(entry["request"])
+        answer: Dict[str, Any] = {
+            "task": entry["task"], "traceparent": traceparent,
+        }
+        started = time.perf_counter()
+        try:
+            answer["payload"] = self.engine.execute(request)
+        except Exception as exc:
+            answer["error"] = f"{type(exc).__name__}: {exc}"
+            answer["traceback"] = traceback.format_exc()
+        _log.info(
+            "task %s %s (%.2fs): %s", entry["task"],
+            "failed" if "error" in answer else "ok",
+            time.perf_counter() - started, request.describe(),
+        )
+        return answer
 
     def _post_complete(self, results: List[Dict[str, Any]]) -> bool:
         """Deliver one batch of results to the coordinator; never raises.
@@ -332,6 +383,8 @@ class FleetWorker:
                 pass
             if self._heartbeat_thread is not None:
                 self._heartbeat_thread.join(timeout=2.0)
+            if self.runner is not None:
+                self.runner.close()
         return exit_code
 
 
@@ -339,7 +392,7 @@ def run_worker(
     coordinator_url: str,
     name: str = "",
     cache_dir: Optional[str] = None,
-    runner_workers: int = 1,
+    runner_workers: Optional[int] = 1,
     lease_batch: int = 0,
     log_level: str = "info",
     log_format: str = "text",

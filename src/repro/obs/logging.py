@@ -1,4 +1,4 @@
-"""Structured logging for the service daemon (and anything else).
+"""Structured logging for the service server (and anything else).
 
 ``mlpsim serve`` historically announced itself with ad-hoc ``print``s and
 swallowed request logs entirely.  This module gives the whole package one

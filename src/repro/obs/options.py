@@ -9,13 +9,19 @@ process can open its own per-process trace file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from .trace import Tracer, default_trace_file
 
 __all__ = ["ObsOptions"]
+
+#: This process's open tracers, one per trace file (see ``open_tracer``):
+#: trace files are per process, so the registry is too.
+_OPEN: Dict[Path, Tracer] = {}
+_OPEN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,22 @@ class ObsOptions:
         """Whether any observation is requested at all."""
         return self.trace_dir is not None or self.profile_phases
 
-    def with_trace_dir(self, trace_dir: Union[str, Path]) -> "ObsOptions":
-        return replace(self, trace_dir=str(trace_dir))
-
     def open_tracer(self) -> Optional[Tracer]:
-        """A tracer on this process's per-PID file, or ``None`` if off."""
+        """The tracer on this process's per-PID file, or ``None`` if off.
+
+        Every opener in one process shares one tracer per file (each
+        ``close()`` releases one), so one lock, byte count and rotation
+        cover all writers of ``trace-<pid>.jsonl`` — a coordinator and
+        its in-process worker, say.  The first opener's
+        ``trace_max_bytes`` applies.
+        """
         if self.trace_dir is None:
             return None
-        return Tracer(
-            default_trace_file(self.trace_dir),
-            max_bytes=self.trace_max_bytes,
-        )
+        path = default_trace_file(self.trace_dir)
+        with _OPEN_LOCK:
+            tracer = _OPEN.get(path)
+            if tracer is None or not tracer.share():
+                tracer = _OPEN[path] = Tracer(
+                    path, max_bytes=self.trace_max_bytes,
+                )
+            return tracer

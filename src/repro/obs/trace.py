@@ -118,6 +118,8 @@ class Tracer:
         self.max_segments = max(0, int(max_segments))
         self._lock = threading.Lock()
         self._local = threading.local()
+        #: Openers still using this tracer (see :meth:`share`).
+        self._refs = 1
         self._owns_file = False
         self._file: Optional[Any] = None
         self._bytes = 0
@@ -151,7 +153,7 @@ class Tracer:
     def event(self, kind: str, name: str = "", **attrs: Any) -> Dict[str, Any]:
         """Emit one event; returns the written record."""
         record: Dict[str, Any] = {
-            "ts": time.time(),
+            "ts": 0.0,  # stamped by _write
             "kind": kind,
             "name": name,
             "corr": correlation_id() or self.trace_id,
@@ -176,7 +178,7 @@ class Tracer:
         if stack and stack[-1] == span.id:
             stack.pop()
         record: Dict[str, Any] = {
-            "ts": time.time(),
+            "ts": 0.0,  # stamped by _write
             "kind": "span_end",
             "name": span.name,
             "corr": correlation_id() or self.trace_id,
@@ -190,6 +192,9 @@ class Tracer:
 
     def _write(self, record: Dict[str, Any]) -> None:
         with self._lock:
+            # Stamped under the lock, so timestamps never run backwards
+            # along the file, even with many threads writing.
+            record["ts"] = time.time()
             if self._file is None:
                 self.events.append(record)
                 return
@@ -231,8 +236,20 @@ class Tracer:
             if self._file is not None:
                 self._file.flush()
 
-    def close(self) -> None:
+    def share(self) -> bool:
+        """Count one more opener; ``False`` once the tracer is closed."""
         with self._lock:
+            if self._refs == 0:
+                return False
+            self._refs += 1
+            return True
+
+    def close(self) -> None:
+        """Release one opener; the last one closes the file."""
+        with self._lock:
+            self._refs = max(0, self._refs - 1)
+            if self._refs:
+                return
             if self._owns_file and self._file is not None:
                 self._file.close()
             self._file = None if self._owns_file else self._file

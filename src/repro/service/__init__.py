@@ -1,33 +1,30 @@
-"""repro.service: the simulation-as-a-service daemon.
+"""repro.service: the job protocol, queue and client of the simulation
+service.
 
-Exposes the engine layer (persistent artifact cache + parallel runner)
-over a zero-dependency JSON HTTP API, so many consumers share one
-long-lived process — one warm cache, one job queue, and in-flight
-deduplication of identical requests.
+``mlpsim serve`` runs one server, the fleet coordinator
+(:class:`repro.fleet.frontend.FleetCoordinator`), which exposes the engine
+layer (persistent artifact cache + parallel runner) over a
+zero-dependency JSON HTTP API, so many consumers share one long-lived
+process — one warm cache, one job queue, and in-flight deduplication of
+identical requests.  This package holds the pieces it is built from:
 
 - :mod:`repro.service.protocol` — typed request validation and the wire
   encoding of results,
 - :mod:`repro.service.jobqueue` — bounded priority queue, the
   ``queued -> running -> done/failed/cancelled`` lifecycle, and in-flight
   dedup keyed by request content hash,
-- :mod:`repro.service.executor` — bridges requests onto
-  :class:`~repro.engine.runner.EngineRunner` batches and figure drivers,
-- :mod:`repro.service.server` — the ``ThreadingHTTPServer`` front end,
-  serving counters/gauges/latency summaries from
-  :class:`repro.obs.metrics.MetricsRegistry` behind ``/metrics`` (JSON
-  and Prometheus text),
+- :mod:`repro.service.executor` — runs the figure and tune requests a
+  fleet worker leases whole, and answers the ``estimate`` verb,
 - :mod:`repro.service.client` — the blocking Python client used by the
   CLI (``mlpsim submit`` / ``mlpsim status``) and the tests.
 """
 
 from ..obs.metrics import MetricsRegistry
 from .client import ServiceClient, ServiceError
-from .jobqueue import Dispatcher, Job, JobQueue, JobState, QueueFullError
+from .jobqueue import Job, JobQueue, JobState, QueueFullError
 from .protocol import JobRequest, ProtocolError, parse_job_request
-from .server import ReproService, serve
 
 __all__ = [
-    "Dispatcher",
     "Job",
     "JobQueue",
     "JobRequest",
@@ -35,9 +32,7 @@ __all__ = [
     "MetricsRegistry",
     "ProtocolError",
     "QueueFullError",
-    "ReproService",
     "ServiceClient",
     "ServiceError",
     "parse_job_request",
-    "serve",
 ]

@@ -1,7 +1,7 @@
 """A thin blocking client for the simulation service.
 
 Pure stdlib (``urllib.request``): connection-level failures retry with
-exponential backoff (a just-started daemon may not be accepting yet); HTTP
+exponential backoff (a just-started server may not be accepting yet); HTTP
 error statuses do *not* retry — they carry the server's JSON error document
 and raise :class:`ServiceError` immediately.
 
@@ -178,7 +178,7 @@ class ServiceClient:
         return self._request("GET", "/metrics")
 
     def fleet_status(self) -> Dict[str, Any]:
-        """Worker/task table of a fleet coordinator (404 on a plain daemon)."""
+        """Worker/task table of the coordinator."""
         return self._request("GET", "/v1/fleet/status")
 
     def fleet_drain(self, worker: str = "") -> Dict[str, Any]:

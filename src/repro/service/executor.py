@@ -1,34 +1,32 @@
-"""Executes validated job requests against the engine layer.
+"""Executes the job requests a fleet worker runs whole.
 
-One :class:`ServiceEngine` lives for the whole daemon.  It owns:
+Sweeps and simulates never reach this module: the coordinator expands
+them into engine-level tasks (grid points, shards) that workers run
+through their :class:`~repro.engine.runner.EngineRunner`, and ``estimate``
+is pure arithmetic answered on the submit path (:func:`estimate_payload`).
+What is left are the requests that cannot be split into independent
+specs — a figure driver runs serially against one warm bench, a tune is a
+sequence of ask/tell generations — so the coordinator leases each as a
+single task carrying the parsed :class:`JobRequest`, and the worker that
+leases it calls :meth:`ServiceEngine.execute`.
 
-- one persistent :class:`~repro.engine.cache.ArtifactCache` (the shared
-  memoization layer across every job the service ever runs),
-- one :class:`~repro.engine.runner.EngineRunner` configured with the
-  daemon's worker count and per-job timeout/retry policy — sweep and
-  simulate requests become runner batches via
-  :meth:`~repro.engine.runner.EngineRunner.submit_batch`, inheriting the
-  runner's bit-identical-to-serial guarantee, and
-- one :class:`~repro.harness.experiment.Workbench` sharing the same cache,
-  on which figure requests run their (serial) drivers against artifacts the
-  runner pre-warmed in parallel.
+One :class:`ServiceEngine` lives per worker.  It shares the worker's
+runner and owns one :class:`~repro.harness.experiment.Workbench` on the
+same cache directory, on which figure requests run their drivers against
+artifacts the runner pre-warmed in parallel.
 
-Results are returned as plain-JSON payloads: sweep/simulate results carry
-the exact :mod:`repro.engine.serialize` encoding of the
-:class:`~repro.engine.runner.RunReport` (decodable back into real objects
-by the client), figures carry a human-readable nested dict.
+Results are plain-JSON payloads: figures carry a human-readable nested
+dict, tunes the serialized :class:`~repro.tune.TuneResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..engine.cache import ArtifactCache, resolve_cache_dir
-from ..engine.runner import EngineRunner, JobSpec, RunReport
-from ..harness.experiment import ExperimentSettings, Workbench
-from ..obs.metrics import MetricsRegistry
-from ..obs.options import ObsOptions
+from ..engine.runner import EngineRunner, JobSpec
+from ..harness.experiment import Workbench
 from ..harness.figures import (
     figure2,
     figure3,
@@ -38,6 +36,7 @@ from ..harness.figures import (
     figure7,
     figure8,
 )
+from ..obs.metrics import MetricsRegistry
 from ..tune import TuneTelemetry, run_tune
 from .protocol import JobRequest, ProtocolError, jsonify
 
@@ -46,8 +45,8 @@ __all__ = ["ServiceEngine", "estimate_payload"]
 
 def estimate_payload(request: JobRequest) -> Dict[str, Any]:
     """The ``estimate`` verb's result payload: pure arithmetic, no engine
-    batch, no trace read — shared by the single-node executor and the
-    fleet front end (which resolves estimates inline, without workers)."""
+    batch, no trace read — the coordinator resolves estimates inline,
+    without workers."""
     from .. import estimate as estimate_mod
     from ..engine import serialize
 
@@ -75,40 +74,23 @@ _WC_FIGURES = frozenset({"figure7", "figure8"})
 
 
 class ServiceEngine:
-    """One long-lived engine shared by every job the service executes."""
+    """Runs figure and tune requests on one worker's runner and cache."""
 
-    def __init__(
-        self,
-        settings: Optional[ExperimentSettings] = None,
-        cache_dir: Any = "auto",
-        workers: Optional[int] = None,
-        job_timeout: float = 600.0,
-        retries: int = 1,
-        obs: Optional[ObsOptions] = None,
-    ) -> None:
-        self.settings = settings or ExperimentSettings()
-        self.artifacts = ArtifactCache(resolve_cache_dir(cache_dir))
-        self.runner = EngineRunner(
-            settings=self.settings,
-            cache_dir=cache_dir,
-            workers=workers,
-            job_timeout=job_timeout,
-            retries=retries,
-            obs=obs,
-        )
-        # Figure drivers (and their in-process annotations) share the
-        # service-wide artifact cache object, so a figure run right after a
-        # sweep starts from warm memory, not just warm disk.
+    def __init__(self, runner: EngineRunner) -> None:
+        self.runner = runner
+        self.settings = runner.settings
+        self.artifacts = ArtifactCache(resolve_cache_dir(runner.cache_dir))
+        # Figure drivers (and their in-process annotations) share one
+        # artifact cache object, so a figure run right after another starts
+        # from warm memory, not just warm disk.
         self.bench = Workbench(self.settings, artifacts=self.artifacts)
         # Tuning runs through the same runner/cache; its counters live for
-        # the daemon's lifetime so /metrics sees totals across requests.
+        # the worker's lifetime so /metrics sees totals across requests.
         self.tune_telemetry = TuneTelemetry()
 
     def register_metrics(self, registry: MetricsRegistry) -> None:
-        """Expose the whole stack below the service on *registry*: artifact
-        cache tiers, engine batch/job activity, simulation aggregates and
-        tuning counters."""
-        self.artifacts.stats.register_metrics(registry)
+        """Expose engine batch/job activity, simulation aggregates and
+        tuning counters on *registry*."""
         self.runner.telemetry.register_metrics(
             registry, workers=self.runner.workers,
         )
@@ -117,111 +99,20 @@ class ServiceEngine:
     # ------------------------------------------------------------ execute --
 
     def execute(self, request: JobRequest) -> Dict[str, Any]:
-        """Run one request to completion, returning its JSON payload."""
-        if request.kind == "sweep":
-            return self._execute_sweep(request)
-        if request.kind == "simulate":
-            return self._execute_simulate(request)
+        """Run one figure or tune request to completion, returning its
+        JSON payload."""
         if request.kind == "figure":
             return self._execute_figure(request)
         if request.kind == "tune":
             return self._execute_tune(request)
-        if request.kind == "estimate":
-            return self._execute_estimate(request)
-        raise ProtocolError(f"unknown job kind {request.kind!r}")
-
-    def _run_batch(self, jobs: list) -> RunReport:
-        handle = self.runner.submit_batch(jobs)
-        return handle.result()
-
-    @staticmethod
-    def _with_backend(jobs: list, backend: str) -> list:
-        """Stamp the request's execution backend onto its engine jobs."""
-        if not backend:
-            return jobs
-        return [replace(job, backend=backend) for job in jobs]
-
-    def _execute_sweep(self, request: JobRequest) -> Dict[str, Any]:
-        assert request.sweep is not None
-        report = self._run_batch(
-            self._with_backend(request.sweep.to_jobs(), request.backend)
+        raise ProtocolError(
+            f"{request.kind!r} jobs run as engine tasks, not whole requests"
         )
-        payload: Dict[str, Any] = {
-            "kind": "sweep",
-            "spec": request.sweep.to_dict(),
-            "report": report.to_dict(),
-            "summary": report.summary(),
-        }
-        if not report.failed:
-            records = request.sweep.records(report)
-            payload["records"] = [
-                {
-                    "workload": record.workload,
-                    "point": record.label(),
-                    "epi_per_1000": record.epi_per_1000,
-                    "mlp": record.mlp,
-                    "store_mlp": record.store_mlp,
-                    "store_bandwidth_overhead":
-                        record.store_bandwidth_overhead,
-                }
-                for record in records
-            ]
-        return payload
-
-    def _execute_simulate(self, request: JobRequest) -> Dict[str, Any]:
-        assert request.job is not None
-        if request.shards > 1 or request.checkpoint_every > 0:
-            return self._execute_sharded(request)
-        report = self._run_batch(
-            self._with_backend([request.job], request.backend)
-        )
-        payload: Dict[str, Any] = {
-            "kind": "simulate",
-            "report": report.to_dict(),
-            "summary": report.summary(),
-        }
-        job = report.jobs[0]
-        if job.ok and job.result is not None:
-            payload["summary"] = job.result.summary()
-        return payload
-
-    def _execute_sharded(self, request: JobRequest) -> Dict[str, Any]:
-        """A simulate request through the fault-tolerant sharded path."""
-        assert request.job is not None
-        job = request.job
-        if request.backend:
-            job = replace(job, backend=request.backend)
-        report = self.runner.run_sharded(
-            job, request.shards,
-            checkpoint_every=request.checkpoint_every,
-        )
-        payload: Dict[str, Any] = {
-            "kind": "simulate",
-            "sharded": {
-                "requested": request.shards,
-                "shard_count": report.plan.shard_count,
-                "plan": report.plan.describe(),
-                "rounds": report.rounds,
-                "resumed_shards": report.resumed_shards,
-                "checkpoints_written": report.checkpoints_written,
-                "tokens": [job.checkpoint_token for job in report.jobs],
-            },
-            "report": report.to_dict(),
-            "summary": report.summary(),
-        }
-        if report.ok:
-            assert report.merged is not None
-            payload["summary"] = report.merged.summary()
-        return payload
-
-    def _execute_estimate(self, request: JobRequest) -> Dict[str, Any]:
-        """The analytical ``estimate`` verb — never touches the runner."""
-        return estimate_payload(request)
 
     def _execute_tune(self, request: JobRequest) -> Dict[str, Any]:
-        """A design-space search through the shared runner and cache.
+        """A design-space search through the worker's runner and cache.
 
-        The run shares the daemon's artifact cache, so identical
+        The run shares the fleet's artifact cache, so identical
         (workload, variant, candidate, settings) evaluations across tune
         requests — or against earlier sweeps' tuning runs — are measured
         once; tuning state persists in the same cache, so a cancelled
@@ -263,7 +154,7 @@ class ServiceEngine:
             for workload in request.workloads
             for variant in variants
         ]
-        warm_report = self._run_batch(warm)
+        warm_report = self.runner.run(warm)
         data = driver(self.bench, list(request.workloads))
         return {
             "kind": "figure",

@@ -19,10 +19,8 @@ bounded: submissions beyond ``capacity`` *pending* jobs raise
 for status polling, bounded by ``history`` — the oldest terminal jobs are
 forgotten first.
 
-:class:`Dispatcher` is the single background thread that drains the queue,
-handing each job to an executor callable; an executor exception marks the
-job ``failed`` with the traceback in its status payload and the dispatcher
-keeps draining — one poisonous request never wedges the service.
+:class:`~repro.fleet.frontend.FleetCoordinator` drains the queue from its
+dispatcher thread, expanding each claimed job into worker tasks.
 """
 
 from __future__ import annotations
@@ -31,19 +29,14 @@ import heapq
 import itertools
 import threading
 import time
-import traceback
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs.context import correlation
-from ..obs.logging import get_logger
 from .protocol import JobRequest
 
-__all__ = ["Dispatcher", "Job", "JobQueue", "JobState", "QueueFullError"]
-
-_log = get_logger("service")
+__all__ = ["Job", "JobQueue", "JobState", "QueueFullError"]
 
 
 class JobState(Enum):
@@ -323,6 +316,11 @@ class JobQueue:
                 counts[job.state.value] += 1
         return counts
 
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has been called."""
+        return self._closed
+
     def close(self) -> None:
         """Stop accepting work and wake any blocked dispatcher."""
         with self._ready:
@@ -342,67 +340,3 @@ class JobQueue:
             forgotten = self._terminal_order.pop(0)
             self._jobs.pop(forgotten, None)
 
-
-class Dispatcher(threading.Thread):
-    """The background thread that drains a :class:`JobQueue`.
-
-    *executor* maps a :class:`JobRequest` to a JSON-compatible result
-    payload; its exceptions mark the job failed (traceback preserved in the
-    status payload) without stopping the drain loop.  *on_finish*, when
-    given, observes every retired job — the server uses it to record
-    latency metrics.
-    """
-
-    def __init__(
-        self,
-        queue: JobQueue,
-        executor: Callable[[JobRequest], Any],
-        on_finish: Optional[Callable[[Job], None]] = None,
-    ) -> None:
-        super().__init__(name="repro-dispatcher", daemon=True)
-        self.queue = queue
-        self.executor = executor
-        self.on_finish = on_finish
-        self._stop_requested = threading.Event()
-
-    def run(self) -> None:
-        while not self._stop_requested.is_set():
-            job = self.queue.next_job(timeout=0.1)
-            if job is None:
-                continue
-            # The job id becomes the correlation ID for everything this
-            # execution touches: dispatcher log records, engine batch
-            # spans, and (via pool initargs) worker-side trace events.
-            with correlation(job.id):
-                _log.info(
-                    "job %s started: %s", job.id, job.request.describe(),
-                )
-                try:
-                    result = self.executor(job.request)
-                except Exception as exc:
-                    self.queue.finish(
-                        job,
-                        error=f"{type(exc).__name__}: {exc}",
-                        tb=traceback.format_exc(),
-                    )
-                    _log.warning(
-                        "job %s failed: %s: %s",
-                        job.id, type(exc).__name__, exc,
-                    )
-                else:
-                    self.queue.finish(job, result=result)
-                    _log.info(
-                        "job %s done in %.3fs", job.id,
-                        (job.finished_at or 0.0) - (job.started_at or 0.0),
-                    )
-            if self.on_finish is not None:
-                try:
-                    self.on_finish(job)
-                except Exception:  # metrics must never kill the drain loop
-                    pass
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop_requested.set()
-        self.queue.close()
-        if self.is_alive():
-            self.join(timeout)

@@ -58,6 +58,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_serve_runs_the_coordinator(self, monkeypatch):
+        import repro.fleet
+
+        calls = []
+        monkeypatch.setattr(
+            repro.fleet, "serve_fleet", lambda **kw: calls.append(kw) or 0,
+        )
+        assert main(["serve", "--port", "0", "--workers", "0"]) == 0
+        assert calls[0]["workers"] == 0 and calls[0]["port"] == 0
+        with pytest.raises(SystemExit):  # one server: no --fleet switch
+            main(["serve", "--fleet"])
+
     def test_bench_needs_a_mode(self, capsys):
         code, _, err = run_cli(capsys, "bench")
         assert code == 2

@@ -138,6 +138,38 @@ class TestParallelEquivalence:
             default.jobs[0].result.epi_per_1000
 
 
+class TestKeptPool:
+    def test_one_pool_serves_every_batch(self, tmp_path):
+        runner = _runner(tmp_path, workers=2, keep_pool=True)
+        try:
+            single = runner.run(GRID_JOBS[:1])  # one job goes to the pool too
+            pool = runner._pool
+            batch = runner.run(GRID_JOBS)
+            assert pool is not None and runner._pool is pool
+        finally:
+            runner.close()
+        assert runner._pool is None
+        serial = _runner(tmp_path, workers=1).run(GRID_JOBS)
+        assert single.results() == serial.results()[:1]
+        assert batch.results() == serial.results()
+
+    def test_a_dead_pool_is_replaced(self, tmp_path):
+        runner = _runner(tmp_path, workers=2, keep_pool=True, retries=0)
+        try:
+            runner.run(GRID_JOBS[:2])
+            pool = runner._pool
+            for process in list(pool._processes.values()):
+                process.kill()
+            met_dead_pool = runner.run(GRID_JOBS[:2])
+            recovered = runner.run(GRID_JOBS[:2])
+            assert runner._pool is not pool
+        finally:
+            runner.close()
+        assert met_dead_pool.ok_count == 0
+        assert "BrokenProcessPool" in met_dead_pool.jobs[0].error
+        assert recovered.ok_count == 2
+
+
 class TestSweepIntegration:
     def test_api_sweep_matches_serial_workbench(self, tmp_path):
         bench = Workbench(SMALL, cache_dir=tmp_path / "cache")

@@ -104,19 +104,11 @@ class TestEngineRaisesTyped:
 class TestServiceMirrorsCodes:
     @pytest.fixture()
     def service(self, tmp_path):
-        from repro.harness import ExperimentSettings
-        from repro.service import ReproService
+        from test_service_server import Served
 
-        svc = ReproService(
-            settings=ExperimentSettings(
-                warmup=1500, measure=4000, seed=11, calibrate=False,
-            ),
-            cache_dir=tmp_path / "cache",
-            workers=1,
-            start_dispatcher=False,
-        ).start()
-        yield svc
-        svc.stop()
+        served = Served(tmp_path / "cache")
+        yield served
+        served.stop()
 
     def test_protocol_error_code_in_400_body(self, service):
         from repro.service import ServiceClient, ServiceError

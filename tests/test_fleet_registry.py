@@ -121,6 +121,18 @@ class TestRouterLeasing:
         router.complete(worker.id, "t0", _ok())
         assert len(router.lease(worker.id, max_tasks=10)) == 1
 
+    def test_runner_pool_raises_the_bound(self):
+        # a worker with a 3-process runner pool holds one task per process
+        registry = WorkerRegistry()
+        big = registry.register(name="big", capabilities={"runner_workers": 3})
+        small = registry.register(name="small")
+        router = Router(registry, max_inflight=1)
+        assert router.capacity(big) == 3 and router.capacity(small) == 1
+        router.add_tasks([_task(f"t{i}") for i in range(5)])
+        assert router.wants_more() is False  # 5 pending >= 3 + 1 slots
+        assert len(router.lease(big.id, max_tasks=10)) == 3
+        assert len(router.lease(small.id, max_tasks=10)) == 1
+
     def test_unknown_worker_rejected(self):
         router, _ = self._router()
         router.add_tasks([_task("t")])

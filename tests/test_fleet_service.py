@@ -24,6 +24,7 @@ import urllib.request
 
 import pytest
 
+from repro.config import StorePrefetchMode
 from repro.engine import serialize
 from repro.engine.runner import (
     EngineRunner, JobResult, JobSpec, RunReport, ShardedReport,
@@ -64,8 +65,9 @@ class _Fleet:
 
     def __init__(self, cache_dir, workers=1, **coord_kwargs):
         coord_kwargs.setdefault("lease_ttl", 1.0)
+        coord_kwargs.setdefault("settings", SMALL)
         self.coord = FleetCoordinator(
-            port=0, settings=SMALL, cache_dir=str(cache_dir), **coord_kwargs,
+            port=0, cache_dir=str(cache_dir), **coord_kwargs,
         ).start()
         self.workers = []
         self.threads = []
@@ -269,6 +271,62 @@ class TestFleetExecution:
         )
         assert answer["state"] == "done"
         assert answer["result"] == first["result"]
+
+
+    def test_result_store_is_keyed_by_settings(
+        self, fleet_factory, cache_dir,
+    ):
+        # Two coordinators on one cache directory, differing only in
+        # ``measure``: the second must simulate, not replay the first's
+        # payload.
+        body = {
+            "kind": "simulate",
+            "job": {
+                "workload": "database", "variant": "pc",
+                "core_changes": {"store_prefetch": "sp1"},
+            },
+        }
+        short = fleet_factory(workers=1)
+        first = short.client().result(
+            short.client().submit(body)["id"], timeout=120,
+        )
+        longer = dataclasses.replace(SMALL, measure=8000)
+        fleet = fleet_factory(workers=1, settings=longer)
+        client = fleet.client()
+        report = client.result(client.submit(body)["id"], timeout=120)
+        counters = fleet.coord.metrics.to_dict()["counters"]
+        assert counters.get("fleet_result_cache_hits_total", 0) == 0
+        direct = Workbench(longer, cache_dir=cache_dir).run(
+            "database", store_prefetch=StorePrefetchMode.AT_RETIRE,
+        )
+        assert report.jobs[0].result == direct
+        assert report.jobs[0].result != first.jobs[0].result
+
+    def test_figure_job_over_two_workers(self, fleet_factory):
+        from repro.harness.figures import figure2
+
+        fleet = fleet_factory(workers=2)
+        client = fleet.client()
+        data = client.result(
+            client.submit_figure("figure2", ["database"])["id"], timeout=240,
+        )
+        assert data == figure2(Workbench(SMALL, cache_dir=None), ["database"])
+        assert sum(w.tasks_done for w in fleet.workers) == 1
+
+    def test_tune_job_over_two_workers(self, fleet_factory):
+        fleet = fleet_factory(workers=2)
+        client = fleet.client()
+        status = client.wait(
+            client.submit_tune(
+                "database", strategy="grid", budget=2,
+                scout=["none", "hws2"],
+            )["id"],
+            timeout=240,
+        )
+        assert status["state"] == "done"
+        best = status["result"]["best"]
+        assert best["knobs"]["scout"] == "hws2"
+        assert best["epi_per_1000"] > 0
 
 
 class TestFleetObservability:
@@ -532,11 +590,6 @@ class TestFleetBackpressure:
         assert excinfo.value.status == 503
         assert fleet.client().health()["status"] == "draining"
 
-    def test_figure_jobs_are_rejected_structurally(self, fleet_factory):
-        fleet = fleet_factory(workers=1)
-        with pytest.raises(ServiceError) as excinfo:
-            fleet.client().submit({"kind": "figure", "figure": "figure2"})
-        assert excinfo.value.status == 400
 
 
 def _jsonable_result(status="ok", error=""):

@@ -17,12 +17,7 @@ from typing import Dict
 
 import pytest
 
-from repro.harness import ExperimentSettings
 from repro.obs.metrics import MetricsRegistry, percentile
-from repro.service import ReproService
-
-SMALL = ExperimentSettings(warmup=1500, measure=4000, seed=11,
-                           calibrate=False)
 
 
 def parse_exposition(text: str) -> Dict[str, dict]:
@@ -237,15 +232,16 @@ class TestLabeledSeries:
 
 
 class TestLiveScrape:
-    """Scrape a real daemon: the whole stack's metrics parse strictly."""
+    """Scrape a real server: the whole stack's metrics parse strictly."""
 
     @pytest.fixture()
     def service(self, tmp_path):
-        svc = ReproService(
-            settings=SMALL, cache_dir=tmp_path / "cache", workers=1,
-        ).start()
-        yield svc
-        svc.stop()
+        from test_service_server import Served
+
+        served = Served(tmp_path / "cache")
+        served.start_worker()
+        yield served
+        served.stop()
 
     def _get(self, url: str) -> str:
         with urllib.request.urlopen(url, timeout=30.0) as response:

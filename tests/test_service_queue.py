@@ -1,19 +1,13 @@
-"""Queue lifecycle, dedup, cancellation and dispatcher resilience
-(repro.service.jobqueue + repro.obs.metrics)."""
+"""Queue lifecycle, dedup and cancellation (repro.service.jobqueue +
+repro.obs.metrics)."""
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
-from repro.service.jobqueue import (
-    Dispatcher,
-    JobQueue,
-    JobState,
-    QueueFullError,
-)
+from repro.service.jobqueue import JobQueue, JobState, QueueFullError
 from repro.obs.metrics import MetricsRegistry, percentile
 from repro.service.protocol import parse_job_request
 
@@ -135,6 +129,15 @@ class TestJobQueue:
         assert sum(deduped) == 7
         assert queue.depth() == 1
 
+    def test_closed_once_close_is_called(self):
+        queue = JobQueue()
+        assert not queue.closed
+        queue.close()
+        assert queue.closed
+        assert queue.next_job(timeout=1.0) is None
+        with pytest.raises(RuntimeError):
+            queue.submit(sweep_request())
+
 
 class TestCancelRaces:
     def test_cancel_while_deduped_fans_out_exactly_n_detaches(self):
@@ -223,80 +226,6 @@ class TestCancelRaces:
         # ... and dispatch order is priority-monotonic despite the churn
         priorities = [job.priority for job in drained]
         assert priorities == sorted(priorities, reverse=True)
-
-
-class TestDispatcher:
-    def _drain(self, queue, executor):
-        dispatcher = Dispatcher(queue, executor)
-        dispatcher.start()
-        return dispatcher
-
-    def test_executes_and_fans_result_out(self):
-        queue = JobQueue()
-        dispatcher = self._drain(
-            queue, lambda request: {"echo": request.kind},
-        )
-        try:
-            job, _ = queue.submit(sweep_request())
-            assert queue.wait(job.id, timeout=5.0)
-            assert job.state is JobState.DONE
-            assert job.result == {"echo": "sweep"}
-        finally:
-            dispatcher.stop()
-
-    def test_executor_exception_marks_failed_not_wedged(self):
-        queue = JobQueue()
-        calls = []
-
-        def executor(request):
-            calls.append(request)
-            if len(calls) == 1:
-                raise ValueError("synthetic failure")
-            return {"ok": True}
-
-        dispatcher = self._drain(queue, executor)
-        try:
-            bad, _ = queue.submit(sweep_request(queues=(1,)))
-            assert queue.wait(bad.id, timeout=5.0)
-            assert bad.state is JobState.FAILED
-            payload = bad.status_payload()
-            assert "synthetic failure" in payload["error"]
-            assert "ValueError" in payload["traceback"]
-            # the queue keeps draining after a poisoned job
-            good, _ = queue.submit(sweep_request(queues=(2,)))
-            assert queue.wait(good.id, timeout=5.0)
-            assert good.state is JobState.DONE
-        finally:
-            dispatcher.stop()
-
-    def test_cancelled_job_is_skipped_by_drain(self):
-        queue = JobQueue()
-        executed = []
-        gate = threading.Event()
-
-        def executor(request):
-            gate.wait(5.0)
-            executed.append(request.signature())
-            return None
-
-        blocker, _ = queue.submit(sweep_request(queues=(1,)))
-        victim, _ = queue.submit(sweep_request(queues=(2,)))
-        dispatcher = self._drain(queue, executor)
-        try:
-            # let the dispatcher claim the blocker, then cancel the victim
-            deadline = time.monotonic() + 5.0
-            while blocker.state is JobState.QUEUED:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            assert queue.cancel(victim.id)
-            gate.set()
-            assert queue.wait(blocker.id, timeout=5.0)
-            assert queue.wait(victim.id, timeout=5.0)
-            assert victim.state is JobState.CANCELLED
-            assert len(executed) == 1
-        finally:
-            gate.set()
-            dispatcher.stop()
 
 
 class TestMetricsRegistry:

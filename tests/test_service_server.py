@@ -1,4 +1,5 @@
-"""End-to-end service tests over real HTTP (repro.service.server/client).
+"""End-to-end service tests over real HTTP (``mlpsim serve``'s server and
+repro.service.client).
 
 The acceptance contract: four concurrent clients submitting the same
 figure-2-style sweep share ONE engine execution (dedup counter = 3), all
@@ -6,22 +7,27 @@ four read bit-identical results matching a direct Workbench run, and
 ``/metrics`` reports consistent queue/cache counters throughout.
 
 Kept fast with a deliberately tiny trace (the same sizing the engine
-runner tests use); the service is started in-process on an ephemeral port.
+runner tests use); the server — a fleet coordinator plus its in-process
+worker, as ``mlpsim serve`` builds it — is started in-process on an
+ephemeral port.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.config import StorePrefetchMode
 from repro.engine.runner import ShardedReport
+from repro.fleet import FleetCoordinator, local_worker
 from repro.harness import ExperimentSettings
 from repro.harness.experiment import Workbench
+from repro.harness.figures import figure2
 from repro.estimate import EpiEstimate
 from repro.estimate import estimate as estimate_verb
-from repro.service import ReproService, ServiceClient, ServiceError
+from repro.service import JobState, ServiceClient, ServiceError
 from repro.smt import run_smt
 from repro.tune import TuneResult
 
@@ -32,18 +38,58 @@ SMALL = ExperimentSettings(warmup=1500, measure=4000, seed=11,
 FIG2_AXES = {"store_prefetch": ["sp0", "sp1", "sp2"]}
 
 
+class Served:
+    """What ``mlpsim serve`` runs: a coordinator plus one in-process worker.
+
+    The worker joins at once, so admission is open, but its pull loop
+    only starts on :meth:`start_worker`: until then submissions stage a
+    deterministic backlog.  With ``max_inflight=1`` the coordinator
+    claims at most one job for the idle worker; :meth:`occupy` fills that
+    slot, so every later submission stays queued.
+    """
+
+    def __init__(self, cache_dir, workers=1, obs=None, **coord_kwargs):
+        coord_kwargs.setdefault("max_inflight", 1)
+        self.coord = FleetCoordinator(
+            port=0, settings=SMALL,
+            cache_dir=None if cache_dir is None else str(cache_dir),
+            obs=obs, **coord_kwargs,
+        ).start()
+        self.url = self.coord.url
+        self.metrics = self.coord.metrics
+        self.worker = local_worker(self.coord, workers=workers, obs=obs)
+        self.worker.lease_wait = 1.0
+        self._thread = threading.Thread(target=self.worker.run, daemon=True)
+
+    def start_worker(self):
+        self._thread.start()
+
+    def occupy(self):
+        """Submit a job and wait until the coordinator claims it."""
+        receipt = ServiceClient(self.url).submit_sweep(
+            "specjbb", store_queue=[4],
+        )
+        job = self.coord.queue.get(receipt["id"])
+        deadline = time.monotonic() + 5.0
+        while job.state is JobState.QUEUED and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert job.state is JobState.RUNNING
+        return receipt
+
+    def stop(self):
+        self.coord.begin_drain()
+        self.worker.request_stop()
+        if self._thread.is_alive():
+            self._thread.join(timeout=15.0)
+        self.coord.stop()
+
+
 @pytest.fixture()
 def service(tmp_path):
-    """An in-process daemon with the dispatcher held back, so tests can
-    stage a deterministic backlog before anything executes."""
-    svc = ReproService(
-        settings=SMALL,
-        cache_dir=tmp_path / "cache",
-        workers=1,
-        start_dispatcher=False,
-    ).start()
-    yield svc
-    svc.stop()
+    """The server with its worker held back (see :class:`Served`)."""
+    served = Served(tmp_path / "cache")
+    yield served
+    served.stop()
 
 
 @pytest.fixture()
@@ -76,7 +122,7 @@ class TestEndToEnd:
         assert service.metrics.counter("jobs_deduped_total") == 3
         assert service.metrics.counter("jobs_submitted_total") == 4
 
-        service.start_dispatcher()
+        service.start_worker()
         job_id = ids.pop()
         statuses = [client.wait(job_id, timeout=240.0) for _ in range(4)]
 
@@ -103,7 +149,7 @@ class TestEndToEnd:
         assert gauges["queue_depth"] == 0
         assert gauges["jobs_done"] == 1
         assert gauges["jobs_queued"] == gauges["jobs_running"] == 0
-        stats = service.engine.artifacts.stats
+        stats = service.coord.artifacts.stats
         assert gauges["cache_misses"] == stats.misses
         assert gauges["cache_memory_hits"] == stats.memory_hits
         assert metrics["latency"]["job_exec"]["count"] == 1
@@ -118,7 +164,7 @@ class TestEndToEnd:
         assert health["jobs"]["queued"] == 0
 
     def test_simulate_job_and_status_payload(self, service, client):
-        service.start_dispatcher()
+        service.start_worker()
         receipt = client.submit_simulate(
             "database", store_prefetch="sp1", store_queue=16,
         )
@@ -132,8 +178,14 @@ class TestEndToEnd:
         )
         assert report.jobs[0].result == direct
 
+    def test_figure_job_matches_a_direct_run(self, service, client):
+        service.start_worker()
+        receipt = client.submit_figure("figure2", ["database"])
+        data = client.result(receipt["id"], timeout=240.0)
+        assert data == figure2(Workbench(SMALL, cache_dir=None), ["database"])
+
     def test_tune_job_returns_best_config(self, service, client):
-        service.start_dispatcher()
+        service.start_worker()
         receipt = client.submit_tune(
             "database", strategy="grid", budget=2,
             scout=["none", "hws2"],
@@ -159,7 +211,8 @@ class TestEndToEnd:
         assert second["result"]["best"] == result["best"]
 
     def test_cancel_queued_job_via_http(self, service, client):
-        # dispatcher never started: the job stays queued
+        # the idle worker's slot is taken: the job stays queued
+        service.occupy()
         receipt = client.submit_sweep("tpcw", store_queue=[16])
         cancelled = client.cancel(receipt["id"])
         assert cancelled["cancelled"] is True
@@ -189,6 +242,76 @@ class TestEndToEnd:
         assert excinfo.value.status == 404
 
 
+class TestLocalWorker:
+    def test_pooled_worker_matches_a_direct_run(self, tmp_path):
+        served = Served(tmp_path / "cache", workers=2)
+        served.start_worker()
+        try:
+            client = ServiceClient(served.url, timeout=30.0)
+            sweep = client.result(
+                client.submit_sweep(
+                    "database", store_queue=[8, 16, 32], **FIG2_AXES,
+                )["id"],
+                timeout=240.0,
+            )
+            pool = served.worker.runner._pool
+            figure = client.result(
+                client.submit_figure("figure2", ["database"])["id"],
+                timeout=240.0,
+            )
+            # Every task of both jobs ran on one long-lived pool.
+            assert pool is not None and served.worker.runner._pool is pool
+        finally:
+            served.stop()
+        bench = Workbench(SMALL, cache_dir=None)
+        assert [job.result for job in sweep.jobs] == [
+            bench.run("database", store_queue=queue, store_prefetch=mode)
+            for queue in (8, 16, 32)
+            for mode in StorePrefetchMode
+        ]
+        assert figure == figure2(bench, ["database"])
+
+    def test_memory_only_server_writes_no_cache(self, tmp_path, monkeypatch):
+        auto = tmp_path / "auto-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(auto))
+        served = Served(None)
+        served.start_worker()
+        try:
+            client = ServiceClient(served.url, timeout=30.0)
+            report = client.result(
+                client.submit_simulate("tpcw", store_queue=16)["id"],
+                timeout=120.0,
+            )
+        finally:
+            served.stop()
+        assert report.jobs[0].ok
+        assert not auto.exists()
+
+    def test_shared_trace_file_rotates_in_order(self, tmp_path):
+        from repro.obs import ObsOptions
+        from repro.obs.trace import read_events, trace_files
+
+        traces = tmp_path / "traces"
+        obs = ObsOptions.for_trace(traces, trace_max_bytes=4096)
+        served = Served(tmp_path / "cache", obs=obs)
+        served.start_worker()
+        try:
+            client = ServiceClient(served.url, timeout=30.0)
+            client.result(
+                client.submit_sweep("database", **FIG2_AXES)["id"],
+                timeout=120.0,
+            )
+        finally:
+            served.stop()
+        # The coordinator and its serial in-process worker write one file.
+        assert len(trace_files(traces)) > 2
+        stamps = [event["ts"] for event in read_events(traces)]
+        assert stamps == sorted(stamps)
+        assert {"fleet_task_leased", "span_start"} <= {
+            event["kind"] for event in read_events(traces)
+        }
+
+
 class TestProtocolVersioning:
     def test_responses_carry_wire_version(self, client):
         from repro.service.protocol import PROTOCOL_VERSION
@@ -213,14 +336,14 @@ class TestProtocolVersioning:
         assert excinfo.value.payload.get("v") == PROTOCOL_VERSION
 
     def test_result_verb_returns_decoded_report(self, service, client):
-        service.start_dispatcher()
+        service.start_worker()
         receipt = client.submit_simulate("database", store_queue=16)
         report = client.result(receipt["id"], timeout=240.0)
         assert report.jobs[0].ok
         assert report.jobs[0].result.epoch_count > 0
 
     def test_result_verb_decodes_sharded_report(self, service, client):
-        service.start_dispatcher()
+        service.start_worker()
         receipt = client.submit({
             "kind": "simulate",
             "job": {"workload": "database", "variant": "pc"},
@@ -234,7 +357,9 @@ class TestProtocolVersioning:
         assert ServiceClient.decode_report(status).merged == direct
 
     def test_result_verb_raises_on_cancelled_job(self, service, client):
-        # dispatcher never started: the job stays queued until cancelled
+        # the idle worker's slot is taken: the job stays queued until
+        # cancelled
+        service.occupy()
         receipt = client.submit_sweep("tpcw", store_queue=[16])
         client.cancel(receipt["id"])
         with pytest.raises(ServiceError) as excinfo:
@@ -242,25 +367,30 @@ class TestProtocolVersioning:
         assert "cancelled" in str(excinfo.value)
 
     def test_job_listing(self, service, client):
+        running = service.occupy()
         client.submit_sweep("database", store_queue=[16])
         client.submit_sweep("tpcw", store_queue=[16])
         listed = client.jobs()
-        assert len(listed) == 2
-        assert {job["state"] for job in listed} == {"queued"}
+        assert len(listed) == 3
+        assert [job["state"] for job in listed
+                if job["id"] != running["id"]] == ["queued", "queued"]
 
     def test_failed_job_carries_traceback(self, service, client,
                                           monkeypatch):
         def boom(request):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(service.dispatcher, "executor", boom)
-        service.start_dispatcher()
-        receipt = client.submit_sweep("database", store_queue=[16])
+        monkeypatch.setattr(service.worker.engine, "execute", boom)
+        service.start_worker()
+        receipt = client.submit_figure("figure3", ["database"])
         status = client.wait(receipt["id"], timeout=30.0)
         assert status["state"] == "failed"
         assert "engine exploded" in status["error"]
         assert "RuntimeError" in status["traceback"]
         assert client.metrics()["counters"]["jobs_failed_total"] == 1
+        # the worker keeps serving after a poisoned job
+        after = client.submit_sweep("database", store_queue=[16])
+        assert client.wait(after["id"], timeout=240.0)["state"] == "done"
 
 
 class TestSaturationAndDrain:
@@ -268,12 +398,13 @@ class TestSaturationAndDrain:
         health = client.health()
         assert health["status"] == "ok"
         assert "reference" in health["backends"]
-        assert health["fleet"] == {"workers": 0}
+        assert health["mode"] == "fleet"
+        assert health["fleet"]["workers"] == 1  # the in-process worker
 
     def test_draining_daemon_answers_503_with_retry_after(
         self, service, client,
     ):
-        service.draining = True
+        service.coord.begin_drain()
         with pytest.raises(ServiceError) as excinfo:
             client.submit_simulate("database")
         error = excinfo.value
@@ -285,15 +416,10 @@ class TestSaturationAndDrain:
         assert client.jobs() == []
 
     def test_full_queue_answers_429_with_retry_after(self, tmp_path):
-        svc = ReproService(
-            settings=SMALL,
-            cache_dir=tmp_path / "cache",
-            workers=1,
-            queue_capacity=1,
-            start_dispatcher=False,
-        ).start()
+        svc = Served(tmp_path / "cache", queue_capacity=1)
         try:
             own = ServiceClient(svc.url, timeout=30.0)
+            svc.occupy()
             own.submit_sweep("database", store_queue=[16])
             with pytest.raises(ServiceError) as excinfo:
                 own.submit_sweep("database", store_queue=[32])
@@ -393,7 +519,7 @@ class TestClientBackoff:
 
 class TestSmtAndEstimateVerbs:
     def test_smt_simulate_over_http(self, service, client):
-        service.start_dispatcher()
+        service.start_worker()
         receipt = client.submit_simulate(
             "oltp_java", contexts=2, scheduler="mlp",
         )
@@ -411,8 +537,8 @@ class TestSmtAndEstimateVerbs:
         assert result.antt == direct.antt
 
     def test_estimate_resolves_without_the_dispatcher(self, client):
-        # No dispatcher: estimates are answered inline on submit, so
-        # the job is already done when the receipt comes back.
+        # The worker never runs: estimates are answered inline on submit,
+        # so the job is already done when the receipt comes back.
         receipt = client.submit_estimate("database", scout="hws2")
         status = client.wait(receipt["id"], timeout=30.0)
         assert status["state"] == "done"

@@ -29,9 +29,11 @@ worker out; more workers join from any host)::
         --axis store_prefetch=sp0,sp1,sp2
     mlpsim status JOB_ID --url http://127.0.0.1:8137
 
-Artifacts (traces, annotations) persist under ``--cache-dir`` (default:
-``$REPRO_CACHE_DIR`` or ``.repro-cache``), so a repeated invocation starts
-from a warm cache; pass ``--cache-dir none`` to disable persistence.
+Artifacts (calibrated profiles, annotated traces) persist under
+``--cache-dir`` (default: ``$REPRO_CACHE_DIR`` or ``.repro-cache``), so a
+repeated invocation starts from a warm cache; pass ``--cache-dir none`` to
+disable persistence.  Generated traces are not persisted: a cold run
+generates and annotates each trace once, and a warm run never reads one.
 Inspect or bound that store with ``mlpsim cache stats`` and
 ``mlpsim cache prune --max-bytes 500M --older-than 7d``.
 """
@@ -921,6 +923,16 @@ def _check_workload(name: str, contexts: int) -> None:
 
 
 def _cmd_run(args, settings: ExperimentSettings) -> int:
+    from .errors import ReproError
+
+    try:
+        return _run(args, settings)
+    except ReproError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args, settings: ExperimentSettings) -> int:
     _check_workload(args.workload, args.contexts)
     variant = (
         ("wc" if args.consistency == "wc" else "pc")

@@ -1,10 +1,14 @@
 """Content-addressed artifact cache: in-memory LRU over a pickle store.
 
-Every expensive pipeline stage (calibrated profiles, generated traces,
-annotated traces) is keyed by a SHA-256 hash of the *content* that produced
-it — the workload profile, experiment settings, trace variant and
-memory-side configuration — so a key can never serve a stale artifact: any
-input change changes the key.  Values flow through two tiers:
+The pipeline's persisted artifacts (calibrated profiles and annotated
+traces) are keyed by a SHA-256 hash of the *content* that produced them —
+the workload profile, experiment settings, trace variant and memory-side
+configuration — so a key can never serve a stale artifact: any input change
+changes the key.  Generated traces are not persisted: a warm run never
+reads one, and regenerating a trace costs less than unpickling it, so the
+Workbench keeps them in a memory-only instance (``directory=None``).
+``trace/`` entries left by older versions are never read; ``mlpsim cache
+prune --older-than`` removes them.  Values flow through two tiers:
 
 1. an in-memory LRU (object identity preserved within a process), and
 2. an optional on-disk pickle store (shared between processes and runs).

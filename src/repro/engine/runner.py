@@ -14,9 +14,11 @@ per-job timeout and retry-once-on-failure, and returns a structured
 Each worker process owns one :class:`~repro.harness.experiment.Workbench`
 built from the same :class:`ExperimentSettings` and pointing at the same
 persistent :class:`~repro.engine.cache.ArtifactCache` directory, so the
-expensive calibrate → generate → annotate stages are computed once per
-content key *across the whole pool* — the first worker to annotate a
-variant publishes it; everyone else gets disk hits.  Simulation results are
+expensive calibration and annotation stages are computed once per content
+key *across the whole pool* — the first worker to annotate a variant
+publishes it; everyone else gets disk hits.  (Traces are not shared: a
+worker that must annotate a new variant regenerates its trace, which is
+cheaper than unpickling one.)  Simulation results are
 deterministic functions of the (seeded) artifacts, so a parallel run
 returns bit-identical numbers to a serial one.
 

@@ -26,8 +26,9 @@ objects (floats round-trip exactly through ``repr``-based JSON).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import fields, is_dataclass
-from typing import Any, Dict, Type
+from typing import Any, Dict, Tuple, Type
 
 __all__ = [
     "SerializeError",
@@ -70,6 +71,12 @@ def register(*types: type) -> None:
         table[cls.__name__] = cls
 
 
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass's field names, computed once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 def to_jsonable(obj: Any) -> Any:
     """Encode *obj* into JSON-compatible plain data (tagged form)."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
@@ -80,8 +87,8 @@ def to_jsonable(obj: Any) -> Any:
         return {
             "$dc": type(obj).__name__,
             "fields": {
-                f.name: to_jsonable(getattr(obj, f.name))
-                for f in fields(obj)
+                name: to_jsonable(getattr(obj, name))
+                for name in _field_names(type(obj))
             },
         }
     if isinstance(obj, tuple):
@@ -122,8 +129,7 @@ def from_jsonable(data: Any) -> Any:
                     f"unknown dataclass type {data['$dc']!r} in payload"
                 )
             raw = data.get("fields", {})
-            known = {f.name for f in fields(cls)}
-            unknown = set(raw) - known
+            unknown = set(raw).difference(_field_names(cls))
             if unknown:
                 raise SerializeError(
                     f"{data['$dc']} payload has unknown fields "

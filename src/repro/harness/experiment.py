@@ -8,9 +8,14 @@
 
 Pipeline per (workload, variant):
 
-1. calibrate the profile against Table 1 (cached per workload),
-2. generate the instruction trace (cached),
-3. apply trace transformations — WC lock rewriting and/or SLE (cached),
+1. calibrate the profile against Table 1 (cached per workload).  Each
+   calibration round generates the run-length ``pc`` trace and annotates
+   it once; the calibration window's counters are read off that pass, and
+   the last round's trace and default annotation are kept for steps 2 and
+   4 instead of being computed again,
+2. generate the instruction trace (kept in memory only),
+3. apply trace transformations — WC lock rewriting and/or SLE (kept in
+   memory only),
 4. annotate through the memory hierarchy, branch predictor and sharing
    model (cached per memory-side configuration),
 5. run MLPsim for each core configuration (cheap; not cached).
@@ -19,14 +24,17 @@ Figure sweeps re-run step 5 dozens of times against one cached annotation,
 mirroring the paper's methodology where cache behaviour is independent of
 the core parameters being swept.
 
-Caching is delegated to :class:`repro.engine.cache.ArtifactCache`: every
-artifact is keyed by a content hash of the inputs that produced it (profile
-+ settings + variant + memory configuration), held in an in-memory LRU and
-— unless disabled with ``cache_dir=None`` — written through to a persistent
-cache directory shared between processes and invocations.  That is what
-lets :class:`repro.engine.runner.EngineRunner` worker processes reuse one
-calibration/generation/annotation across a whole parallel sweep, and what
-makes the second invocation of a figure sweep start warm.
+Profiles and annotations are cached by
+:class:`repro.engine.cache.ArtifactCache`: every artifact is keyed by a
+content hash of the inputs that produced it (profile + settings + variant +
+memory configuration), held in an in-memory LRU and — unless disabled with
+``cache_dir=None`` — written through to a persistent cache directory shared
+between processes and invocations.  That is what lets
+:class:`repro.engine.runner.EngineRunner` worker processes reuse one
+calibration/annotation across a whole parallel sweep, and what makes the
+second invocation of a figure sweep start warm.  Traces stay in a bounded
+in-memory LRU of the Workbench's own: a warm run reads only the profile and
+the annotation, and regenerating a trace costs less than unpickling it.
 """
 
 from __future__ import annotations
@@ -47,12 +55,14 @@ from ..core.cpi import PAPER_CPI_ON_CHIP
 from ..core.window import WindowObserver
 from ..engine import serialize
 from ..engine.cache import ArtifactCache, content_key, resolve_cache_dir
+from ..errors import CalibrationError
 from ..frontend import BranchPredictor
 from ..isa import Instruction
 from ..locks import apply_sle, apply_transactional_memory, rewrite_pc_to_wc
 from ..memory import AnnotatedTrace, MemorySystem, annotate_trace
 from ..multiproc import MultiChipSystem, SharingModel
 from ..workloads import WORKLOADS, WorkloadProfile, calibrate_profile
+from ..workloads.calibration import RunPass
 from ..workloads.generator import WorkloadGenerator
 
 
@@ -86,7 +96,9 @@ class Workbench:
     ``"auto"`` (the default) persists artifacts under ``$REPRO_CACHE_DIR``
     or ``.repro-cache``; ``None`` keeps the cache in-memory only; any other
     value is used as the cache directory.  Pass an existing *artifacts*
-    cache to share one between workbenches.
+    cache to share one between workbenches.  Traces are never persisted:
+    they live in this Workbench's own in-memory LRU, bounded by
+    *memory_entries* like the artifact cache's.
     """
 
     def __init__(
@@ -100,8 +112,12 @@ class Workbench:
         self.artifacts = artifacts if artifacts is not None else ArtifactCache(
             resolve_cache_dir(cache_dir), memory_entries=memory_entries,
         )
+        self._traces = ArtifactCache(None, memory_entries=memory_entries)
         self._profiles: Dict[str, WorkloadProfile] = {}
         self._memories: Dict[tuple, MemorySystem] = {}
+        #: The last calibration's default annotation as (key, (annotated,
+        #: memory)), until the next :meth:`annotated` call takes or drops it.
+        self._handoff: tuple = (None, None)
 
     # -- profiles / traces ----------------------------------------------------
 
@@ -110,22 +126,44 @@ class Workbench:
         if workload not in self._profiles:
             base = WORKLOADS[workload]
             if self.settings.calibrate:
-                instructions = min(150_000, self.settings.total)
-                warmup = min(50_000, self.settings.warmup + 10_000)
-                key = content_key(
-                    "profile", base, instructions, warmup, self.settings.seed,
-                )
-                base = self.artifacts.get_or_create(
-                    "profile", key,
-                    lambda: calibrate_profile(
-                        base,
-                        instructions=instructions,
-                        warmup=warmup,
-                        seed=self.settings.seed,
-                    ),
-                )
+                base = self._calibrated(base)
             self._profiles[workload] = base
         return self._profiles[workload]
+
+    def _calibrated(self, base: WorkloadProfile) -> WorkloadProfile:
+        settings = self.settings
+        instructions = min(150_000, settings.total)
+        warmup = min(50_000, settings.warmup + 10_000)
+        if instructions <= warmup:
+            raise CalibrationError(
+                f"{base.name}: the calibration window [{warmup}, "
+                f"{instructions}) of the {settings.total}-instruction trace "
+                f"is empty; use --no-calibrate or a --measure above "
+                f"{warmup - settings.warmup}"
+            )
+        key = content_key("profile", base, instructions, warmup, settings.seed)
+        run = RunPass(
+            settings.total, settings.warmup, SimulationConfig().core.branch,
+        )
+        profile = self.artifacts.get_or_create(
+            "profile", key,
+            lambda: calibrate_profile(
+                base,
+                instructions=instructions,
+                warmup=warmup,
+                seed=settings.seed,
+                run=run,
+            ),
+        )
+        if run.trace is not None:
+            # Calibration just ran: its last pass generated and annotated
+            # this profile's trace exactly as steps 2 and 4 would.
+            self._traces.put("trace", self._trace_key(profile, "pc"), run.trace)
+            self._handoff = (
+                self._annotation_key(profile, "pc", MemoryConfig(), None, ""),
+                (run.annotated, run.memory),
+            )
+        return profile
 
     def set_profile(self, workload: str, profile: WorkloadProfile) -> None:
         """Install a custom profile (e.g. the scaled SMAC variant).
@@ -149,11 +187,14 @@ class Workbench:
         ``pc_tm``/``wc_tm`` (critical sections run as transactions).
         """
         profile = self.profile(workload)
-        key = content_key(
-            "trace", profile, self.settings.total, self.settings.seed, variant,
+        return self._traces.get_or_create(
+            "trace", self._trace_key(profile, variant),
+            lambda: self._build_trace(workload, profile, variant),
         )
-        return self.artifacts.get_or_create(
-            "trace", key, lambda: self._build_trace(workload, profile, variant),
+
+    def _trace_key(self, profile: WorkloadProfile, variant: str) -> str:
+        return content_key(
+            "trace", profile, self.settings.total, self.settings.seed, variant,
         )
 
     def _build_trace(
@@ -194,15 +235,15 @@ class Workbench:
         """
         config = memory_config or MemoryConfig()
         profile = self.profile(workload)
-        predictor_config = SimulationConfig().core.branch
-        key = content_key(
-            "annotation", profile, self.settings.total, self.settings.warmup,
-            self.settings.seed, variant, config, sharing, tag,
-            predictor_config,
-        )
+        key = self._annotation_key(profile, variant, config, sharing, tag)
+        # Take the calibration's annotation if it is this one; otherwise
+        # drop it before building another.
+        handoff, self._handoff = self._handoff, (None, None)
+        ready = handoff[1] if handoff[0] == key else None
+        del handoff
         annotated, memory = self.artifacts.get_or_create(
             "annotation", key,
-            lambda: self._build_annotation(
+            lambda: ready or self._build_annotation(
                 workload, variant, config, sharing, profile,
             ),
         )
@@ -210,6 +251,20 @@ class Workbench:
         # discrimination there); repopulated even on a persistent hit.
         self._memories[(workload, variant, tag, sharing)] = memory
         return annotated
+
+    def _annotation_key(
+        self,
+        profile: WorkloadProfile,
+        variant: str,
+        config: MemoryConfig,
+        sharing: SharingSettings | None,
+        tag: str,
+    ) -> str:
+        return content_key(
+            "annotation", profile, self.settings.total, self.settings.warmup,
+            self.settings.seed, variant, config, sharing, tag,
+            SimulationConfig().core.branch,
+        )
 
     def _build_annotation(
         self,

@@ -7,16 +7,27 @@ shared lines re-fetched after remote invalidates, and so on).  Calibration
 closes the loop: generate, measure through the memory hierarchy, and scale
 the steering multipliers proportionally, iterating until every rate lands
 within tolerance of its Table 1 target.
+
+A caller that goes on to annotate the calibrated trace (the Workbench)
+passes a :class:`RunPass`: each round then generates and annotates the
+run-length trace once, measures the calibration window on that same pass,
+and the last round's trace and annotation are handed back for reuse.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..config import MemoryConfig
+from ..config import BranchPredictorConfig, MemoryConfig
 from ..errors import CalibrationError
-from ..memory import MemorySystem, annotate_trace
+from ..frontend import BranchPredictor
+from ..isa import Instruction
+from ..memory import AnnotatedTrace, MemorySystem, annotate_trace
+from ..memory.hierarchy import HierarchyStats
 from .generator import WorkloadGenerator
 from .profiles import WorkloadProfile
 
@@ -39,20 +50,101 @@ class MeasuredRates:
         )
 
 
+@dataclass
+class RunPass:
+    """The run-length pass every calibration round measures.
+
+    Given to :func:`calibrate_profile`, it makes each round generate
+    *total* instructions and annotate them once, with a *branch* predictor
+    and the statistics reset at *warmup*, exactly as the run itself will.
+    The calibration window's counters are sampled on that pass.  Cache
+    state depends on neither the predictor nor the reset, so the measured
+    rates equal those of a calibration-only trace.  Afterwards ``trace``,
+    ``annotated`` and ``memory`` hold the last round's pass, which is the
+    one that measured the returned profile.
+    """
+
+    total: int
+    warmup: int
+    branch: Optional[BranchPredictorConfig] = None
+    trace: Optional[List[Instruction]] = None
+    annotated: Optional[AnnotatedTrace] = None
+    memory: Optional[MemorySystem] = None
+
+
 def measure_profile(
     profile: WorkloadProfile,
     memory_config: MemoryConfig | None = None,
     instructions: int = 120_000,
     warmup: int = 40_000,
     seed: int = 0,
+    run: RunPass | None = None,
 ) -> MeasuredRates:
-    """Generate a trace and measure its off-chip miss rates."""
+    """Generate a trace and measure its off-chip miss rates.
+
+    The rates cover instructions ``[warmup, instructions)``.  With *run*,
+    they are read off the run-length pass it describes (see
+    :class:`RunPass`), which is left in *run*.
+    """
     if instructions <= warmup:
-        raise CalibrationError("measurement window must exceed the warmup")
+        raise CalibrationError(
+            f"calibration window [{warmup}, {instructions}) is empty: "
+            f"the trace must run past the calibration warmup"
+        )
+    if run is None:
+        run = RunPass(instructions, warmup)
+    elif run.total < instructions:
+        raise ValueError(
+            f"run pass of {run.total} instructions is shorter than the "
+            f"calibration trace ({instructions})"
+        )
+    run.trace = run.annotated = run.memory = None  # free the last round's
     memory = MemorySystem(memory_config or MemoryConfig())
-    trace = WorkloadGenerator(profile, seed).generate(instructions)
-    annotate_trace(trace, memory, warmup=warmup)
-    stats = memory.stats
+    trace = WorkloadGenerator(profile, seed).generate(run.total)
+    predictor = BranchPredictor(run.branch) if run.branch is not None else None
+    samples: Dict[int, HierarchyStats] = {}
+    # A reset inside the window clears counts the window needs: sample
+    # just before it too, and add those back.
+    bridged = warmup <= run.warmup < instructions
+    points = sorted({warmup, instructions} | ({run.warmup} if bridged else set()))
+    annotated = annotate_trace(
+        _sampling(trace, points, memory, samples),
+        memory, predictor=predictor, warmup=run.warmup,
+    )
+    window = HierarchyStats(**{
+        field.name: getattr(samples[instructions], field.name)
+        - getattr(samples[warmup], field.name)
+        + (getattr(samples[run.warmup], field.name) if bridged else 0)
+        for field in dataclasses.fields(HierarchyStats)
+    })
+    run.trace, run.annotated, run.memory = trace, annotated, memory
+    return _rates(window)
+
+
+def _sampling(
+    trace: Sequence[Instruction],
+    points: Sequence[int],
+    memory: MemorySystem,
+    samples: Dict[int, HierarchyStats],
+) -> Iterator[Instruction]:
+    """Yield *trace*, copying ``memory.stats`` before each index in *points*.
+
+    ``annotate_trace`` pulls the next instruction only once it has
+    processed the previous one, and resets the statistics only after
+    pulling the warmup instruction, so a sample at index ``i`` counts
+    instructions ``[.., i)`` and a sample at the warmup index is taken
+    before the reset.
+    """
+    remaining = iter(trace)
+    position = 0
+    for point in points:
+        yield from islice(remaining, point - position)
+        position = point
+        samples[point] = dataclasses.replace(memory.stats)
+    yield from remaining
+
+
+def _rates(stats: HierarchyStats) -> MeasuredRates:
     return MeasuredRates(
         store_frequency=stats.per_100_instructions(stats.stores),
         store_miss_per_100=stats.store_miss_rate,
@@ -75,18 +167,20 @@ def calibrate_profile(
     iterations: int = 3,
     tolerance: float = 0.25,
     seed: int = 0,
+    run: RunPass | None = None,
 ) -> WorkloadProfile:
     """Adjust steering multipliers until Table 1 rates are met.
 
     Returns the calibrated profile.  Raises :class:`CalibrationError` if
     after *iterations* rounds any rate is still off by more than
     *tolerance* (relative) — except rates whose targets are so small that
-    the trace carries too few events to measure reliably.
+    the trace carries too few events to measure reliably.  Every round
+    measures through :func:`measure_profile`, on *run*'s pass when given.
     """
     current = profile
     for _ in range(iterations):
         measured = measure_profile(
-            current, memory_config, instructions, warmup, seed
+            current, memory_config, instructions, warmup, seed, run,
         )
         window = instructions - warmup
         if _within(current, measured, tolerance, window):
@@ -108,7 +202,9 @@ def calibrate_profile(
                 measured.inst_miss_per_100,
             ),
         )
-    measured = measure_profile(current, memory_config, instructions, warmup, seed)
+    measured = measure_profile(
+        current, memory_config, instructions, warmup, seed, run,
+    )
     if not _within(current, measured, tolerance, instructions - warmup):
         raise CalibrationError(
             f"{profile.name}: calibration did not converge; "

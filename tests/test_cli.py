@@ -47,6 +47,20 @@ class TestCli:
         assert code == 0
         assert "epochs=" in out
 
+    def test_run_with_an_empty_calibration_window_fails_cleanly(
+        self, capsys, tmp_path,
+    ):
+        # Calibration measures [warmup + 10000, total): empty at measure 9000.
+        code, out, err = run_cli(
+            capsys, "--warmup", "3000", "--measure", "9000",
+            "--cache-dir", str(tmp_path), "run", "--workload", "database",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("run failed: database: the calibration window")
+        assert "[13000, 12000)" in err
+        assert "--no-calibrate" in err and "--measure above 10000" in err
+
     def test_unknown_workload_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, *SMALL, "--workloads", "mysql", "table1"

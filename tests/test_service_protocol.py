@@ -10,6 +10,7 @@ from repro.config import ScoutMode, StorePrefetchMode
 from repro.core.epoch import EpochRecord, TerminationCondition, TriggerKind
 from repro.core.results import SimulationResult
 from repro.engine import from_jsonable, to_jsonable
+from repro.engine.serialize import SerializeError
 from repro.engine.runner import JobResult, JobSpec, RunReport
 from repro.harness.sweeps import SweepSpec
 from repro.service.protocol import (
@@ -282,6 +283,17 @@ class TestWireRoundTrips:
         back = RunReport.from_dict(wire(report.to_dict()))
         assert back == report
         assert back.summary() == report.summary()
+
+    def test_unknown_dataclass_field_is_rejected(self):
+        record = EpochRecord(
+            index=0, trigger=TriggerKind.LOAD,
+            termination=TerminationCondition.WINDOW_FULL,
+        )
+        payload = wire(to_jsonable(record))
+        assert from_jsonable(payload) == record
+        payload["fields"]["bogus"] = 1
+        with pytest.raises(SerializeError, match=r"unknown fields \['bogus'\]"):
+            from_jsonable(payload)
 
     def test_failed_job_round_trip_keeps_error(self):
         spec = JobSpec(workload="tpcw")

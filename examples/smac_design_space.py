@@ -53,8 +53,8 @@ def main() -> None:
                 tag=tag,
                 store_prefetch=StorePrefetchMode.NONE,
             )
-            memory = bench.memory_for(workload, tag=tag)
-            hit_rate = memory.smac.stats.hit_ratio if memory.smac else 0.0
+            smac_stats = bench.memory_for(workload, tag=tag).smac
+            hit_rate = smac_stats.hit_ratio if smac_stats is not None else 0.0
             rows.append([
                 entries,
                 line_bytes,

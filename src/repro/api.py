@@ -204,12 +204,12 @@ def run(
     raises ``ValueError`` listing them.  Pass *bench* (from
     :func:`workbench`) to reuse an annotated trace across calls.
 
-    *backend* selects the execution backend — ``"reference"`` (the golden
-    tick loop) or ``"event"`` (event-driven epoch skipping).  ``None``
-    defers to ``$REPRO_BACKEND`` and then ``"reference"``.  Backends are
+    *backend* selects the execution backend — ``"event"`` (event-driven
+    epoch skipping) or ``"reference"`` (the golden tick loop).  ``None``
+    defers to ``$REPRO_BACKEND`` and then ``"event"``.  Backends are
     bit-identical, so this only changes execution speed::
 
-        result = api.run("database", backend="event")
+        result = api.run("database", backend="reference")
 
     *shards* > 1 segments the trace at probed quiescent boundaries and fans
     the segments across *workers* processes; *checkpoint_every* > 0

@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend", default=None, choices=list(backend_names()),
-        help="execution backend (default: $REPRO_BACKEND or 'reference'); "
+        help="execution backend (default: $REPRO_BACKEND or 'event'); "
              "all backends return bit-identical results",
     )
 
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument(
         "--backend", default=None, choices=list(backend_names()),
         help="execution backend for every grid point (default: "
-             "$REPRO_BACKEND or 'reference'); results are bit-identical",
+             "$REPRO_BACKEND or 'event'); results are bit-identical",
     )
 
     tn = sub.add_parser(

@@ -14,16 +14,18 @@ window scan the loop calls:
 
 ``reference``
     :class:`~repro.core.mlpsim.MlpSimulator` itself, visiting every
-    instruction.  The golden oracle.
+    instruction.  The golden oracle: the golden and differential suites
+    name it explicitly.
 ``event``
     Event-driven epoch scanning (:mod:`repro.core.backends.events`): a
     precomputed next-interesting-position table lets quiescent spans be
-    skipped in O(1) instead of iterated.
+    skipped in O(1) instead of iterated.  The default: bit-identical to
+    ``reference`` and about twice as fast (``BENCH_backends.json``).
 
 Backend selection threads through every layer (api, CLI ``--backend``,
 engine job specs, service protocol).  ``resolve_backend(None)`` honours the
 ``REPRO_BACKEND`` environment variable before falling back to
-``reference``, which is what lets CI run the whole tier-1 suite under each
+``event``, which is what lets CI run the whole tier-1 suite under each
 backend without touching the tests.
 """
 
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 #: The backend used when neither the caller nor ``REPRO_BACKEND`` chooses.
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "event"
 
 #: Environment variable consulted by :func:`resolve_backend` when the
 #: caller passes no explicit name — the CI backend matrix sets it.

@@ -2,9 +2,11 @@
 
 Sits between the core simulator and the experiment harness:
 
-- :mod:`repro.engine.cache` — a content-addressed artifact cache (traces,
-  annotations, calibrated profiles) with an in-memory LRU over an atomic
-  on-disk pickle store, safe to share between worker processes.
+- :mod:`repro.engine.cache` — a content-addressed artifact cache
+  (calibrated profiles, columnar annotations, service results) with an
+  in-memory LRU over an atomic on-disk store of framed, checksummed
+  entries, keyed by inputs and a salt hashed from the simulation sources,
+  and safe to share between worker processes.
 - :mod:`repro.engine.runner` — :class:`EngineRunner`, which fans a batch of
   ``(workload, variant, config)`` jobs across a process pool with per-job
   timeout, retry-once and a structured :class:`RunReport`.

@@ -1,43 +1,80 @@
-"""Content-addressed artifact cache: in-memory LRU over a pickle store.
+"""Content-addressed artifact cache: an in-memory LRU over framed disk entries.
 
 The pipeline's persisted artifacts (calibrated profiles and annotated
 traces) are keyed by a SHA-256 hash of the *content* that produced them —
 the workload profile, experiment settings, trace variant and memory-side
-configuration — so a key can never serve a stale artifact: any input change
-changes the key.  Generated traces are not persisted: a warm run never
-reads one, and regenerating a trace costs less than unpickling it, so the
-Workbench keeps them in a memory-only instance (``directory=None``).
-``trace/`` entries left by older versions are never read; ``mlpsim cache
-prune --older-than`` removes them.  Values flow through two tiers:
+configuration — and of the *code* that produced them (:func:`schema_salt`
+hashes the sources of the simulation packages), so a key can never serve a
+stale artifact: any input or code change changes the key.  Generated traces
+are not persisted: a warm run never reads one, and regenerating a trace
+costs less than decoding it, so the Workbench keeps them in a memory-only
+instance (``directory=None``).  Values flow through two tiers:
 
 1. an in-memory LRU (object identity preserved within a process), and
-2. an optional on-disk pickle store (shared between processes and runs).
+2. an optional on-disk store (shared between processes and runs).
+
+Every disk entry is one frame (``FRAME``: magic, frame version, payload
+format, payload length and a CRC-32), then the payload.  An annotation
+(:class:`repro.trace.annotated.Annotation`) is stored in the columnar
+``MLPN`` format; every other value is pickled.  A read verifies the frame
+before decoding, and decodes with the garbage collector paused.  A bad
+frame, a checksum mismatch or any exception while decoding counts as
+``CacheStats.corrupt``, deletes the entry and is a miss, so a damaged
+entry is recomputed, never served.
 
 Disk writes are atomic (temp file + ``os.replace``), so parallel workers
 racing to fill the same key are safe: last writer wins and every reader
-sees either nothing or a complete artifact.  Unreadable or truncated
-entries are treated as misses and deleted.
-
-``SCHEMA_SALT`` versions the key space; bump it whenever the pipeline's
-semantics change so old cache directories are ignored rather than trusted.
+sees either nothing or a complete artifact.  Entries left by older
+versions (``*.pkl`` files, and ``trace/``) are never read; ``mlpsim cache
+prune --older-than`` removes them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
+import logging
 import os
 import pickle
+import struct
 import tempfile
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: Bump when trace generation / annotation semantics change incompatibly.
-SCHEMA_SALT = "repro-artifacts-v1"
+from ..errors import ArtifactCorruptError
+from ..trace import annotated as annotation_codec
+from ..trace.annotated import gc_paused
+
+log = logging.getLogger(__name__)
+
+#: The sources, relative to the ``repro`` package, whose code decides what
+#: an artifact or a cached result holds.  Editing any of them changes the
+#: salt and so every key.
+SALT_SOURCES = (
+    "config.py", "isa", "workloads", "memory", "locks", "frontend",
+    "multiproc", "trace", "core", "harness/experiment.py",
+)
+
+#: Frame header of every disk entry: magic, frame version, payload format,
+#: payload length and the CRC-32 of the other header fields and the payload.
+FRAME = struct.Struct("<4sH4sQI")
+FRAME_MAGIC = b"MLPA"
+FRAME_VERSION = 1
+
+#: Payload formats: the columnar annotation codec, and pickle for the rest.
+PICKLE_FORMAT = b"PKL5"
+ANNOTATION_FORMAT = annotation_codec.MAGIC
+
+#: File suffix of a framed entry; ``*.pkl`` entries of older versions are
+#: listed (so ``mlpsim cache`` counts and prunes them) but never read.
+ENTRY_SUFFIX = ".mlpa"
+_LISTED_SUFFIXES = (ENTRY_SUFFIX, ".pkl")
 
 #: Internal miss marker: distinguishes "no entry" from a cached ``None``
 #: (a ``None``-returning factory is a legitimate artifact and must not be
@@ -80,10 +117,80 @@ def stable_token(obj: Any) -> str:
     )
 
 
+def source_salt(root: Path) -> str:
+    """SHA-256 over the ``*.py`` files of :data:`SALT_SOURCES` under *root*.
+
+    Each file contributes its path relative to *root* and its bytes, in
+    sorted order; sources missing under *root* contribute nothing.
+    """
+    digest = hashlib.sha256()
+    for source in SALT_SOURCES:
+        path = root / source
+        files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+        for file in files:
+            if not file.is_file():
+                continue
+            digest.update(file.relative_to(root).as_posix().encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(file.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def schema_salt() -> str:
+    """This code's key salt: :func:`source_salt` of the ``repro`` package.
+
+    Computed on first use, once per process.
+    """
+    return source_salt(Path(__file__).resolve().parent.parent)
+
+
 def content_key(kind: str, *parts: Any) -> str:
     """SHA-256 content hash identifying one artifact."""
-    token = stable_token((SCHEMA_SALT, kind) + parts)
+    token = stable_token((schema_salt(), kind) + parts)
     return hashlib.sha256(token.encode("utf-8")).hexdigest()
+
+
+def _encode_entry(value: Any) -> bytes:
+    """*value* as one framed disk entry."""
+    if isinstance(value, annotation_codec.Annotation):
+        fmt = ANNOTATION_FORMAT
+        payload = annotation_codec.encode_annotation(value)
+    else:
+        fmt = PICKLE_FORMAT
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    header = FRAME.pack(FRAME_MAGIC, FRAME_VERSION, fmt, len(payload), 0)
+    crc = zlib.crc32(payload, zlib.crc32(header[:-4]))
+    return header[:-4] + crc.to_bytes(4, "little") + payload
+
+
+def _decode_entry(data: bytes) -> Any:
+    """The value of a framed disk entry.
+
+    Raises :class:`ArtifactCorruptError` for a bad frame or checksum; the
+    payload decoder may raise anything for a payload it did not write.
+    """
+    view = memoryview(data)
+    if len(view) < FRAME.size:
+        raise ArtifactCorruptError("truncated entry frame")
+    magic, version, fmt, length, crc = FRAME.unpack(view[:FRAME.size])
+    if magic != FRAME_MAGIC or version != FRAME_VERSION:
+        raise ArtifactCorruptError(
+            f"unknown entry frame {magic!r} version {version}"
+        )
+    payload = view[FRAME.size:]
+    if len(payload) != length:
+        raise ArtifactCorruptError(
+            f"entry holds {len(payload)} payload bytes, frame says {length}"
+        )
+    if zlib.crc32(payload, zlib.crc32(view[:FRAME.size - 4])) != crc:
+        raise ArtifactCorruptError("entry checksum mismatch")
+    if fmt == ANNOTATION_FORMAT:
+        return annotation_codec.decode_annotation(payload)
+    if fmt == PICKLE_FORMAT:
+        return pickle.loads(payload)
+    raise ArtifactCorruptError(f"unknown payload format {fmt!r}")
 
 
 @dataclass
@@ -95,6 +202,8 @@ class CacheStats:
     misses: int = 0
     writes: int = 0
     evictions: int = 0
+    #: Disk entries dropped as unreadable (each is also a miss).
+    corrupt: int = 0
 
     @property
     def hits(self) -> int:
@@ -126,6 +235,10 @@ class CacheStats:
         registry.gauge(
             f"{prefix}_evictions", lambda: self.evictions,
             help="in-memory LRU evictions",
+        )
+        registry.gauge(
+            f"{prefix}_corrupt", lambda: self.corrupt,
+            help="unreadable disk entries dropped and recomputed",
         )
 
 
@@ -195,20 +308,19 @@ class ArtifactCache:
         self.stats.writes += 1
         if self.directory is None:
             return
+        data = _encode_entry(value)
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: writers never expose a partial pickle.  The
+        # Atomic publish: writers never expose a partial entry.  The
         # per-key lock additionally orders this publish against a
         # concurrent prune of the same key.
         with self._lock_for(kind, key):
             fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".pkl"
+                dir=path.parent, prefix=".tmp-", suffix=ENTRY_SUFFIX
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(
-                        value, handle, protocol=pickle.HIGHEST_PROTOCOL,
-                    )
+                    handle.write(data)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -232,13 +344,15 @@ class ArtifactCache:
             return _MISS
         path = self._path(kind, key)
         try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
+            data = path.read_bytes()
+            with gc_paused():
+                return _decode_entry(data)
         except FileNotFoundError:
             return _MISS
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError):
-            # Truncated or stale entry: drop it and treat as a miss.
+        except Exception as exc:
+            # Truncated, damaged or foreign entry: drop it, and recompute.
+            log.warning("dropping unreadable cache entry %s: %s", path, exc)
+            self.stats.corrupt += 1
             try:
                 path.unlink()
             except OSError:
@@ -247,7 +361,7 @@ class ArtifactCache:
 
     def _path(self, kind: str, key: str) -> Path:
         assert self.directory is not None
-        return self.directory / kind / key[:2] / f"{key}.pkl"
+        return self.directory / kind / key[:2] / f"{key}{ENTRY_SUFFIX}"
 
     # -------------------------------------------------------------- admin --
 
@@ -272,8 +386,9 @@ class ArtifactCache:
         for kind_dir in sorted(self.directory.iterdir()):
             if not kind_dir.is_dir():
                 continue
-            for path in sorted(kind_dir.glob("*/*.pkl")):
-                if path.name.startswith(".tmp-"):
+            for path in sorted(kind_dir.glob("*/*")):
+                if (path.name.startswith(".tmp-")
+                        or path.suffix not in _LISTED_SUFFIXES):
                     continue
                 try:
                     stat = path.stat()

@@ -18,7 +18,7 @@ expensive calibration and annotation stages are computed once per content
 key *across the whole pool* — the first worker to annotate a variant
 publishes it; everyone else gets disk hits.  (Traces are not shared: a
 worker that must annotate a new variant regenerates its trace, which is
-cheaper than unpickling one.)  Simulation results are
+cheaper than decoding one.)  Simulation results are
 deterministic functions of the (seeded) artifacts, so a parallel run
 returns bit-identical numbers to a serial one.
 
@@ -126,9 +126,9 @@ class JobSpec:
     (``"kill@M"``/``"corrupt@M"``).  All default to "off", keeping plain
     jobs byte-compatible with previously serialized specs.
 
-    ``backend`` names the execution backend (``"reference"`` or
-    ``"event"``) the simulation runs on; ``""`` defers to ``$REPRO_BACKEND``
-    and then the default.  Backends are bit-identical, so the field changes
+    ``backend`` names the execution backend (``"event"``, the default, or
+    ``"reference"``) the simulation runs on; ``""`` defers to
+    ``$REPRO_BACKEND`` and then the default.  Backends are bit-identical, so the field changes
     how the job executes, never what it returns.
 
     ``contexts``/``scheduler`` opt a simulate job into the SMT

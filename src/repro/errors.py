@@ -84,6 +84,16 @@ class CheckpointCorruptError(ReproError):
     code = "checkpoint-corrupt"
 
 
+class ArtifactCorruptError(ReproError):
+    """A persisted cache entry failed its frame or checksum check.
+
+    The artifact cache treats the entry as absent: it deletes it and
+    recomputes the artifact.
+    """
+
+    code = "artifact-corrupt"
+
+
 class FaultInjectedError(ReproError):
     """A deliberately injected fault fired (test/CI recovery drills only).
 

@@ -27,14 +27,19 @@ the core parameters being swept.
 Profiles and annotations are cached by
 :class:`repro.engine.cache.ArtifactCache`: every artifact is keyed by a
 content hash of the inputs that produced it (profile + settings + variant +
-memory configuration), held in an in-memory LRU and — unless disabled with
-``cache_dir=None`` — written through to a persistent cache directory shared
-between processes and invocations.  That is what lets
-:class:`repro.engine.runner.EngineRunner` worker processes reuse one
-calibration/annotation across a whole parallel sweep, and what makes the
-second invocation of a figure sweep start warm.  Traces stay in a bounded
-in-memory LRU of the Workbench's own: a warm run reads only the profile and
-the annotation, and regenerating a trace costs less than unpickling it.
+memory configuration) and of the simulation code, held in an in-memory LRU
+and — unless disabled with ``cache_dir=None`` — written through to a
+persistent cache directory shared between processes and invocations.  That
+is what lets :class:`repro.engine.runner.EngineRunner` worker processes
+reuse one calibration/annotation across a whole parallel sweep, and what
+makes the second invocation of a figure sweep start warm.  An annotation is
+stored as an :class:`~repro.trace.annotated.Annotation`: the annotated
+window plus the :class:`~repro.memory.hierarchy.MemoryCounters` its memory
+system left, in the columnar ``MLPN`` format on disk.  No
+:class:`~repro.memory.MemorySystem` outlives :meth:`Workbench.annotated`.
+Traces stay in a bounded in-memory LRU of the Workbench's own: a warm run
+reads only the profile and the annotation, and regenerating a trace costs
+less than decoding it.
 """
 
 from __future__ import annotations
@@ -59,8 +64,14 @@ from ..errors import CalibrationError
 from ..frontend import BranchPredictor
 from ..isa import Instruction
 from ..locks import apply_sle, apply_transactional_memory, rewrite_pc_to_wc
-from ..memory import AnnotatedTrace, MemorySystem, annotate_trace
+from ..memory import (
+    AnnotatedTrace,
+    MemoryCounters,
+    MemorySystem,
+    annotate_trace,
+)
 from ..multiproc import MultiChipSystem, SharingModel
+from ..trace.annotated import Annotation
 from ..workloads import WORKLOADS, WorkloadProfile, calibrate_profile
 from ..workloads.calibration import RunPass
 from ..workloads.generator import WorkloadGenerator
@@ -98,7 +109,8 @@ class Workbench:
     value is used as the cache directory.  Pass an existing *artifacts*
     cache to share one between workbenches.  Traces are never persisted:
     they live in this Workbench's own in-memory LRU, bounded by
-    *memory_entries* like the artifact cache's.
+    *memory_entries* like the artifact cache's.  Each annotation keeps its
+    memory system's counters (:meth:`memory_for`), not the memory system.
     """
 
     def __init__(
@@ -114,9 +126,9 @@ class Workbench:
         )
         self._traces = ArtifactCache(None, memory_entries=memory_entries)
         self._profiles: Dict[str, WorkloadProfile] = {}
-        self._memories: Dict[tuple, MemorySystem] = {}
-        #: The last calibration's default annotation as (key, (annotated,
-        #: memory)), until the next :meth:`annotated` call takes or drops it.
+        self._counters: Dict[tuple, MemoryCounters] = {}
+        #: The last calibration's default annotation as (key, Annotation),
+        #: until the next :meth:`annotated` call takes or drops it.
         self._handoff: tuple = (None, None)
 
     # -- profiles / traces ----------------------------------------------------
@@ -161,7 +173,7 @@ class Workbench:
             self._traces.put("trace", self._trace_key(profile, "pc"), run.trace)
             self._handoff = (
                 self._annotation_key(profile, "pc", MemoryConfig(), None, ""),
-                (run.annotated, run.memory),
+                Annotation(run.annotated, run.counters),
             )
         return profile
 
@@ -170,12 +182,12 @@ class Workbench:
 
         Content addressing makes downstream artifacts self-invalidating —
         the new profile hashes to new trace/annotation keys — so only the
-        memory-system lookaside (which is keyed by name for
-        :meth:`memory_for`) needs explicit dropping.
+        counters lookaside (which is keyed by name for :meth:`memory_for`)
+        needs explicit dropping.
         """
         self._profiles[workload] = profile
-        self._memories = {
-            key: value for key, value in self._memories.items()
+        self._counters = {
+            key: value for key, value in self._counters.items()
             if key[0] != workload
         }
 
@@ -241,7 +253,7 @@ class Workbench:
         handoff, self._handoff = self._handoff, (None, None)
         ready = handoff[1] if handoff[0] == key else None
         del handoff
-        annotated, memory = self.artifacts.get_or_create(
+        annotated, counters = self.artifacts.get_or_create(
             "annotation", key,
             lambda: ready or self._build_annotation(
                 workload, variant, config, sharing, profile,
@@ -249,7 +261,7 @@ class Workbench:
         )
         # memory_for looks up by name (tags carry the human-readable
         # discrimination there); repopulated even on a persistent hit.
-        self._memories[(workload, variant, tag, sharing)] = memory
+        self._counters[(workload, variant, tag, sharing)] = counters
         return annotated
 
     def _annotation_key(
@@ -273,7 +285,7 @@ class Workbench:
         config: MemoryConfig,
         sharing: SharingSettings | None,
         profile: WorkloadProfile,
-    ) -> tuple:
+    ) -> Annotation:
         system = None
         nodes = sharing.nodes if sharing is not None else 2
         memory = MemorySystem(config, single_chip=(nodes == 1))
@@ -300,7 +312,7 @@ class Workbench:
             system=system,
             warmup=self.settings.warmup,
         )
-        return annotated, memory
+        return Annotation(annotated, memory.counters())
 
     def memory_for(
         self,
@@ -308,14 +320,14 @@ class Workbench:
         variant: str = "pc",
         sharing: SharingSettings | None = None,
         tag: str = "",
-    ) -> MemorySystem:
-        """The memory system that produced an annotation (for its counters)."""
+    ) -> MemoryCounters:
+        """The counters of the memory system that produced an annotation."""
         key = (workload, variant, tag, sharing)
-        if key not in self._memories:
+        if key not in self._counters:
             raise KeyError(
                 f"annotate {key} first via Workbench.annotated(...)"
             )
-        return self._memories[key]
+        return self._counters[key]
 
     # -- simulation ---------------------------------------------------------------
 
@@ -371,8 +383,8 @@ class Workbench:
 
         *observer* (e.g. an :class:`repro.obs.EpochTimelineRecorder`)
         attaches to the simulator run; ``None`` keeps the unobserved hot
-        path.  *backend* selects the execution backend (``"reference"`` or
-        ``"event"``); ``None`` defers to ``$REPRO_BACKEND``
+        path.  *backend* selects the execution backend (``"event"``, the
+        default, or ``"reference"``); ``None`` defers to ``$REPRO_BACKEND``
         and then the default.  Every backend returns a bit-identical
         result, so the choice never changes what is measured.
         """

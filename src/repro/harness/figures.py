@@ -227,10 +227,9 @@ def figure6(
                     sharing=sharing,
                     tag=f"smac-{entries}",
                 )
-                memory = bench.memory_for(
+                stats = bench.memory_for(
                     name, sharing=sharing, tag=f"smac-{entries}"
-                )
-                stats = memory.stats
+                ).stats
                 instructions = max(1, stats.instructions)
                 invalidates[nodes][entries] = (
                     1000.0 * stats.smac_coherence_invalidates / instructions

@@ -117,12 +117,11 @@ def table3(
     out: Dict[str, float] = {}
     for name in workloads:
         annotated = bench.annotated(name)
-        memory = bench.memory_for(name)
+        counters = bench.memory_for(name)
         instructions = max(1, len(annotated))
         mispredicts = sum(1 for _, info in annotated if info.mispredicted)
-        l1d = memory.l1d.stats
         l1_miss_l2_hit = max(
-            0, l1d.read_misses - memory.stats.load_l2_misses
+            0, counters.l1d.read_misses - counters.stats.load_l2_misses
         ) / instructions
         out[name] = (
             _BASE_CPI

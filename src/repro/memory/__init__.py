@@ -14,7 +14,7 @@ re-run cheaply across core configurations.
 from .annotate import AccessInfo, AnnotatedTrace, annotate_trace
 from .cache import CacheLine, SetAssociativeCache
 from .coherence import MesiState
-from .hierarchy import AccessOutcome, HitLevel, MemorySystem
+from .hierarchy import AccessOutcome, HitLevel, MemoryCounters, MemorySystem
 from .replacement import LruPolicy, RandomPolicy, make_policy
 from .smac import SmacProbe, StoreMissAccelerator
 from .tlb import Tlb
@@ -26,6 +26,7 @@ __all__ = [
     "CacheLine",
     "HitLevel",
     "LruPolicy",
+    "MemoryCounters",
     "MemorySystem",
     "MesiState",
     "RandomPolicy",

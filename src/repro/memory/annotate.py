@@ -63,7 +63,26 @@ _NO_ACCESS = AccessInfo()
 #: points by the harness/engine caches), so sharing one immutable record
 #: per classification keeps millions of per-instruction annotations from
 #: each carrying their own object.
-_INTERNED: dict = {}
+_INTERNED: dict = {(False,) * 5: _NO_ACCESS}
+
+
+def interned_access(
+    inst_miss: bool,
+    data_miss: bool,
+    smac_hit: bool,
+    upgrade: bool,
+    mispredicted: bool,
+) -> AccessInfo:
+    """The shared :class:`AccessInfo` for one flag combination.
+
+    All flags clear gives ``_NO_ACCESS``, the record most instructions
+    carry.
+    """
+    key = (inst_miss, data_miss, smac_hit, upgrade, mispredicted)
+    info = _INTERNED.get(key)
+    if info is None:
+        info = _INTERNED[key] = AccessInfo(*key)
+    return info
 
 
 def annotate_trace(
@@ -133,15 +152,5 @@ def _classify(
         mispredicted = predictor.observe(inst)
     if not (inst_miss or data_miss or smac_hit or upgrade or mispredicted):
         return _NO_ACCESS
-    key = (inst_miss, data_miss, smac_hit, upgrade, mispredicted)
-    info = _INTERNED.get(key)
-    if info is None:
-        info = AccessInfo(
-            inst_miss=inst_miss,
-            data_miss=data_miss,
-            smac_hit=smac_hit,
-            upgrade=upgrade,
-            mispredicted=mispredicted,
-        )
-        _INTERNED[key] = info
-    return info
+    return interned_access(inst_miss, data_miss, smac_hit, upgrade,
+                           mispredicted)

@@ -17,12 +17,13 @@ because the lone L2 implicitly owns all of memory (paper Section 3.3.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from ..config import MemoryConfig
-from .cache import SetAssociativeCache
+from .cache import CacheStats, SetAssociativeCache
 from .coherence import MesiState
-from .smac import StoreMissAccelerator
+from .smac import SmacStats, StoreMissAccelerator
 from .tlb import Tlb
 
 
@@ -94,6 +95,21 @@ class HierarchyStats:
     def reset(self) -> None:
         for name in vars(self):
             setattr(self, name, 0)
+
+
+@dataclass(frozen=True)
+class MemoryCounters:
+    """The counters an annotation leaves behind, without the caches.
+
+    ``stats`` feeds Table 1 and Figure 6, ``l1d`` the Table 3 estimate and
+    ``smac`` (``None`` without a SMAC) the SMAC design-space example.  It is
+    what the Workbench keeps and persists instead of the whole
+    :class:`MemorySystem` with its tag arrays.
+    """
+
+    stats: HierarchyStats
+    l1d: CacheStats
+    smac: Optional[SmacStats] = None
 
 
 class MemorySystem:
@@ -224,6 +240,14 @@ class MemorySystem:
         if victim.state is MesiState.MODIFIED and self.smac is not None:
             # Data goes to memory; ownership is retained in the SMAC.
             self.smac.on_modified_evict(evicted_address)
+
+    def counters(self) -> MemoryCounters:
+        """A copy of the counters, detached from this memory system."""
+        return MemoryCounters(
+            stats=replace(self.stats),
+            l1d=replace(self.l1d.stats),
+            smac=replace(self.smac.stats) if self.smac is not None else None,
+        )
 
     def reset_stats(self) -> None:
         """Clear all counters (end of warmup)."""

@@ -2,7 +2,9 @@
 
 A *trace* is any iterable of :class:`~repro.isa.Instruction`.  This package
 provides binary persistence (:mod:`~repro.trace.reader` /
-:mod:`~repro.trace.writer`), composable stream utilities
+:mod:`~repro.trace.writer`), the columnar annotated-trace codec the
+artifact cache stores annotations in (:mod:`~repro.trace.annotated`),
+composable stream utilities
 (:mod:`~repro.trace.stream`), whole-trace statistics used for the paper's
 Table 1 (:mod:`~repro.trace.stats`) and generic instruction-level rewriting
 (:mod:`~repro.trace.transform`).

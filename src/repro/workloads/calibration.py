@@ -27,7 +27,7 @@ from ..errors import CalibrationError
 from ..frontend import BranchPredictor
 from ..isa import Instruction
 from ..memory import AnnotatedTrace, MemorySystem, annotate_trace
-from ..memory.hierarchy import HierarchyStats
+from ..memory.hierarchy import HierarchyStats, MemoryCounters
 from .generator import WorkloadGenerator
 from .profiles import WorkloadProfile
 
@@ -60,7 +60,7 @@ class RunPass:
     The calibration window's counters are sampled on that pass.  Cache
     state depends on neither the predictor nor the reset, so the measured
     rates equal those of a calibration-only trace.  Afterwards ``trace``,
-    ``annotated`` and ``memory`` hold the last round's pass, which is the
+    ``annotated`` and ``counters`` hold the last round's pass, which is the
     one that measured the returned profile.
     """
 
@@ -69,7 +69,7 @@ class RunPass:
     branch: Optional[BranchPredictorConfig] = None
     trace: Optional[List[Instruction]] = None
     annotated: Optional[AnnotatedTrace] = None
-    memory: Optional[MemorySystem] = None
+    counters: Optional[MemoryCounters] = None
 
 
 def measure_profile(
@@ -98,7 +98,7 @@ def measure_profile(
             f"run pass of {run.total} instructions is shorter than the "
             f"calibration trace ({instructions})"
         )
-    run.trace = run.annotated = run.memory = None  # free the last round's
+    run.trace = run.annotated = run.counters = None  # free the last round's
     memory = MemorySystem(memory_config or MemoryConfig())
     trace = WorkloadGenerator(profile, seed).generate(run.total)
     predictor = BranchPredictor(run.branch) if run.branch is not None else None
@@ -117,7 +117,9 @@ def measure_profile(
         + (getattr(samples[run.warmup], field.name) if bridged else 0)
         for field in dataclasses.fields(HierarchyStats)
     })
-    run.trace, run.annotated, run.memory = trace, annotated, memory
+    run.trace, run.annotated, run.counters = (
+        trace, annotated, memory.counters(),
+    )
     return _rates(window)
 
 

@@ -1,0 +1,217 @@
+"""The framed, checksummed artifact store behind the Workbench.
+
+A damaged disk entry of any kind is dropped and recomputed, never served
+and never raised; a warm Workbench reproduces a cold one's numbers; the
+key salt follows the simulation code.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+import shutil
+import struct
+import zlib
+
+import pytest
+
+from repro import cli
+from repro.engine.cache import (
+    FRAME,
+    FRAME_VERSION,
+    SALT_SOURCES,
+    ArtifactCache,
+    schema_salt,
+    source_salt,
+)
+from repro.harness.experiment import ExperimentSettings, Workbench
+from repro.harness.figures import figure6
+from repro.harness.tables import table1, table3
+from repro.trace import annotated as codec
+
+# Database and specjbb calibrate in one round at this sizing and seed.
+SETTINGS = ExperimentSettings(warmup=10_000, measure=30_000, seed=1)
+
+
+def _entry(directory, kind):
+    (path,) = (directory / kind).glob("*/*.mlpa")
+    return path
+
+
+def _reframe(data: bytearray) -> None:
+    """Recompute the frame checksum after editing *data* in place."""
+    crc = zlib.crc32(data[FRAME.size:], zlib.crc32(data[:FRAME.size - 4]))
+    struct.pack_into("<I", data, FRAME.size - 4, crc)
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _flip(path):
+    data = bytearray(path.read_bytes())
+    rng = random.Random(len(data))
+    data[rng.randrange(FRAME.size, len(data))] ^= 1 << rng.randrange(8)
+    path.write_bytes(bytes(data))
+
+
+def _foreign_frame(path):
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<H", data, 4, FRAME_VERSION + 1)
+    _reframe(data)
+    path.write_bytes(bytes(data))
+
+
+def _foreign_codec(path):
+    """A well-framed annotation of another codec version."""
+    data = bytearray(path.read_bytes())
+    start = FRAME.size
+    assert data[start:start + 4] == codec.MAGIC
+    struct.pack_into("<H", data, start + 4, codec.VERSION + 1)
+    inner = zlib.crc32(
+        data[start + codec.HEADER.size:],
+        zlib.crc32(data[start:start + codec.HEADER.size - 4]),
+    )
+    struct.pack_into("<I", data, start + codec.HEADER.size - 4, inner)
+    _reframe(data)
+    path.write_bytes(bytes(data))
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """A filled cache directory and the results a cold run computed."""
+    directory = tmp_path_factory.mktemp("golden-cache")
+    bench = Workbench(SETTINGS, cache_dir=directory)
+    return directory, {
+        "profile": bench.profile("database"),
+        "result": bench.run("database"),
+        "counters": bench.memory_for("database"),
+    }
+
+
+@pytest.fixture
+def cache_copy(golden, tmp_path):
+    directory = tmp_path / "cache"
+    shutil.copytree(golden[0], directory)
+    return directory
+
+
+class TestDamagedEntries:
+    @pytest.mark.parametrize("kind, damage", [
+        (kind, damage)
+        for kind in ("profile", "annotation")
+        for damage in (_truncate, _flip, _foreign_frame)
+    ] + [("annotation", _foreign_codec)], ids=lambda value: getattr(
+        value, "__name__", value,
+    ).strip("_"))
+    def test_is_dropped_and_recomputed(self, golden, cache_copy, kind,
+                                       damage):
+        path = _entry(cache_copy, kind)
+        damage(path)
+        bench = Workbench(SETTINGS, cache_dir=cache_copy)
+        assert bench.run("database") == golden[1]["result"]
+        assert bench.profile("database") == golden[1]["profile"]
+        assert bench.memory_for("database") == golden[1]["counters"]
+        assert bench.artifacts.stats.corrupt == 1
+        # The recomputed entry replaced the damaged one.
+        assert ArtifactCache(cache_copy).get(kind, path.stem) is not None
+
+    @pytest.mark.parametrize("kind", ["profile", "annotation"])
+    def test_legacy_pickle_is_never_read(self, golden, cache_copy, kind):
+        path = _entry(cache_copy, kind)
+        legacy = path.with_suffix(".pkl")
+        legacy.write_bytes(pickle.dumps("a stale value"))
+        path.unlink()
+        bench = Workbench(SETTINGS, cache_dir=cache_copy)
+        assert bench.run("database") == golden[1]["result"]
+        assert bench.artifacts.stats.corrupt == 0
+        assert legacy.exists() and path.exists()
+
+    def test_damaged_entry_of_any_kind_is_a_miss(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put("service-result", "k", {"epi": 5.292})
+        cache._path("service-result", "k").write_bytes(b"\x80\x05junk")
+        cache.clear_memory()
+        assert cache.get("service-result", "k", "missing") == "missing"
+        assert (cache.stats.corrupt, cache.stats.misses) == (1, 1)
+        assert not cache._path("service-result", "k").exists()
+
+
+class TestWarmEqualsCold:
+    def test_tables_and_a_figure6_point(self, tmp_path):
+        def numbers(bench):
+            return {
+                "table1": table1(bench, ("database", "specjbb")),
+                "table3": table3(bench, ("database", "specjbb")),
+                "wc": bench.run("specjbb", "wc"),
+                "wc_counters": bench.memory_for("specjbb", "wc"),
+                "figure6": figure6(bench, ("database",), (256,), (2,)),
+            }
+
+        cold = Workbench(SETTINGS, cache_dir=tmp_path)
+        expected = numbers(cold)
+        warm = Workbench(SETTINGS, cache_dir=tmp_path)
+        assert numbers(warm) == expected
+        assert warm.artifacts.stats.misses == 0
+        assert warm.artifacts.stats.disk_hits > 0
+
+    def test_memory_for_is_equal_on_every_path(self, golden, tmp_path):
+        handoff = Workbench(SETTINGS, cache_dir=None)
+        handoff.annotated("database")
+        fresh = Workbench(SETTINGS, cache_dir=None)
+        fresh.profile("database")
+        fresh.annotated("database", tag="other")  # drops the handoff
+        fresh.annotated("database")
+        disk = Workbench(SETTINGS, cache_dir=golden[0])
+        disk.annotated("database")
+        assert disk.artifacts.stats.disk_hits == 2  # profile + annotation
+        counters = [
+            bench.memory_for("database") for bench in (handoff, fresh, disk)
+        ]
+        assert counters[0] == counters[1] == counters[2]
+        assert counters[0].stats.instructions == SETTINGS.measure
+
+    def test_annotations_keep_identity_in_memory(self, golden):
+        bench = Workbench(SETTINGS, cache_dir=golden[0])
+        assert bench.annotated("database") is bench.annotated("database")
+
+
+class TestCacheCli:
+    def test_stats_and_prune_see_every_entry(self, cache_copy, capsys):
+        legacy = cache_copy / "annotation" / "00" / "old.pkl"
+        legacy.parent.mkdir(exist_ok=True)
+        legacy.write_bytes(pickle.dumps("old"))
+        assert cli.main(["--cache-dir", str(cache_copy), "cache",
+                         "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "3 entries" in out
+        assert "annotation        2 entries" in out
+        assert "profile           1 entries" in out
+        assert cli.main(["--cache-dir", str(cache_copy), "cache", "prune",
+                         "--older-than", "0"]) == 0
+        assert "pruned 3 entries" in capsys.readouterr().out
+        assert not list(cache_copy.rglob("*.mlpa"))
+        assert not legacy.exists()
+
+
+class TestSchemaSalt:
+    def test_is_stable_within_a_process(self):
+        assert schema_salt() == schema_salt()
+        assert len(schema_salt()) == 64
+
+    def test_follows_the_simulation_sources(self, tmp_path):
+        (tmp_path / "core").mkdir()
+        (tmp_path / "config.py").write_text("A = 1\n")
+        (tmp_path / "core" / "loop.py").write_text("B = 1\n")
+        (tmp_path / "service.py").write_text("C = 1\n")
+        before = source_salt(tmp_path)
+        assert source_salt(tmp_path) == before
+        (tmp_path / "service.py").write_text("C = 2\n")
+        assert source_salt(tmp_path) == before  # not a simulation source
+        (tmp_path / "core" / "loop.py").write_text("B = 2\n")
+        assert source_salt(tmp_path) != before
+
+    def test_covers_the_codec_and_the_workbench(self):
+        assert "trace" in SALT_SOURCES
+        assert "harness/experiment.py" in SALT_SOURCES

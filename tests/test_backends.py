@@ -67,10 +67,10 @@ def bench():
 
 
 class TestRegistry:
-    def test_default_is_reference(self):
-        assert DEFAULT_BACKEND == "reference"
-        assert resolve_backend().name == "reference"
-        assert resolve_backend(None).name == "reference"
+    def test_default_is_event(self):
+        assert DEFAULT_BACKEND == "event"
+        assert resolve_backend().name == "event"
+        assert resolve_backend(None).name == "event"
 
     def test_builtins_registered(self):
         assert backend_names() == ("event", "reference")
@@ -221,7 +221,8 @@ def test_backends_bit_identical_on_random_traces(trial):
 class TestShardedAndCheckpointed:
     @pytest.mark.parametrize("name", _alternative_backends())
     def test_sharded_run_matches_unsharded_reference(self, name):
-        golden = api.run("database", settings=TINY, cache_dir=None)
+        golden = api.run("database", settings=TINY, cache_dir=None,
+                         backend="reference")
         sharded = api.run(
             "database", settings=TINY, cache_dir=None,
             shards=3, workers=1, backend=name,
@@ -266,7 +267,7 @@ class TestEndToEnd:
                         backend=name)
 
     def test_env_var_reaches_workbench(self, bench, monkeypatch):
-        golden = bench.run("database")
+        golden = bench.run("database", backend="reference")
         monkeypatch.setenv(BACKEND_ENV_VAR, "event")
         assert bench.run("database") == golden
 
@@ -275,7 +276,8 @@ class TestEndToEnd:
             "database", store_queue=[16, 32],
             store_prefetch=["sp0", "sp2"],
         )
-        golden = api.sweep(spec, settings=TINY, cache_dir=None, workers=1)
+        golden = api.sweep(spec, settings=TINY, cache_dir=None, workers=1,
+                           backend="reference")
         for name in _alternative_backends():
             records = api.sweep(spec, settings=TINY, cache_dir=None,
                                 workers=1, backend=name)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -146,22 +145,25 @@ class TestPersistentTier:
     def test_layout_shards_by_key_prefix(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("trace", "abcd1234", 1)
-        assert (tmp_path / "trace" / "ab" / "abcd1234.pkl").exists()
+        assert (tmp_path / "trace" / "ab" / "abcd1234.mlpa").exists()
+        assert cache._path("trace", "abcd1234") == (
+            tmp_path / "trace" / "ab" / "abcd1234.mlpa"
+        )
 
     def test_corrupt_entry_is_dropped_and_recomputed(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("t", "k", [1])
-        path = tmp_path / "t" / "k"[:2] / "k.pkl"
+        path = cache._path("t", "k")
         path.write_bytes(b"not a pickle")
         cache.clear_memory()
         assert cache.get_or_create("t", "k", lambda: "fresh") == "fresh"
         assert not path.read_bytes() == b"not a pickle"  # rewritten
-        assert pickle.loads(path.read_bytes()) == "fresh"
+        assert ArtifactCache(tmp_path).get("t", "k") == "fresh"
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("t", "k", list(range(1000)))
-        path = tmp_path / "t" / "k"[:2] / "k.pkl"
+        path = cache._path("t", "k")
         path.write_bytes(path.read_bytes()[:10])
         cache.clear_memory()
         assert cache.get("t", "k") is None
@@ -178,7 +180,7 @@ class TestPersistentTier:
         cache = ArtifactCache(tmp_path)
         with pytest.raises(Exception):
             cache.put("t", "k", lambda: None)  # lambdas don't pickle
-        assert list(tmp_path.rglob("*.pkl")) == []
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 class TestResolveCacheDir:
@@ -257,16 +259,15 @@ class TestDiskTier:
         cache = ArtifactCache(tmp_path)
         for i in range(4):
             cache.put("t", f"key{i}", list(range(500)))
-            path = tmp_path / "t" / f"key{i}"[:2] / f"key{i}.pkl"
-            os.utime(path, (1000.0 + i, 1000.0 + i))
+            os.utime(cache._path("t", f"key{i}"), (1000.0 + i, 1000.0 + i))
         before = cache.disk_stats()
         target = before.total_bytes - 1  # forces at least one eviction
         result = cache.prune(max_bytes=target)
         assert result.removed_entries >= 1
         assert result.remaining_bytes <= target
         # oldest mtime went first
-        assert not (tmp_path / "t" / "ke" / "key0.pkl").exists()
-        assert (tmp_path / "t" / "ke" / "key3.pkl").exists()
+        assert not cache._path("t", "key0").exists()
+        assert cache._path("t", "key3").exists()
         assert result.remaining_entries == cache.disk_stats().entries
 
     def test_prune_older_than_removes_only_stale(self, tmp_path):
@@ -275,12 +276,12 @@ class TestDiskTier:
         cache = ArtifactCache(tmp_path)
         cache.put("t", "old", 1)
         cache.put("t", "new", 2)
-        old_path = tmp_path / "t" / "ol" / "old.pkl"
+        old_path = cache._path("t", "old")
         os.utime(old_path, (100.0, 100.0))
         result = cache.prune(older_than=3600.0, now=100.0 + 7200.0)
         assert result.removed_entries == 1
         assert not old_path.exists()
-        assert (tmp_path / "t" / "ne" / "new.pkl").exists()
+        assert cache._path("t", "new").exists()
 
     def test_prune_noop_when_under_budget(self, tmp_path):
         cache = self._filled(tmp_path)

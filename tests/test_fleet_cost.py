@@ -41,7 +41,7 @@ class TestEstimate:
         assert double.units == pytest.approx(2.0 * small.units)
 
     def test_backend_speedup_divides_cost(self):
-        reference = _cost(workload="database")
+        reference = _cost(workload="database", backend="reference")
         event = _cost(workload="database", backend="event")
         assert reference.units == pytest.approx(
             event.units * BACKEND_SPEEDUP["event"],
@@ -66,7 +66,7 @@ class TestEstimate:
 
     def test_annotate_cheaper_than_simulate(self):
         warm = _cost(workload="database", action="annotate")
-        simulate = _cost(workload="database")
+        simulate = _cost(workload="database", backend="reference")
         assert warm.units < simulate.units
         assert warm.predicted_epochs == 0.0
 

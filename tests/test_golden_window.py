@@ -145,28 +145,29 @@ def bench() -> Workbench:
 
 def _run(bench: Workbench, case: str):
     if case == "database_pc_default":
-        return bench.run("database")
+        return bench.run("database", backend="reference")
     if case == "database_pc_sp0_small":
         return bench.run(
-            "database",
+            "database", backend="reference",
             store_prefetch=StorePrefetchMode.NONE,
             store_buffer=8,
             store_queue=16,
         )
     if case == "database_wc":
-        return bench.run("database", variant="wc")
+        return bench.run("database", variant="wc", backend="reference")
     if case == "tpcw_pc_scout_hws2":
         return bench.run(
-            "tpcw", scout=ScoutMode.HWS2,
+            "tpcw", backend="reference", scout=ScoutMode.HWS2,
             store_prefetch=StorePrefetchMode.NONE,
         )
     if case == "specjbb_pc_sle_pps":
         return bench.run(
-            "specjbb", variant="pc_sle", prefetch_past_serializing=True,
+            "specjbb", variant="pc_sle", backend="reference",
+            prefetch_past_serializing=True,
         )
     if case == "specweb_wc_sp2":
         return bench.run(
-            "specweb", variant="wc",
+            "specweb", variant="wc", backend="reference",
             store_prefetch=StorePrefetchMode.AT_EXECUTE,
         )
     raise AssertionError(f"unknown golden case {case!r}")

@@ -1,27 +1,25 @@
-"""Core-loop microbenchmark: tracked instructions/sec for MLPsim.
+"""Stage microbenchmarks: instructions/sec of generate, annotate and simulate.
 
-The paper's evaluation is thousands of MLPsim runs (every figure sweeps the
-core configuration over an annotated trace), so the per-instruction scan in
-:meth:`repro.core.mlpsim.MlpSimulator.run` is the throughput bottleneck of
-the whole harness.  This module measures exactly that loop:
+A cold run spends its time building the simulator's input (generating the
+trace and annotating it through the memory hierarchy); a figure sweep then
+replays that input under many core configurations.  This module measures
+all three per-instruction loops on a fixed set of workload profiles:
 
-1. build annotated traces for a fixed set of workload profiles — fixed
-   seed, fixed sizing, ``calibrate=False``, in-memory cache only — so the
-   simulator input is bit-identical across machines and commits,
-2. per profile, run the simulator ``warmup_reps`` times untimed (interpreter
+1. build annotated traces for the profiles — fixed seed, fixed sizing,
+   ``calibrate=False``, in-memory cache only — so every stage's input is
+   bit-identical across machines and commits,
+2. per profile, run each stage ``warmup_reps`` times untimed (interpreter
    warmup, branch-predictor-friendly bytecode caches), then ``reps`` timed
    runs with GC disabled, and report the **median**,
-3. score **instructions/sec** (trace instructions retired per wall second)
-   and **epochs/sec**, plus the geometric mean across profiles.
-
-Annotation time is deliberately excluded: it is paid once per sweep and
-already amortised by the artifact cache; the figure-sweep cost that scales
-with configuration count is the simulation loop alone.
+3. score the simulator loop in **instructions/sec** (trace instructions
+   retired per wall second) and **epochs/sec**, trace generation and
+   annotation in instructions/sec (``stages``), plus the geometric mean of
+   each across profiles.
 
 The emitted report (``BENCH_core.json`` at the repo root) is the committed
 performance baseline.  ``check_regression`` compares a fresh run against
-it; the CI perf-smoke step fails the build when instructions/sec drops more
-than 20% below the committed numbers.
+it; the CI perf-smoke step fails the build when any stage's
+instructions/sec drops more than 20% below the committed numbers.
 """
 
 from __future__ import annotations
@@ -36,9 +34,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..config import ScoutMode, StorePrefetchMode
+from ..config import MemoryConfig, ScoutMode, SimulationConfig, StorePrefetchMode
 from ..core import MlpSimulator
+from ..frontend import BranchPredictor
 from ..harness.experiment import ExperimentSettings, Workbench
+from ..memory import MemorySystem, annotate_trace
+from ..workloads import WorkloadGenerator
 
 __all__ = [
     "BENCH_FILENAME",
@@ -50,6 +51,7 @@ __all__ = [
     "load_report",
     "run_backend_bench",
     "run_core_bench",
+    "run_stage_bench",
     "write_report",
 ]
 
@@ -63,6 +65,9 @@ BACKENDS_FILENAME = "BENCH_backends.json"
 
 #: Report schema version (bump when the JSON layout changes).
 SCHEMA_VERSION = 1
+
+#: Per-profile rates of the stages that build the simulator's input.
+STAGE_METRICS = ("generate_insts_per_sec", "annotate_insts_per_sec")
 
 #: Fixed trace sizing/seeding: changing these invalidates every committed
 #: number, so they are constants of the harness rather than CLI knobs.
@@ -142,6 +147,46 @@ def _geomean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def _bench_workbench() -> Workbench:
+    """A cache-less Workbench at the harness's fixed sizing."""
+    return Workbench(
+        ExperimentSettings(
+            warmup=BENCH_WARMUP,
+            measure=BENCH_MEASURE,
+            seed=BENCH_SEED,
+            calibrate=False,
+        ),
+        cache_dir=None,
+    )
+
+
+def _timed(run_once, reps: int, warmup_reps: int):
+    """``(seconds, last result)`` of *reps* timed calls after
+    *warmup_reps* untimed ones, with the garbage collector paused."""
+    for _ in range(warmup_reps):
+        run_once()
+    seconds: List[float] = []
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(reps):
+            start = time.perf_counter()
+            result = run_once()
+            seconds.append(time.perf_counter() - start)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return seconds, result
+
+
+def _check_reps(reps: int, warmup_reps: int) -> None:
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    if warmup_reps < 0:
+        raise ValueError("warmup_reps must be non-negative")
+
+
 def _backend_runner(backend: str, config, annotated):
     """A zero-arg callable executing one simulation on *backend*.
 
@@ -176,20 +221,8 @@ def run_core_bench(
     *backend* measures a specific execution backend; the default keeps the
     historical reference-loop measurement.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    if warmup_reps < 0:
-        raise ValueError("warmup_reps must be non-negative")
-
-    bench = Workbench(
-        ExperimentSettings(
-            warmup=BENCH_WARMUP,
-            measure=BENCH_MEASURE,
-            seed=BENCH_SEED,
-            calibrate=False,
-        ),
-        cache_dir=None,
-    )
+    _check_reps(reps, warmup_reps)
+    bench = _bench_workbench()
     measurements: List[_ProfileMeasurement] = []
     for profile in profiles:
         annotated = bench.annotated(profile.workload, profile.variant)
@@ -201,20 +234,8 @@ def run_core_bench(
 
             config = config.with_core(consistency=ConsistencyModel.WC)
         run_once = _backend_runner(backend, config, annotated)
-        for _ in range(warmup_reps):
-            run_once()
         measurement = _ProfileMeasurement(profile=profile)
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                start = time.perf_counter()
-                result = run_once()
-                measurement.seconds.append(time.perf_counter() - start)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        measurement.seconds, result = _timed(run_once, reps, warmup_reps)
         measurement.instructions = result.instructions
         measurement.epochs = result.epoch_count
         measurement.epi_per_1000 = result.epi_per_1000
@@ -251,6 +272,59 @@ def run_core_bench(
             "epochs_per_sec_geomean": _geomean(
                 [row["epochs_per_sec"] for row in per_profile.values()]
             ),
+        },
+    }
+
+
+def run_stage_bench(
+    reps: int = 5,
+    warmup_reps: int = 2,
+    profiles: Sequence[BenchProfile] = DEFAULT_PROFILES,
+    verbose: bool = False,
+) -> Dict[str, Any]:
+    """Measure trace generation and annotation, the cold-run stages.
+
+    Per profile, *generate* builds its workload's trace from scratch and
+    *annotate* classifies the profile's trace variant through a fresh
+    default memory system and branch predictor, as a Workbench does.
+    Returns ``{"profiles": {name: row}, "aggregate": geomeans}``.
+    """
+    _check_reps(reps, warmup_reps)
+    bench = _bench_workbench()
+    total = BENCH_WARMUP + BENCH_MEASURE
+    branch = SimulationConfig().core.branch
+    rows: Dict[str, Dict[str, Any]] = {}
+    for profile in profiles:
+        workload = bench.profile(profile.workload)
+        trace = bench.trace(profile.workload, profile.variant)
+        generate, _ = _timed(
+            lambda: WorkloadGenerator(workload, BENCH_SEED).generate(total),
+            reps, warmup_reps,
+        )
+        annotate, _ = _timed(
+            lambda: annotate_trace(
+                trace, MemorySystem(MemoryConfig()),
+                predictor=BranchPredictor(branch), warmup=BENCH_WARMUP,
+            ),
+            reps, warmup_reps,
+        )
+        row = rows[profile.name] = {
+            "generate_insts_per_sec": total / statistics.median(generate),
+            "annotate_insts_per_sec": len(trace) / statistics.median(annotate),
+        }
+        if verbose:
+            print(
+                f"  {profile.name:20s} "
+                f"{row['generate_insts_per_sec']:12.0f} generated/s "
+                f"{row['annotate_insts_per_sec']:12.0f} annotated/s"
+            )
+    return {
+        "profiles": rows,
+        "aggregate": {
+            f"{metric}_geomean": _geomean(
+                [row[metric] for row in rows.values()]
+            )
+            for metric in STAGE_METRICS
         },
     }
 
@@ -350,6 +424,20 @@ def load_report(path: str | Path) -> Dict[str, Any]:
     return data
 
 
+def _rate_failure(
+    label: str, current: float, base: float, max_regression: float,
+) -> List[str]:
+    """One failure if *current* is more than *max_regression* below *base*."""
+    if current >= base * (1.0 - max_regression):
+        return []
+    return [
+        f"{label}: {current:.0f} insts/s is "
+        f"{100 * (1 - current / base):.1f}% below the committed "
+        f"baseline ({base:.0f} insts/s; allowed "
+        f"{100 * max_regression:.0f}%)"
+    ]
+
+
 def check_regression(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
@@ -358,38 +446,46 @@ def check_regression(
     """Compare *current* against a committed *baseline* report.
 
     Returns a list of human-readable failures: one per profile whose
-    instructions/sec fell more than *max_regression* below the baseline,
-    plus one for the geometric mean.  An empty list means the run passed.
-    Profiles present in only one report are ignored (the tracked set may
-    grow over time).
+    simulator instructions/sec fell more than *max_regression* below the
+    baseline, plus one for the geometric mean, and the same for each
+    stage rate in ``stages`` (generate and annotate).  An empty list means
+    the run passed.  Profiles, and a ``stages`` section, present in only
+    one report are ignored (the tracked set may grow over time).
     """
     if not 0.0 < max_regression < 1.0:
         raise ValueError("max_regression must be in (0, 1)")
     failures: List[str] = []
-    floor = 1.0 - max_regression
     for name, base_row in baseline.get("profiles", {}).items():
         cur_row = current.get("profiles", {}).get(name)
         if cur_row is None:
             continue
-        base_ips = base_row["instructions_per_sec"]
-        cur_ips = cur_row["instructions_per_sec"]
-        if cur_ips < base_ips * floor:
-            failures.append(
-                f"{name}: {cur_ips:.0f} insts/s is "
-                f"{100 * (1 - cur_ips / base_ips):.1f}% below the committed "
-                f"baseline ({base_ips:.0f} insts/s; allowed "
-                f"{100 * max_regression:.0f}%)"
-            )
+        failures += _rate_failure(
+            name, cur_row["instructions_per_sec"],
+            base_row["instructions_per_sec"], max_regression,
+        )
     base_geo = baseline.get("aggregate", {}).get(
         "instructions_per_sec_geomean"
     )
     cur_geo = current.get("aggregate", {}).get("instructions_per_sec_geomean")
-    if base_geo and cur_geo and cur_geo < base_geo * floor:
-        failures.append(
-            f"geomean: {cur_geo:.0f} insts/s is "
-            f"{100 * (1 - cur_geo / base_geo):.1f}% below the committed "
-            f"baseline ({base_geo:.0f} insts/s)"
-        )
+    if base_geo and cur_geo:
+        failures += _rate_failure("geomean", cur_geo, base_geo, max_regression)
+    base_stages = baseline.get("stages", {})
+    cur_stages = current.get("stages", {})
+    for name, base_row in base_stages.get("profiles", {}).items():
+        cur_row = cur_stages.get("profiles", {}).get(name)
+        if cur_row is None:
+            continue
+        for metric in STAGE_METRICS:
+            failures += _rate_failure(
+                f"{name} {metric}", cur_row[metric], base_row[metric],
+                max_regression,
+            )
+    for metric in STAGE_METRICS:
+        key = f"{metric}_geomean"
+        base_geo = base_stages.get("aggregate", {}).get(key)
+        cur_geo = cur_stages.get("aggregate", {}).get(key)
+        if base_geo and cur_geo:
+            failures += _rate_failure(key, cur_geo, base_geo, max_regression)
     return failures
 
 
@@ -474,6 +570,16 @@ def main(
     )
     geo = report["aggregate"]["instructions_per_sec_geomean"]
     print(f"  geomean: {geo:.0f} instructions/sec")
+    print("stages (trace generation, annotation):")
+    report["stages"] = run_stage_bench(
+        reps=reps, warmup_reps=warmup_reps, verbose=True,
+    )
+    stage_geo = report["stages"]["aggregate"]
+    print(
+        f"  geomean: {stage_geo['generate_insts_per_sec_geomean']:.0f} "
+        f"generated/s, {stage_geo['annotate_insts_per_sec_geomean']:.0f} "
+        f"annotated/s"
+    )
 
     if baseline is not None:
         committed = load_report(baseline)

@@ -87,7 +87,6 @@ class CacheConfig:
     size_bytes: int
     associativity: int
     line_bytes: int = 64
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.associativity <= 0:

@@ -168,10 +168,6 @@ class StoreUnit:
     # -- capacity ----------------------------------------------------------
 
     @property
-    def sb_full(self) -> bool:
-        return len(self.sb) >= self._sb_limit
-
-    @property
     def sq_full(self) -> bool:
         return len(self.sq) >= self._sq_limit
 
@@ -345,19 +341,6 @@ class StoreUnit:
 
     # -- commit ----------------------------------------------------------------
 
-    def commit_pass(self, epoch: int) -> List[StoreEntry]:
-        """Commit everything the consistency model allows in *epoch*.
-
-        Returns the store entries whose off-chip requests were newly issued
-        (the caller counts them as this epoch's outstanding store misses).
-        """
-        issued: List[StoreEntry] = []
-        if self.model is ConsistencyModel.PC:
-            self._commit_pc(epoch, issued)
-        else:
-            self._commit_wc(epoch, issued)
-        return issued
-
     def _commit_pc(self, epoch: int, issued: List[StoreEntry]) -> None:
         sq = self.sq
         stats = self.stats
@@ -442,9 +425,3 @@ class StoreUnit:
                 self.stats.committed += 1
         else:
             self.sq = deque(e for e in self.sq if not e.accelerated)
-
-    def flush_window_stores(self) -> int:
-        """Drop store-buffer contents (scout exit re-dispatches them)."""
-        dropped = len(self.sb)
-        self.sb.clear()
-        return dropped

@@ -26,7 +26,6 @@ from .cache import (
     stable_token,
 )
 from .runner import (
-    BatchHandle,
     EngineRunner,
     JobResult,
     JobSpec,
@@ -37,7 +36,6 @@ from .serialize import from_jsonable, to_jsonable
 
 __all__ = [
     "ArtifactCache",
-    "BatchHandle",
     "CacheStats",
     "DiskTierStats",
     "EngineRunner",

@@ -29,7 +29,6 @@ platforms where process pools are unavailable.
 
 from __future__ import annotations
 
-import contextvars
 import multiprocessing
 import os
 import threading
@@ -46,7 +45,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -84,7 +82,6 @@ if TYPE_CHECKING:  # break the harness <-> engine import cycle: the
     )
 
 __all__ = [
-    "BatchHandle",
     "EngineRunner",
     "EngineTelemetry",
     "JobResult",
@@ -844,49 +841,6 @@ def _run_job_in_worker(
 # ---------------------------------------------------------------- runner --
 
 
-class BatchHandle:
-    """A non-blocking handle on one in-flight :meth:`EngineRunner.submit_batch`.
-
-    The batch runs on a daemon thread; ``result()`` blocks until the report
-    is ready (re-raising any batch-level failure), ``done()`` polls.  An
-    optional callback fires with the resolved handle on the batch thread
-    once it completes — the hook the service dispatcher builds on.
-    """
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._report: Optional[RunReport] = None
-        self._error: Optional[BaseException] = None
-
-    def _finish(
-        self,
-        report: Optional[RunReport],
-        error: Optional[BaseException],
-        callback: Optional[Callable[["BatchHandle"], None]],
-    ) -> None:
-        self._report = report
-        self._error = error
-        self._event.set()
-        if callback is not None:
-            callback(self)
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
-
-    def result(self, timeout: Optional[float] = None) -> RunReport:
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"batch did not complete within {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
-        assert self._report is not None
-        return self._report
-
-
 class EngineRunner:
     """Executes batches of :class:`JobSpec` with caching and parallelism.
 
@@ -1000,40 +954,6 @@ class EngineRunner:
         )
         self.telemetry.record_report(report)
         return report
-
-    def submit_batch(
-        self,
-        jobs: Sequence[JobSpec],
-        callback: Optional[Callable[[BatchHandle], None]] = None,
-    ) -> BatchHandle:
-        """Start *jobs* on a background thread and return immediately.
-
-        The returned :class:`BatchHandle` resolves to the same
-        :class:`RunReport` a blocking :meth:`run` would produce; *callback*
-        (if given) is invoked with the handle when the batch finishes, on
-        the batch thread.
-        """
-        specs = list(jobs)
-        handle = BatchHandle()
-        # Snapshot the submitter's context so the batch thread (and,
-        # through every submitted job, the pool workers) inherit the
-        # submitter's correlation ID.
-        context = contextvars.copy_context()
-
-        def _drive() -> None:
-            try:
-                report = self.run(specs)
-            except BaseException as exc:  # surfaced via handle.result()
-                handle._finish(None, exc, callback)
-            else:
-                handle._finish(report, None, callback)
-
-        thread = threading.Thread(
-            target=lambda: context.run(_drive),
-            name="engine-batch", daemon=True,
-        )
-        thread.start()
-        return handle
 
     # ------------------------------------------------------------- sharded --
 

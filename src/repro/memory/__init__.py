@@ -15,7 +15,6 @@ from .annotate import AccessInfo, AnnotatedTrace, annotate_trace
 from .cache import CacheLine, SetAssociativeCache
 from .coherence import MesiState
 from .hierarchy import AccessOutcome, HitLevel, MemoryCounters, MemorySystem
-from .replacement import LruPolicy, RandomPolicy, make_policy
 from .smac import SmacProbe, StoreMissAccelerator
 from .tlb import Tlb
 
@@ -25,15 +24,12 @@ __all__ = [
     "AnnotatedTrace",
     "CacheLine",
     "HitLevel",
-    "LruPolicy",
     "MemoryCounters",
     "MemorySystem",
     "MesiState",
-    "RandomPolicy",
     "SetAssociativeCache",
     "SmacProbe",
     "StoreMissAccelerator",
     "Tlb",
     "annotate_trace",
-    "make_policy",
 ]

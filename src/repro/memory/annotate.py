@@ -18,7 +18,7 @@ from typing import Iterable, List, Protocol, Tuple
 
 from ..frontend import BranchPredictor
 from ..isa import Instruction
-from ..isa.opcodes import InstructionClass, is_control
+from ..isa.opcodes import InstructionClass
 from .hierarchy import MemorySystem
 
 
@@ -56,33 +56,29 @@ class AccessInfo:
 #: The simulator's input form: measured instructions with their classification.
 AnnotatedTrace = List[Tuple[Instruction, AccessInfo]]
 
-_NO_ACCESS = AccessInfo()
+#: The shared :class:`AccessInfo` for each 5-bit flag mask: bit 0
+#: ``inst_miss``, 1 ``data_miss``, 2 ``smac_hit``, 3 ``upgrade``, 4
+#: ``mispredicted``.  Annotated traces are held for the lifetime of a sweep
+#: (and cached across sweep points), so every instruction classified alike
+#: shares one immutable record.  The annotated-trace codec stores the same
+#: masks.
+ACCESS_BY_MASK: Tuple[AccessInfo, ...] = tuple(
+    AccessInfo(*(bool(mask >> bit & 1) for bit in range(5)))
+    for mask in range(32)
+)
+#: All flags clear: the record most instructions carry.
+_NO_ACCESS = ACCESS_BY_MASK[0]
+_DATA_MISS = 2
+_MISPREDICTED = 16
 
-#: Interning table for the ≤32 possible flag combinations.  Annotated
-#: traces are held for the lifetime of a sweep (and cached across sweep
-#: points by the harness/engine caches), so sharing one immutable record
-#: per classification keeps millions of per-instruction annotations from
-#: each carrying their own object.
-_INTERNED: dict = {(False,) * 5: _NO_ACCESS}
-
-
-def interned_access(
-    inst_miss: bool,
-    data_miss: bool,
-    smac_hit: bool,
-    upgrade: bool,
-    mispredicted: bool,
-) -> AccessInfo:
-    """The shared :class:`AccessInfo` for one flag combination.
-
-    All flags clear gives ``_NO_ACCESS``, the record most instructions
-    carry.
-    """
-    key = (inst_miss, data_miss, smac_hit, upgrade, mispredicted)
-    info = _INTERNED.get(key)
-    if info is None:
-        info = _INTERNED[key] = AccessInfo(*key)
-    return info
+_LOAD = InstructionClass.LOAD
+_LOAD_LOCKED = InstructionClass.LOAD_LOCKED
+_STORE = InstructionClass.STORE
+_STORE_COND = InstructionClass.STORE_COND
+_CAS = InstructionClass.CAS
+_BRANCH = InstructionClass.BRANCH
+_CALL = InstructionClass.CALL
+_RETURN = InstructionClass.RETURN
 
 
 def annotate_trace(
@@ -99,6 +95,11 @@ def annotate_trace(
     reset at the warmup boundary, mirroring the paper's warm-then-measure
     methodology.  When *system* is given, remote coherence traffic is
     interleaved between local instructions.
+
+    This loop runs once per instruction of every annotated trace, so it
+    binds what it calls to locals, tests instruction classes by identity
+    (enum members hash in Python) and builds each classification as a
+    flag mask into :data:`ACCESS_BY_MASK` instead of allocating.
     """
     if warmup < 0:
         raise ValueError("warmup must be non-negative")
@@ -106,51 +107,40 @@ def annotate_trace(
         raise ValueError("system must wrap the same MemorySystem being annotated")
 
     annotated: AnnotatedTrace = []
-    index = 0
-    for inst in trace:
-        if system is not None:
-            system.tick()
+    append = annotated.append
+    fetch, load, store = memory.fetch, memory.load, memory.store
+    observe = predictor.observe if predictor is not None else None
+    tick = system.tick if system is not None else None
+    by_mask = ACCESS_BY_MASK
+    for index, inst in enumerate(trace):
+        if tick is not None:
+            tick()
         if index == warmup:
             memory.reset_stats()
             if predictor is not None:
                 predictor.stats.reset()
-        fetch = memory.fetch(inst.pc)
-        info = _classify(inst, fetch.off_chip, memory, predictor)
+        mask = fetch(inst.pc).off_chip
+        kind = inst.kind
+        if kind is _LOAD or kind is _LOAD_LOCKED:
+            if load(inst.address).off_chip:
+                mask |= _DATA_MISS
+        elif kind is _STORE or kind is _STORE_COND:
+            outcome = store(inst.address)
+            if outcome.off_chip:
+                mask |= (_DATA_MISS | outcome.smac_hit << 2
+                         | outcome.upgrade << 3)
+        elif kind is _CAS:
+            # casa performs a load and a store atomically to the same line.
+            loaded = load(inst.address)
+            outcome = store(inst.address)
+            if loaded.off_chip or outcome.off_chip:
+                mask |= (_DATA_MISS | outcome.smac_hit << 2
+                         | outcome.upgrade << 3)
+        elif observe is not None and (
+            kind is _BRANCH or kind is _CALL or kind is _RETURN
+        ):
+            if observe(inst):
+                mask |= _MISPREDICTED
         if index >= warmup:
-            annotated.append((inst, info))
-        index += 1
+            append((inst, by_mask[mask]))
     return annotated
-
-
-def _classify(
-    inst: Instruction,
-    inst_miss: bool,
-    memory: MemorySystem,
-    predictor: BranchPredictor | None,
-) -> AccessInfo:
-    data_miss = False
-    smac_hit = False
-    upgrade = False
-    mispredicted = False
-    kind = inst.kind
-    if kind is InstructionClass.CAS:
-        # casa performs a load and a store atomically to the same line.
-        load_outcome = memory.load(inst.address)
-        store_outcome = memory.store(inst.address)
-        data_miss = load_outcome.off_chip or store_outcome.off_chip
-        smac_hit = store_outcome.smac_hit
-        upgrade = store_outcome.upgrade
-    elif inst.is_store:
-        outcome = memory.store(inst.address)
-        data_miss = outcome.off_chip
-        smac_hit = outcome.smac_hit
-        upgrade = outcome.upgrade
-    elif inst.is_load:
-        outcome = memory.load(inst.address)
-        data_miss = outcome.off_chip
-    elif is_control(kind) and predictor is not None:
-        mispredicted = predictor.observe(inst)
-    if not (inst_miss or data_miss or smac_hit or upgrade or mispredicted):
-        return _NO_ACCESS
-    return interned_access(inst_miss, data_miss, smac_hit, upgrade,
-                           mispredicted)

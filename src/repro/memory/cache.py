@@ -1,27 +1,31 @@
-"""A generic set-associative cache with pluggable replacement.
+"""A generic set-associative cache with true-LRU replacement.
 
-Addresses are mapped line -> set -> way in the usual way.  Lines carry a
+Addresses are mapped line -> set -> tag in the usual way.  Lines carry a
 MESI state so the same structure serves the coherent L2 and the (stateless,
 always-Exclusive-or-Invalid) L1s.  The cache never models data contents —
 only presence and state — which is all miss classification needs.
+
+Each set is one insertion-ordered ``dict`` of tag -> :class:`CacheLine`,
+least recently used first: a hit moves its tag to the end, a fill inserts
+at the end and an eviction pops the first key.  An invalidate deletes the
+key, so a later fill takes its place without evicting.  The paper assumes
+true LRU, the only policy modelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import CacheConfig
 from .coherence import MesiState
-from .replacement import ReplacementPolicy, make_policy
 
 
 @dataclass(slots=True)
 class CacheLine:
-    """Presence/state record for one cached line."""
+    """State of one line a cache holds (presence is membership in a set)."""
 
     tag: int = 0
-    valid: bool = False
     dirty: bool = False
     state: MesiState = MesiState.INVALID
 
@@ -63,15 +67,13 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
+        self._ways = config.associativity
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(config.associativity)]
-            for _ in range(config.num_sets)
-        ]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(config.replacement, config.associativity)
-            for _ in range(config.num_sets)
+        self._set_bits = self._set_mask.bit_length()
+        # One recency-ordered dict per set: tag -> line, LRU first.
+        self._sets: List[Dict[int, CacheLine]] = [
+            {} for _ in range(config.num_sets)
         ]
         self.stats = CacheStats()
 
@@ -81,41 +83,39 @@ class SetAssociativeCache:
         """Truncate *address* to its line base."""
         return address & ~(self.config.line_bytes - 1)
 
-    def _index(self, address: int) -> Tuple[int, int]:
+    def _index(self, address: int) -> Tuple[Dict[int, CacheLine], int]:
+        """The set *address* maps to, and its tag."""
         line_number = address >> self._line_shift
-        return line_number & self._set_mask, line_number >> (
-            self._set_mask.bit_length()
-        )
+        return (self._sets[line_number & self._set_mask],
+                line_number >> self._set_bits)
 
     # -- core operations ----------------------------------------------------
 
     def lookup(self, address: int, write: bool = False) -> Optional[CacheLine]:
         """Access the cache; return the line on hit (recency updated)."""
-        set_index, tag = self._index(address)
-        ways = self._sets[set_index]
-        for way, line in enumerate(ways):
-            if line.valid and line.tag == tag:
-                self._policies[set_index].touch(way)
-                if write:
-                    line.dirty = True
-                    line.state = MesiState.MODIFIED
-                    self.stats.write_hits += 1
-                else:
-                    self.stats.read_hits += 1
-                return line
+        line_number = address >> self._line_shift
+        ways = self._sets[line_number & self._set_mask]
+        tag = line_number >> self._set_bits
+        line = ways.pop(tag, None)
+        if line is None:
+            if write:
+                self.stats.write_misses += 1
+            else:
+                self.stats.read_misses += 1
+            return None
+        ways[tag] = line  # most recently used
         if write:
-            self.stats.write_misses += 1
+            line.dirty = True
+            line.state = _MODIFIED
+            self.stats.write_hits += 1
         else:
-            self.stats.read_misses += 1
-        return None
+            self.stats.read_hits += 1
+        return line
 
     def probe(self, address: int) -> Optional[CacheLine]:
         """Check presence without recency or counter updates (for snoops)."""
-        set_index, tag = self._index(address)
-        for line in self._sets[set_index]:
-            if line.valid and line.tag == tag:
-                return line
-        return None
+        ways, tag = self._index(address)
+        return ways.get(tag)
 
     def fill(
         self,
@@ -123,68 +123,53 @@ class SetAssociativeCache:
         state: MesiState = MesiState.EXCLUSIVE,
         dirty: bool = False,
     ) -> Optional[Tuple[int, CacheLine]]:
-        """Install a line; return ``(evicted_line_address, line_copy)`` if a
-        valid line had to be displaced (for writeback / SMAC hand-off)."""
-        set_index, tag = self._index(address)
+        """Install a line; return ``(evicted_line_address, line)`` if a
+        resident line had to be displaced (for writeback / SMAC hand-off)."""
+        line_number = address >> self._line_shift
+        set_index = line_number & self._set_mask
         ways = self._sets[set_index]
-        policy = self._policies[set_index]
-        # Re-fill of an already-present line just updates state.
-        for way, line in enumerate(ways):
-            if line.valid and line.tag == tag:
-                line.state = state
-                line.dirty = line.dirty or dirty
-                policy.touch(way)
-                return None
-        # Prefer an invalid way.
-        victim_way = next(
-            (way for way, line in enumerate(ways) if not line.valid), None
-        )
+        tag = line_number >> self._set_bits
+        line = ways.pop(tag, None)
+        if line is not None:
+            # Re-fill of an already-present line just updates state.
+            line.state = state
+            line.dirty = line.dirty or dirty
+            ways[tag] = line
+            return None
         evicted: Optional[Tuple[int, CacheLine]] = None
-        if victim_way is None:
-            victim_way = policy.victim()
-            victim = ways[victim_way]
+        if len(ways) == self._ways:
+            victim_tag = next(iter(ways))
+            victim = ways.pop(victim_tag)
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.writebacks += 1
-            evicted_address = self._rebuild_address(set_index, victim.tag)
-            evicted = (
-                evicted_address,
-                CacheLine(victim.tag, True, victim.dirty, victim.state),
-            )
-        line = ways[victim_way]
-        line.tag = tag
-        line.valid = True
-        line.dirty = dirty
-        line.state = state
-        policy.reset(victim_way)
+            evicted = (self._rebuild_address(set_index, victim_tag), victim)
+        ways[tag] = CacheLine(tag, dirty, state)
         return evicted
 
     def invalidate(self, address: int) -> Optional[CacheLine]:
-        """Drop a line (snoop); return a copy of what was there, if valid."""
-        set_index, tag = self._index(address)
-        for line in self._sets[set_index]:
-            if line.valid and line.tag == tag:
-                copy = CacheLine(line.tag, True, line.dirty, line.state)
-                line.valid = False
-                line.dirty = False
-                line.state = MesiState.INVALID
-                self.stats.snoop_invalidates += 1
-                return copy
-        return None
+        """Drop a line (snoop); return what was there, if present."""
+        ways, tag = self._index(address)
+        line = ways.pop(tag, None)
+        if line is not None:
+            self.stats.snoop_invalidates += 1
+        return line
 
     def _rebuild_address(self, set_index: int, tag: int) -> int:
-        line_number = (tag << self._set_mask.bit_length()) | set_index
+        line_number = (tag << self._set_bits) | set_index
         return line_number << self._line_shift
 
     # -- introspection -------------------------------------------------------
 
     def resident_lines(self) -> Iterator[int]:
-        """Yield line addresses of every valid line (testing/diagnostics)."""
+        """Yield the address of every resident line (testing/diagnostics)."""
         for set_index, ways in enumerate(self._sets):
-            for line in ways:
-                if line.valid:
-                    yield self._rebuild_address(set_index, line.tag)
+            for tag in ways:
+                yield self._rebuild_address(set_index, tag)
 
     def occupancy(self) -> int:
-        """Number of valid lines."""
-        return sum(1 for _ in self.resident_lines())
+        """Number of resident lines."""
+        return sum(len(ways) for ways in self._sets)
+
+
+_MODIFIED = MesiState.MODIFIED

@@ -17,7 +17,7 @@ because the lone L2 implicitly owns all of memory (paper Section 3.3.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..config import MemoryConfig
@@ -35,7 +35,7 @@ class HitLevel(enum.Enum):
     MEMORY = "memory"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessOutcome:
     """Classification of one memory access.
 
@@ -44,16 +44,19 @@ class AccessOutcome:
     Store Miss Accelerator: it does not stall the store queue even though the
     data comes from memory.  ``upgrade`` marks a store that hit the L2 in
     Shared state and went off chip only for ownership.
+
+    A :class:`MemorySystem` builds each distinct outcome once and returns
+    the same object for every access it classifies alike.
     """
 
     level: HitLevel
     latency: int
     smac_hit: bool = False
     upgrade: bool = False
+    off_chip: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def off_chip(self) -> bool:
-        return self.level is HitLevel.MEMORY
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "off_chip", self.level is HitLevel.MEMORY)
 
 
 @dataclass
@@ -113,7 +116,12 @@ class MemoryCounters:
 
 
 class MemorySystem:
-    """One core's view of the cache hierarchy."""
+    """One core's view of the cache hierarchy.
+
+    :meth:`fetch`, :meth:`load` and :meth:`store` run once per instruction
+    of every annotated trace, so they return outcomes built here once and
+    hold the attributes they touch in locals.
+    """
 
     def __init__(
         self,
@@ -131,27 +139,38 @@ class MemorySystem:
         )
         self.stats = HierarchyStats()
         self._last_fetch_line = -1
+        self._fetch_mask = ~(config.l1i.line_bytes - 1)
+        self._load_mask = ~(config.l1d.line_bytes - 1)
+        self._store_mask = ~(config.l2.line_bytes - 1)
+        memory = config.memory_latency
+        self._buffered = AccessOutcome(HitLevel.L1, 0)
+        self._l1_hit = AccessOutcome(HitLevel.L1, config.l1_latency)
+        self._l2_hit = AccessOutcome(HitLevel.L2, config.l2_latency)
+        self._off_chip = AccessOutcome(HitLevel.MEMORY, memory)
+        self._smac_hit = AccessOutcome(HitLevel.MEMORY, memory, smac_hit=True)
+        self._upgrade = AccessOutcome(HitLevel.MEMORY, memory, upgrade=True)
 
     # -- instruction side ------------------------------------------------------
 
     def fetch(self, pc: int) -> AccessOutcome:
         """Fetch the instruction at *pc*; sequential same-line fetches hit
         the fetch buffer and never re-access the caches."""
-        self.stats.instructions += 1
-        line = self.l1i.line_address(pc)
+        stats = self.stats
+        stats.instructions += 1
+        line = pc & self._fetch_mask
         if line == self._last_fetch_line:
-            return AccessOutcome(HitLevel.L1, 0)
+            return self._buffered
         self._last_fetch_line = line
-        self.stats.fetches += 1
+        stats.fetches += 1
         if self.l1i.lookup(line) is not None:
-            return AccessOutcome(HitLevel.L1, self.config.l1_latency)
+            return self._l1_hit
         if self.l2.lookup(line) is not None:
-            self.l1i.fill(line, MesiState.EXCLUSIVE)
-            return AccessOutcome(HitLevel.L2, self.config.l2_latency)
-        self.stats.fetch_l2_misses += 1
-        self._fill_l2(line, MesiState.EXCLUSIVE)
-        self.l1i.fill(line, MesiState.EXCLUSIVE)
-        return AccessOutcome(HitLevel.MEMORY, self.config.memory_latency)
+            self.l1i.fill(line, _EXCLUSIVE)
+            return self._l2_hit
+        stats.fetch_l2_misses += 1
+        self._fill_l2(line, _EXCLUSIVE)
+        self.l1i.fill(line, _EXCLUSIVE)
+        return self._off_chip
 
     # -- data side ----------------------------------------------------------------
 
@@ -159,52 +178,50 @@ class MemorySystem:
         """Classify a data load."""
         self.stats.loads += 1
         self.tlb.access(address)
-        line = self.l1d.line_address(address)
-        if self.l1d.lookup(line) is not None:
-            return AccessOutcome(HitLevel.L1, self.config.l1_latency)
+        line = address & self._load_mask
+        l1d = self.l1d
+        if l1d.lookup(line) is not None:
+            return self._l1_hit
         if self.l2.lookup(line) is not None:
-            self.l1d.fill(line, MesiState.EXCLUSIVE)
-            return AccessOutcome(HitLevel.L2, self.config.l2_latency)
+            l1d.fill(line, _EXCLUSIVE)
+            return self._l2_hit
         self.stats.load_l2_misses += 1
-        self._fill_l2(line, MesiState.EXCLUSIVE)
-        self.l1d.fill(line, MesiState.EXCLUSIVE)
-        return AccessOutcome(HitLevel.MEMORY, self.config.memory_latency)
+        self._fill_l2(line, _EXCLUSIVE)
+        l1d.fill(line, _EXCLUSIVE)
+        return self._off_chip
 
     def store(self, address: int) -> AccessOutcome:
         """Classify a data store (write-through L1, write-allocate L2)."""
-        self.stats.stores += 1
+        stats = self.stats
+        stats.stores += 1
         self.tlb.access(address)
-        line = self.l2.line_address(address)
+        line = address & self._store_mask
+        l2 = self.l2
         # Write-through, no-write-allocate L1: update on hit, never fill.
         self.l1d.lookup(line, write=True)
-        existing = self.l2.probe(line)
-        if existing is not None and existing.state in (
-            MesiState.MODIFIED, MesiState.EXCLUSIVE,
-        ):
-            self.l2.lookup(line, write=True)
-            return AccessOutcome(HitLevel.L2, self.config.l2_latency)
+        existing = l2.probe(line)
         if existing is not None:
+            # Read the state before the write marks the line Modified.
+            owned = existing.state in _OWNED
+            l2.lookup(line, write=True)
+            if owned:
+                return self._l2_hit
             # Hit in Shared state: ownership upgrade goes off chip.
-            self.stats.store_l2_misses += 1
-            self.stats.store_upgrades += 1
-            self.l2.lookup(line, write=True)
-            return AccessOutcome(
-                HitLevel.MEMORY, self.config.memory_latency, upgrade=True
-            )
+            stats.store_l2_misses += 1
+            stats.store_upgrades += 1
+            return self._upgrade
         # True L2 store miss.
-        self.stats.store_l2_misses += 1
+        stats.store_l2_misses += 1
         smac_hit = self.single_chip
         if not smac_hit and self.smac is not None:
             probe = self.smac.probe_store(address)
             smac_hit = probe.hit
             if probe.invalidated_hit:
-                self.stats.smac_invalidated_hits += 1
+                stats.smac_invalidated_hits += 1
         if smac_hit:
-            self.stats.smac_hits += 1
-        self._fill_l2(line, MesiState.MODIFIED, dirty=True)
-        return AccessOutcome(
-            HitLevel.MEMORY, self.config.memory_latency, smac_hit=smac_hit
-        )
+            stats.smac_hits += 1
+        self._fill_l2(line, _MODIFIED, dirty=True)
+        return self._smac_hit if smac_hit else self._off_chip
 
     # -- coherence side -----------------------------------------------------------
 
@@ -237,7 +254,7 @@ class MemorySystem:
         # An L1 copy of an evicted L2 line violates inclusion; drop it.
         self.l1d.invalidate(evicted_address)
         self.l1i.invalidate(evicted_address)
-        if victim.state is MesiState.MODIFIED and self.smac is not None:
+        if victim.state is _MODIFIED and self.smac is not None:
             # Data goes to memory; ownership is retained in the SMAC.
             self.smac.on_modified_evict(evicted_address)
 
@@ -258,3 +275,8 @@ class MemorySystem:
         self.tlb.stats.reset()
         if self.smac is not None:
             self.smac.stats.reset()
+
+
+_EXCLUSIVE = MesiState.EXCLUSIVE
+_MODIFIED = MesiState.MODIFIED
+_OWNED = (MesiState.MODIFIED, MesiState.EXCLUSIVE)

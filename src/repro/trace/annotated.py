@@ -59,7 +59,7 @@ from typing import Iterator, NamedTuple
 
 from ..errors import TraceError, TraceFormatError
 from ..isa import Instruction
-from ..memory.annotate import _NO_ACCESS, AnnotatedTrace, interned_access
+from ..memory.annotate import ACCESS_BY_MASK, _NO_ACCESS, AnnotatedTrace
 from ..memory.cache import CacheStats
 from ..memory.hierarchy import HierarchyStats, MemoryCounters
 from ..memory.smac import SmacStats
@@ -73,10 +73,6 @@ _KINDS = tuple(ORDINAL_TO_KIND[i] for i in range(len(ORDINAL_TO_KIND)))
 _TAKEN = tuple(bool(flags & 1) for flags in range(8))
 _ACQUIRE = tuple(bool(flags & 2) for flags in range(8))
 _RELEASE = tuple(bool(flags & 4) for flags in range(8))
-_ACCESS_BY_MASK = tuple(
-    interned_access(*(bool(mask >> bit & 1) for bit in range(5)))
-    for mask in range(32)
-)
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -230,7 +226,7 @@ def _decode(data: memoryview) -> Annotation:
     ))
     infos = [_NO_ACCESS] * count
     for position, mask in zip(index, masks):
-        infos[position] = _ACCESS_BY_MASK[mask]
+        infos[position] = ACCESS_BY_MASK[mask]
     smac = counters["smac"]
     return Annotation(
         list(zip(insts, infos)),

@@ -50,7 +50,13 @@ def _build_address_map(profile: WorkloadProfile) -> AddressMap:
 
 
 class WorkloadGenerator:
-    """Streams instructions for one workload profile."""
+    """Streams instructions for one workload profile.
+
+    The per-instruction methods run for every instruction of every
+    trace, so the constructor precomputes what they read: the profile's
+    derived probabilities, each phase-modulated rate for the busy and the
+    quiet phase, and region bounds.
+    """
 
     def __init__(self, profile: WorkloadProfile, seed: int = 0) -> None:
         self.profile = profile
@@ -62,8 +68,9 @@ class WorkloadGenerator:
         self._base_reg = 1
         self._lock_base_reg = 2
         hot_code = self.space["hot_code"]
+        cold_code = self.space["cold_code"]
         self._pc = hot_code.base
-        self._cold_pc = self.space["cold_code"].base
+        self._cold_pc = cold_code.base
         self._cold_run = 0
         self._burst_remaining = 0
         self._lock_pending = False
@@ -85,6 +92,32 @@ class WorkloadGenerator:
         ]
         # Per-region rotation cursors for the private store pool.
         self._region_cursor = [0] * profile.store_regions
+        self._region_lines_used = max(1, min(
+            profile.store_region_lines_used,
+            profile.store_region_bytes // _LINE,
+        ))
+        self._hot_code = (hot_code.base, hot_code.end)
+        self._hot_code_lines = hot_lines
+        self._cold_code = (cold_code.base, cold_code.end)
+        hot_data = self.space["hot_data"]
+        self._hot_data = (hot_data.base, hot_data.end)
+        self._hot_data_words = max(1, hot_data.size // 8)
+        # Phase-modulated rates as (busy, quiet), indexed by _quiet: each
+        # is the base rate times the phase's scale.  _quiet tracks whether
+        # the emitted count sits in a quiet phase; only _next_pc moves it.
+        self._phase_length = profile.phase_length
+        self._quiet_span = profile.quiet_fraction * profile.phase_length
+        self._quiet = 0 < self._quiet_span
+        self._lock_prob = self._per_phase(
+            profile.locks_per_1000 / 1000.0, profile.quiet_lock_scale,
+        )
+        self._inst_miss_prob = self._per_phase(
+            profile.inst_miss_prob, profile.quiet_inst_scale,
+        )
+        self._load_miss_prob = self._per_phase(
+            profile.load_miss_prob, profile.quiet_load_scale,
+        )
+        self._store_miss_prob = profile.store_miss_prob
 
     # -- public API --------------------------------------------------------
 
@@ -104,21 +137,21 @@ class WorkloadGenerator:
         if not self._primed:
             self._primed = True
             out.extend(self._priming_sweep())
-        base_lock_prob = self.profile.locks_per_1000 / 1000.0
+        random_ = self._rng.random
+        lock_prob = self._lock_prob
+        one_instruction = self._one_instruction
+        append = out.append
         while len(out) < count:
-            lock_prob = base_lock_prob * self._phase_scale(
-                self.profile.quiet_lock_scale
-            )
             if self._lock_pending and self._burst_remaining == 0:
                 # A cold-store burst just finished: the critical section it
                 # attracted follows immediately, putting the serializing
                 # acquire right behind the missing stores.
                 self._lock_pending = False
                 out.extend(self._critical_section())
-            elif self._rng.random() < lock_prob:
+            elif random_() < lock_prob[self._quiet]:
                 out.extend(self._critical_section())
             else:
-                out.append(self._one_instruction())
+                append(one_instruction())
         del out[count:]
         return out
 
@@ -128,23 +161,17 @@ class WorkloadGenerator:
 
     # -- phases ----------------------------------------------------------------
 
-    def _in_quiet_phase(self) -> bool:
-        profile = self.profile
-        position = self._emitted % profile.phase_length
-        return position < profile.quiet_fraction * profile.phase_length
-
-    def _phase_scale(self, quiet_scale: float) -> float:
-        """Rate multiplier for the current phase, aggregate-preserving."""
-        if self._in_quiet_phase():
-            return quiet_scale
-        return self.profile.busy_scale(quiet_scale)
+    def _per_phase(self, rate: float, quiet_scale: float) -> tuple:
+        """*rate* in the busy and the quiet phase, aggregate-preserving."""
+        return (rate * self.profile.busy_scale(quiet_scale),
+                rate * quiet_scale)
 
     # -- program counter -----------------------------------------------------
 
     def _next_pc(self) -> int:
         """Advance fetch, including cold-code excursions (I-misses)."""
-        profile = self.profile
-        self._emitted += 1
+        emitted = self._emitted = self._emitted + 1
+        self._quiet = emitted % self._phase_length < self._quiet_span
         if self._cold_run > 0:
             self._cold_run -= 1
             pc = self._cold_pc
@@ -153,29 +180,29 @@ class WorkloadGenerator:
                 self._pc = self._hot_pc_after_jump()
                 # Start the next excursion on a fresh line.
                 self._cold_pc = (self._cold_pc + _LINE) & ~(_LINE - 1)
-                if self._cold_pc >= self.space["cold_code"].end:
-                    self._cold_pc = self.space["cold_code"].base
+                if self._cold_pc >= self._cold_code[1]:
+                    self._cold_pc = self._cold_code[0]
             return pc
-        inst_miss_prob = profile.inst_miss_prob * self._phase_scale(
-            profile.quiet_inst_scale
-        )
-        if self._rng.random() < inst_miss_prob:
+        if self._rng.random() < self._inst_miss_prob[self._quiet]:
             # One excursion touches exactly one never-seen 64B line.
             self._cold_run = _LINE // _PC_STEP - 1
             pc = self._cold_pc
             self._cold_pc += _PC_STEP
             return pc
         pc = self._pc
-        self._pc += _PC_STEP
-        hot = self.space["hot_code"]
-        if self._pc >= hot.end:
-            self._pc = hot.base
+        self._pc = pc + _PC_STEP
+        if self._pc >= self._hot_code[1]:
+            self._pc = self._hot_code[0]
         return pc
 
     def _hot_pc_after_jump(self) -> int:
-        hot = self.space["hot_code"]
-        lines = hot.size // _LINE
-        return hot.base + self._rng.randrange(lines) * _LINE
+        return (self._hot_code[0]
+                + self._rng.randrange(self._hot_code_lines) * _LINE)
+
+    def _hot_data_address(self) -> int:
+        """A random doubleword of the hot data: the same draw as
+        ``Region.random_address``."""
+        return self._hot_data[0] + self._rng.randrange(self._hot_data_words) * 8
 
     # -- instruction construction ----------------------------------------------
 
@@ -198,14 +225,14 @@ class WorkloadGenerator:
         rng = self._rng
         if lock_release_of is not None:
             address = lock_release_of
-        elif self._burst_remaining > 0 or rng.random() < profile.store_miss_prob:
+        elif self._burst_remaining > 0 or rng.random() < self._store_miss_prob:
             if self._burst_remaining > 0:
                 self._burst_remaining -= 1
             else:
                 self._burst_remaining = self._burst_length() - 1
                 # Quiet-phase store misses escape the lock attraction: they
                 # are the ones that can fully overlap with computation.
-                if (not self._in_quiet_phase()
+                if (not self._quiet
                         and rng.random() < profile.lock_after_store_miss):
                     self._lock_pending = True
             address = self._cold_store_address()
@@ -217,18 +244,19 @@ class WorkloadGenerator:
             # what 8-byte coalescing merges) or advance to the next one.
             step = 0 if rng.random() < 0.5 else 8
             address = self._last_store_address + step
-            if not self.space["hot_data"].contains(address):
-                address = self.space["hot_data"].random_address(rng)
+            if not self._hot_data[0] <= address < self._hot_data[1]:
+                address = self._hot_data_address()
         else:
-            address = self.space["hot_data"].random_address(rng)
+            address = self._hot_data_address()
         if lock_release_of is None:
             self._last_store_address = address
         return Instruction(
-            kind=InstructionClass.STORE,
-            pc=self._next_pc(),
-            address=address,
-            size=8,
-            srcs=(self._base_reg, self._last_dest)
+            InstructionClass.STORE,
+            self._next_pc(),
+            address,
+            8,
+            REG_NONE,
+            (self._base_reg, self._last_dest)
             if self._last_dest != REG_NONE else (self._base_reg,),
             lock_release=lock_release_of is not None,
         )
@@ -252,11 +280,7 @@ class WorkloadGenerator:
         region_index = rng.randrange(profile.store_regions)
         cursor = self._region_cursor[region_index]
         self._region_cursor[region_index] = cursor + 1
-        lines_used = max(1, min(
-            profile.store_region_lines_used,
-            profile.store_region_bytes // _LINE,
-        ))
-        line = cursor % lines_used
+        line = cursor % self._region_lines_used
         return (
             self.space["store_pool"].base
             + region_index * profile.store_region_bytes
@@ -267,10 +291,7 @@ class WorkloadGenerator:
         profile = self.profile
         rng = self._rng
         dest = self._registers.fresh()
-        load_miss_prob = profile.load_miss_prob * self._phase_scale(
-            profile.quiet_load_scale
-        )
-        cold = rng.random() < load_miss_prob
+        cold = rng.random() < self._load_miss_prob[self._quiet]
         if cold:
             if rng.random() < profile.shared_load_fraction:
                 address = self.space["shared"].random_line(rng)
@@ -279,26 +300,22 @@ class WorkloadGenerator:
             self._last_cold_load_dest = dest
             self._cold_load_age = 0
         else:
-            address = self.space["hot_data"].random_address(rng)
+            address = self._hot_data_address()
         srcs = (self._base_reg,)
         # Occasional pointer chasing: the address depends on a prior load.
         if cold and self._last_dest != REG_NONE and rng.random() < 0.08:
             srcs = (self._last_dest,)
         self._last_dest = dest
         return Instruction(
-            kind=InstructionClass.LOAD,
-            pc=self._next_pc(),
-            address=address,
-            size=8,
-            dest=dest,
-            srcs=srcs,
+            InstructionClass.LOAD, self._next_pc(), address, 8, dest, srcs,
         )
 
     def _branch(self) -> Instruction:
         profile = self.profile
         rng = self._rng
         pc = self._next_pc()
-        if self.space["hot_code"].contains(pc):
+        hot_base, hot_end = self._hot_code
+        if hot_base <= pc < hot_end:
             # Re-anchor to a stable site so the predictors can train; cold
             # excursion branches keep their one-off PCs.
             pc = self._branch_sites[rng.randrange(len(self._branch_sites))]
@@ -333,8 +350,7 @@ class WorkloadGenerator:
             # Statically biased by PC: gshare learns these quickly.
             taken = (hash(pc) & 0xFF) < 256 * profile.taken_fraction
         # Stable per-PC target so the BTB can learn it.
-        hot = self.space["hot_code"]
-        target = hot.base + (hash(pc ^ 0x5A5A) % (hot.size // _LINE)) * _LINE
+        target = hot_base + (hash(pc ^ 0x5A5A) % self._hot_code_lines) * _LINE
         return Instruction(
             kind=InstructionClass.BRANCH,
             pc=pc,
@@ -350,12 +366,7 @@ class WorkloadGenerator:
             else (self._base_reg,)
         )
         self._last_dest = dest
-        return Instruction(
-            kind=InstructionClass.ALU,
-            pc=self._next_pc(),
-            dest=dest,
-            srcs=srcs,
-        )
+        return Instruction(InstructionClass.ALU, self._next_pc(), 0, 0, dest, srcs)
 
     def _priming_sweep(self) -> List[Instruction]:
         """Touch every hot-data and lock line once (steady-state warmth)."""

@@ -222,31 +222,6 @@ class TestReportShape:
             EngineRunner(retries=-1)
 
 
-class TestSubmitBatch:
-    def test_background_batch_matches_blocking_run(self, tmp_path):
-        runner = _runner(tmp_path)
-        handle = runner.submit_batch(GRID_JOBS[:2])
-        report = handle.result(timeout=240.0)
-        assert handle.done()
-        blocking = _runner(tmp_path).run(GRID_JOBS[:2])
-        assert report.results() == blocking.results()
-
-    def test_callback_fires_with_resolved_handle(self, tmp_path):
-        seen = []
-        runner = _runner(tmp_path)
-        handle = runner.submit_batch(GRID_JOBS[:1], callback=seen.append)
-        report = handle.result(timeout=240.0)
-        assert seen == [handle]
-        assert seen[0].result(timeout=0.0) == report
-
-    def test_result_times_out_if_not_done(self, tmp_path):
-        runner = _runner(tmp_path)
-        handle = runner.submit_batch(GRID_JOBS[:1])
-        with pytest.raises(TimeoutError):
-            handle.result(timeout=0.0)
-        handle.wait()  # then let it finish cleanly
-
-
 class TestReportWire:
     def test_real_run_survives_json_round_trip(self, tmp_path):
         import json

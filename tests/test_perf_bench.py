@@ -18,6 +18,7 @@ from repro.bench.perf import (
     check_regression,
     load_report,
     run_core_bench,
+    run_stage_bench,
     write_report,
 )
 
@@ -55,6 +56,19 @@ class TestRunCoreBench:
             run_core_bench(reps=0)
         with pytest.raises(ValueError):
             run_core_bench(reps=1, warmup_reps=-1)
+
+
+class TestRunStageBench:
+    def test_single_profile_smoke(self):
+        stages = run_stage_bench(
+            reps=1, warmup_reps=0,
+            profiles=(BenchProfile("database_wc", "database", "wc"),),
+        )
+        row = stages["profiles"]["database_wc"]
+        assert row["generate_insts_per_sec"] > 0
+        assert row["annotate_insts_per_sec"] > 0
+        assert stages["aggregate"]["annotate_insts_per_sec_geomean"] == \
+            pytest.approx(row["annotate_insts_per_sec"])
 
 
 class TestReportIO:
@@ -103,6 +117,29 @@ class TestRegressionGate:
         current = _synthetic_report({"new_profile": 1.0}, 1414.2)
         assert check_regression(current, self.BASE, 0.20) == []
 
+    def test_stage_rates_are_gated(self):
+        def with_stages(generate, annotate):
+            report = dict(self.BASE)
+            report["stages"] = {
+                "profiles": {"database_pc": {
+                    "generate_insts_per_sec": generate,
+                    "annotate_insts_per_sec": annotate,
+                }},
+                "aggregate": {
+                    "generate_insts_per_sec_geomean": generate,
+                    "annotate_insts_per_sec_geomean": annotate,
+                },
+            }
+            return report
+
+        base = with_stages(1000.0, 2000.0)
+        assert check_regression(with_stages(850.0, 1700.0), base) == []
+        failures = check_regression(with_stages(1000.0, 1500.0), base)
+        assert len(failures) == 2
+        assert all("annotate_insts_per_sec" in f for f in failures)
+        # A baseline without stages (e.g. an older report) gates nothing.
+        assert check_regression(with_stages(1.0, 1.0), self.BASE) == []
+
     def test_tolerance_must_be_a_fraction(self):
         with pytest.raises(ValueError):
             check_regression(self.BASE, self.BASE, max_regression=0.0)
@@ -121,3 +158,4 @@ class TestCommittedReport:
         report = load_report(path)
         assert "baseline" in report
         assert report["speedup_vs_baseline"] >= 1.5
+        assert set(report["stages"]["profiles"]) == set(report["profiles"])

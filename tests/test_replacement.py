@@ -1,85 +1,52 @@
-"""Replacement policies: LRU, random, tree-PLRU."""
+"""Replacement within one cache set: true LRU, the paper's policy."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.config import CacheConfig
 from repro.errors import ConfigError
-from repro.memory.replacement import (
-    LruPolicy,
-    RandomPolicy,
-    TreePlruPolicy,
-    make_policy,
-)
+from repro.memory import SetAssociativeCache
+
+
+def one_set(ways: int):
+    """A single-set cache of *ways* ways and its first ``ways + 1`` lines."""
+    cache = SetAssociativeCache(CacheConfig(64 * ways, ways, 64))
+    return cache, [64 * i for i in range(ways + 1)]
 
 
 class TestLru:
     def test_victim_is_oldest_untouched(self):
-        policy = LruPolicy(4)
-        for way in (0, 1, 2, 3):
-            policy.touch(way)
-        assert policy.victim() == 0
+        cache, lines = one_set(4)
+        for line in lines[:4]:
+            cache.fill(line)
+        assert cache.fill(lines[4])[0] == lines[0]
 
     def test_touch_moves_to_mru(self):
-        policy = LruPolicy(4)
-        for way in (0, 1, 2, 3):
-            policy.touch(way)
-        policy.touch(0)
-        assert policy.victim() == 1
+        cache, lines = one_set(4)
+        for line in lines[:4]:
+            cache.fill(line)
+        cache.lookup(lines[0])
+        assert cache.fill(lines[4])[0] == lines[1]
 
     def test_reset_behaves_like_touch(self):
-        policy = LruPolicy(2)
-        policy.touch(0)
-        policy.reset(1)
-        assert policy.victim() == 0
+        """Re-filling a resident line makes it most recent, like a hit."""
+        cache, lines = one_set(2)
+        cache.fill(lines[0])
+        cache.fill(lines[1])
+        cache.fill(lines[0])
+        assert cache.fill(lines[2])[0] == lines[1]
 
     def test_single_way(self):
-        policy = LruPolicy(1)
-        policy.touch(0)
-        assert policy.victim() == 0
-
-
-class TestRandom:
-    def test_victims_in_range_and_deterministic(self):
-        a = RandomPolicy(8, seed=3)
-        b = RandomPolicy(8, seed=3)
-        va = [a.victim() for _ in range(50)]
-        vb = [b.victim() for _ in range(50)]
-        assert va == vb
-        assert all(0 <= v < 8 for v in va)
-
-
-class TestTreePlru:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ConfigError):
-            TreePlruPolicy(6)
-
-    def test_victim_avoids_recent_touch(self):
-        policy = TreePlruPolicy(4)
-        policy.touch(2)
-        assert policy.victim() != 2
-
-    def test_full_rotation_touches_every_way(self):
-        policy = TreePlruPolicy(4)
-        victims = []
-        for _ in range(4):
-            way = policy.victim()
-            victims.append(way)
-            policy.touch(way)
-        assert sorted(victims) == [0, 1, 2, 3]
+        cache, lines = one_set(1)
+        cache.fill(lines[0])
+        cache.lookup(lines[0])
+        assert cache.fill(lines[1])[0] == lines[0]
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name,cls", [
-        ("lru", LruPolicy), ("random", RandomPolicy), ("plru", TreePlruPolicy),
-    ])
-    def test_known_policies(self, name, cls):
-        assert isinstance(make_policy(name, 4), cls)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ConfigError, match="unknown replacement"):
-            make_policy("belady", 4)
+    """A set's geometry is checked when its cache is configured."""
 
     def test_zero_ways_rejected(self):
         with pytest.raises(ConfigError):
-            make_policy("lru", 0)
+            CacheConfig(64, 0, 64)

@@ -593,7 +593,10 @@ def connect(
     The returned :class:`ServiceClient` speaks the versioned wire protocol
     and mirrors this module's verbs: ``submit`` (and the
     ``submit_sweep``/``submit_simulate``/``submit_figure`` conveniences),
-    ``result`` and ``cancel``.
+    ``result`` and ``cancel``.  ``result`` and ``wait`` long-poll
+    (``GET /v1/jobs/<id>?wait=S``): the server answers as the job ends,
+    each request holding for at most half of *timeout* (and the server's
+    30 s cap).  ``status(job_id, wait=S)`` makes one such request.
     """
     return ServiceClient(
         url, timeout=timeout, retries=retries, backoff=backoff,

@@ -25,7 +25,9 @@ The coordinator runs **no simulations itself** (``estimate`` is pure
 arithmetic and is answered on submit).  A dispatcher thread expands each
 claimed job into tasks: sweep grid points, :class:`ShardPlan` shards for
 sharded simulates, or — for figure and tune jobs, whose drivers cannot be
-split — one task carrying the whole request.  Workers long-poll
+split — one task carrying the whole request.  Claiming is gated on the
+*pending* backlog only, so the dispatcher plans the next job while the
+current one's tasks execute.  Workers long-poll
 ``/v1/fleet/lease``, execute specs through their own
 :class:`~repro.engine.runner.EngineRunner` (whole requests through
 :class:`~repro.service.executor.ServiceEngine`), and POST results back.  A
@@ -34,6 +36,13 @@ leased shards requeue — the next worker to lease them resumes from the
 last verified checkpoint in the shared cache (content-keyed, so no
 completed shard is ever recomputed) and the merged result stays
 bit-identical to a single-node run.
+
+Nothing on the job path sleep-polls.  The dispatcher waits on the
+router's condition; lease long-polls and ``GET /v1/jobs/<id>?wait=S``
+status long-polls park as futures on the event loop (no executor thread)
+and are woken through ``call_soon_threadsafe`` when tasks become pending
+or the job turns terminal.  Both waits are capped by
+:data:`MAX_LONG_POLL`.
 """
 
 from __future__ import annotations
@@ -41,11 +50,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import signal
 import threading
 import time
+import urllib.parse
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.backend import backend_names
 from ..engine import serialize
@@ -82,8 +93,59 @@ MAX_WORKER_BODY_BYTES = 64 * 1024 * 1024
 #: (the cluster-wide dedup-by-request-hash store; see ``_result_key``).
 RESULT_KIND = "service-result"
 
-#: Server-side cap on lease long-polling.
-MAX_LEASE_WAIT = 30.0
+#: Server-side cap on every long-poll: a lease's ``wait`` and a status
+#: request's ``?wait=``.
+MAX_LONG_POLL = 30.0
+
+#: The wakeup key of parked lease long-polls (job ids key status polls).
+_LEASE_KEY = "/v1/fleet/lease"
+
+
+class _LoopWakeups:
+    """Keyed wakeups for coroutines on one event loop, fired from any thread.
+
+    A waiter arms a future under a key (:meth:`arm`) *before* it checks
+    its condition, awaits the future, then disarms it (:meth:`disarm`).
+    :meth:`fire` resolves every future armed under a key through
+    ``call_soon_threadsafe``.  Because the state change precedes the fire
+    and arming precedes the check, no wakeup is lost, and a key nobody
+    waits on costs no loop wakeup.  A parked waiter is a bare future: it
+    holds no executor thread.
+    """
+
+    def __init__(self) -> None:
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._waiters: Dict[str, Set["asyncio.Future[None]"]] = {}
+
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+
+    def fire(self, key: str) -> None:
+        """Wake *key*'s waiters; safe from any thread."""
+        loop = self._loop
+        if loop is None or key not in self._waiters:
+            return
+        with contextlib.suppress(RuntimeError):  # the loop has closed
+            loop.call_soon_threadsafe(self._wake, key)
+
+    def _wake(self, key: str) -> None:
+        for future in self._waiters.pop(key, ()):
+            if not future.done():
+                future.set_result(None)
+
+    def arm(self, key: str) -> "asyncio.Future[None]":
+        """A future *key*'s next :meth:`fire` resolves (loop thread only)."""
+        assert self._loop is not None
+        future: "asyncio.Future[None]" = self._loop.create_future()
+        self._waiters.setdefault(key, set()).add(future)
+        return future
+
+    def disarm(self, key: str, future: "asyncio.Future[None]") -> None:
+        waiters = self._waiters.get(key)
+        if waiters is not None:
+            waiters.discard(future)
+            if not waiters:
+                del self._waiters[key]
 
 
 class FleetCoordinator:
@@ -116,6 +178,9 @@ class FleetCoordinator:
         self.default_backend = default_backend
         self.metrics = MetricsRegistry()
         self.federation = MetricsFederation(self.metrics)
+        self._wakeups = _LoopWakeups()
+        self.router.on_ready = self._wake_leases
+        self.queue.on_retire = self._job_retired
         #: job id -> root span id of its coordinator-side "fleet_job" span
         #: (the parent every worker hangs its spans under via traceparent).
         self._job_spans: Dict[str, str] = {}
@@ -170,6 +235,7 @@ class FleetCoordinator:
     def stop(self) -> None:
         self._stopping = True
         self.queue.close()
+        self.router.wake()
         self._frontend.stop()
         self._dispatcher.join(timeout=5.0)
         self._evictor.join(timeout=5.0)
@@ -177,6 +243,26 @@ class FleetCoordinator:
     def begin_drain(self) -> None:
         """Stop accepting new submissions (503 + Retry-After)."""
         self.draining = True
+        self._wake_leases()  # an idle fleet's backlog is drained already
+
+    def _wake_leases(self) -> None:
+        """Make parked lease long-polls re-check for work and drain flags."""
+        self._wakeups.fire(_LEASE_KEY)
+
+    def _job_retired(self, job: Job) -> None:
+        """JobQueue hook: wake the job's status long-polls."""
+        self._wakeups.fire(job.id)
+        if self.draining:
+            self._wake_leases()  # the backlog may just have drained
+
+    async def wait_terminal(self, job: Job, timeout: float) -> None:
+        """Park until *job* is terminal or *timeout* seconds pass."""
+        done = self._wakeups.arm(job.id)
+        try:
+            if not job.state.terminal:
+                await asyncio.wait((done,), timeout=timeout)
+        finally:
+            self._wakeups.disarm(job.id, done)
 
     def drain(self, timeout: float = 30.0) -> int:
         """Drain: refuse new work, let workers finish the backlog.
@@ -206,6 +292,7 @@ class FleetCoordinator:
         # running jobs already count their live tasks; don't double-count
         abandoned = max(abandoned, counts["pending"] + counts["leased"])
         self.registry.drain(None)
+        self._wake_leases()
         return abandoned
 
     # ----------------------------------------------------------- admission --
@@ -414,13 +501,16 @@ class FleetCoordinator:
     def _dispatch_loop(self) -> None:
         """Claim queued jobs and hand their tasks to the router.
 
-        Claiming is gated on router capacity: while every worker slot is
-        covered by outstanding tasks, jobs stay queued and the bounded
-        queue provides the admission-control backpressure.
+        Claiming is gated on the router's *pending* backlog
+        (:meth:`Router.wants_more`): the next job is claimed and planned
+        while the current one's tasks execute, and once every worker slot
+        is covered by pending tasks, jobs stay queued and the bounded
+        queue provides the admission-control backpressure.  The gate is
+        waited on, not polled: the router wakes this thread on every
+        lease, completion and release.
         """
         while not self._stopping:
-            if not self.router.wants_more():
-                time.sleep(0.05)
+            if not self.router.wait_for_room(timeout=1.0):
                 continue
             job = self.queue.next_job(timeout=0.1)
             if job is None:
@@ -703,6 +793,7 @@ class FleetCoordinator:
         worker = self.registry.register(
             name=name, pid=pid, capabilities=capabilities,
         )
+        self.router.wake()  # new slots may open the claiming gate
         _log.info(
             "worker %s registered as %s (pid %d)",
             worker.name, worker.id, pid,
@@ -751,24 +842,35 @@ class FleetCoordinator:
         remains — draining means "finish what's accepted, refuse what
         isn't", so workers keep leasing until the backlog is gone.  A
         per-worker drain flag sends that worker away immediately.
+
+        The poll parks on the event loop and is woken when tasks become
+        pending or settle, or a drain or stop begins.  While parked it
+        still wakes every ``lease_ttl / 3`` to renew the worker's lease,
+        as a heartbeat would.
         """
         worker_id = str(body.get("worker", ""))
         max_tasks = max(1, int(body.get("max", 1)))
-        wait = min(float(body.get("wait", 0.0)), MAX_LEASE_WAIT)
+        wait = min(float(body.get("wait", 0.0)), MAX_LONG_POLL)
         deadline = time.monotonic() + wait
+        renew = self.registry.lease_ttl / 3.0
         granted: List[TaskRecord] = []
         while True:
-            worker = self.registry.heartbeat(worker_id)  # a lease renews too
-            granted = self.router.lease(worker_id, max_tasks)
-            if (
-                granted
-                or worker.draining
-                or self._stopping
-                or (self.draining and self._backlog_drained())
-                or time.monotonic() >= deadline
-            ):
-                break
-            await asyncio.sleep(0.02)
+            ready = self._wakeups.arm(_LEASE_KEY)
+            try:
+                worker = self.registry.heartbeat(worker_id)  # renews too
+                granted = self.router.lease(worker_id, max_tasks)
+                remaining = deadline - time.monotonic()
+                if (
+                    granted
+                    or worker.draining
+                    or self._stopping
+                    or (self.draining and self._backlog_drained())
+                    or remaining <= 0
+                ):
+                    break
+                await asyncio.wait((ready,), timeout=min(remaining, renew))
+            finally:
+                self._wakeups.disarm(_LEASE_KEY, ready)
         for task in granted:
             self.metrics.observe(
                 "task_lease_wait",
@@ -866,6 +968,7 @@ class FleetCoordinator:
     def drain_worker(self, body: Dict[str, Any]) -> Dict[str, Any]:
         raw = body.get("worker")
         self.registry.drain(str(raw) if raw else None)
+        self._wake_leases()
         return {"ok": True}
 
     def fleet_status(self) -> Dict[str, Any]:
@@ -1083,6 +1186,7 @@ class _AsyncFrontend:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
+        self.coordinator._wakeups.bind(loop)
         try:
             server = loop.run_until_complete(
                 asyncio.start_server(self._handle_conn, self.host, self.port)
@@ -1328,6 +1432,9 @@ class _AsyncFrontend:
             job = coord.queue.get(path.rsplit("/", 1)[1])
             if job is None:
                 return 404, {"error": "unknown job id"}, None, False
+            wait = _query_wait(query)
+            if wait > 0:
+                await coord.wait_terminal(job, wait)
             return 200, job.status_payload(), None, False
         return 404, {"error": f"unknown path {path}"}, None, False
 
@@ -1406,6 +1513,24 @@ class _AsyncFrontend:
             },
             None, False,
         )
+
+
+def _query_wait(query: str) -> float:
+    """The ``?wait=`` seconds of a status request, capped at
+    :data:`MAX_LONG_POLL`; 0 when absent."""
+    values = urllib.parse.parse_qs(query).get("wait")
+    if not values:
+        return 0.0
+    try:
+        wait = float(values[-1])
+    except ValueError:
+        wait = math.nan
+    if not (math.isfinite(wait) and wait >= 0):
+        raise ProtocolError(
+            f"'wait' must be a non-negative number of seconds, "
+            f"got {values[-1]!r}"
+        )
+    return min(wait, MAX_LONG_POLL)
 
 
 # ----------------------------------------------------------------- serve --

@@ -22,6 +22,12 @@ primitive — the
 coordinator can translate "every worker is at its in-flight bound and the
 queue is deep" into a 429 with a cost-derived ``Retry-After``.
 
+Waiting is event-driven: the router's condition is signalled whenever a
+task is leased, completed or released, so the coordinator's dispatcher
+(:meth:`Router.wait_for_room`) wakes when the backlog shrinks instead of
+polling, and the ``on_ready`` hook tells the coordinator's event loop when
+a lease could newly succeed, so parked lease long-polls wake at once.
+
 Failure handling: a task completed with a failed status (or abandoned by
 an evicted worker) returns to the pending pool up to ``retries`` extra
 attempts; tasks that exhaust their attempts fail their whole job.  Tasks
@@ -37,7 +43,9 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union,
+)
 
 from .cost import CostEstimate
 from .registry import WorkerInfo, WorkerRegistry
@@ -123,6 +131,12 @@ class Router:
         self.max_inflight = max_inflight
         self.retries = retries
         self._lock = threading.Lock()
+        #: Signalled (under ``_lock``) whenever a task is leased, settled
+        #: or released — what :meth:`wait_for_room` waits on.
+        self._changed = threading.Condition(self._lock)
+        #: Called under ``_lock`` whenever a lease could newly succeed: a
+        #: task became pending or a leased task settled.  Must not block.
+        self.on_ready: Optional[Callable[[], None]] = None
         self._tasks: Dict[str, TaskRecord] = {}
         #: Min-heap of (-priority, -cost, seq, task_id): priority desc, then
         #: predicted cost desc (LPT), then submission order.  Entries are
@@ -141,6 +155,13 @@ class Router:
             (-task.priority, -task.cost.units, task.seq, task.id),
         )
 
+    def _signal(self, ready: bool = False) -> None:
+        """Wake the dispatcher and, when *ready*, parked lease polls;
+        caller holds ``_lock``."""
+        self._changed.notify_all()
+        if ready and self.on_ready is not None:
+            self.on_ready()
+
     def capacity(self, worker: WorkerInfo) -> int:
         """Tasks *worker* may hold at once: ``max_inflight``, raised to the
         runner pool size it registered with."""
@@ -155,6 +176,7 @@ class Router:
                 task.seq = next(self._seq)
                 self._tasks[task.id] = task
                 self._push_pending(task)
+            self._signal(ready=True)
 
     def drop_job(self, job_id: str) -> int:
         """Forget a job's *pending* tasks (its job failed or was shed)."""
@@ -165,6 +187,7 @@ class Router:
             ]
             for task in doomed:
                 task.state = "failed"  # heap entry is lazily skipped
+            self._signal()
             return len(doomed)
 
     # ------------------------------------------------------------ leasing --
@@ -201,6 +224,8 @@ class Router:
                 task.leased_at = time.monotonic()
                 granted.append(task)
             self.leased_total += len(granted)
+            if granted:
+                self._signal()
             return granted
 
     def complete(
@@ -251,6 +276,7 @@ class Router:
                 task.result = result
                 if worker is not None:
                     worker.tasks_failed += 1
+            self._signal(ready=True)
             return task
 
     def release_worker(self, worker_id: str) -> List[TaskRecord]:
@@ -271,6 +297,7 @@ class Router:
                         self._push_pending(task)
                         self.requeued_total += 1
                     requeued.append(task)
+            self._signal(ready=True)
         return requeued
 
     # -------------------------------------------------------------- reads --
@@ -331,22 +358,55 @@ class Router:
                 if task.state in ("pending", "leased")
             )
 
-    def wants_more(self) -> bool:
-        """True while the outstanding backlog fits the fleet's slots.
-
-        The dispatcher gates job claiming on this: once pending + leased
-        tasks cover every worker's in-flight bound, further jobs stay
-        *queued* — so a saturated fleet fills the bounded JobQueue and
-        admission control (429 + Retry-After, priority shedding) engages
-        instead of the backlog growing without bound.  One job can still
-        overshoot by its own fan-out; the gate bounds jobs, not tasks.
-        """
-        counts = self.counts()
-        slots = sum(
+    def _slots(self) -> int:
+        return sum(
             self.capacity(worker)
             for worker in self.registry.accepting_workers()
         )
-        return counts["pending"] + counts["leased"] < slots
+
+    def _has_room(self, slots: int) -> bool:
+        """Caller holds ``_lock``."""
+        pending = sum(
+            1 for task in self._tasks.values() if task.state == "pending"
+        )
+        return pending < slots
+
+    def wants_more(self) -> bool:
+        """True while the *pending* backlog is smaller than the fleet's slots.
+
+        The dispatcher gates job claiming on this.  Leased tasks do not
+        count, so the coordinator claims and plans the next job while the
+        current one's tasks execute: at most one slot-set of planned work
+        waits for a lease.  Once pending tasks cover every worker's
+        in-flight bound, further jobs stay *queued* — so a saturated fleet
+        fills the bounded JobQueue and admission control (429 +
+        Retry-After, priority shedding) engages instead of the backlog
+        growing without bound.  One job can still overshoot by its own
+        fan-out; the gate bounds jobs, not tasks.
+        """
+        slots = self._slots()
+        with self._lock:
+            return self._has_room(slots)
+
+    def wait_for_room(self, timeout: float) -> bool:
+        """:meth:`wants_more`, after waiting up to *timeout* for a change.
+
+        Returns at once when there is room; otherwise waits for the next
+        lease, completion or release (or :meth:`wake`) and answers again.
+        So the dispatcher claims the next job as soon as a pending task
+        is leased, and rechecks its own stop flag on every wakeup.
+        """
+        with self._changed:
+            if self._has_room(self._slots()):
+                return True
+            self._changed.wait(timeout)
+            return self._has_room(self._slots())
+
+    def wake(self) -> None:
+        """End a :meth:`wait_for_room` wait now (the worker set changed,
+        or the coordinator is stopping)."""
+        with self._changed:
+            self._changed.notify_all()
 
     def status_payload(self) -> List[Dict[str, Any]]:
         with self._lock:

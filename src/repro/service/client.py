@@ -41,6 +41,11 @@ __all__ = ["ServiceClient", "ServiceError"]
 
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
+#: The pause between status requests when a server answers a long-poll
+#: before its wait elapsed (it ignores ``?wait=``, or capped it), so such
+#: a server is paced instead of spun on.
+_EARLY_ANSWER_PAUSE = 0.05
+
 
 class ServiceError(Exception):
     """An HTTP-level error answer from the service.
@@ -392,7 +397,15 @@ class ServiceClient:
             payload["workloads"] = list(workloads)
         return self.submit(payload)
 
-    def status(self, job_id: str) -> Dict[str, Any]:
+    def status(self, job_id: str, wait: float = 0.0) -> Dict[str, Any]:
+        """The job's status document.
+
+        With ``wait > 0`` the server holds the request until the job is
+        terminal or *wait* seconds pass (it caps the wait itself), so one
+        request replaces a round of polls.
+        """
+        if wait > 0:
+            return self._request("GET", f"/v1/jobs/{job_id}?wait={wait:.3f}")
         return self._request("GET", f"/v1/jobs/{job_id}")
 
     def jobs(self) -> List[Dict[str, Any]]:
@@ -401,12 +414,7 @@ class ServiceClient:
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self._request("DELETE", f"/v1/jobs/{job_id}")
 
-    def result(
-        self,
-        job_id: str,
-        timeout: float = 600.0,
-        poll: float = 0.05,
-    ) -> Any:
+    def result(self, job_id: str, timeout: float = 600.0) -> Any:
         """Block until *job_id* finishes and return its decoded result.
 
         Sweep and simulate jobs return the real
@@ -418,7 +426,7 @@ class ServiceClient:
         data dict.  A failed or cancelled job raises
         :class:`ServiceError` carrying the server's error text.
         """
-        status = self.wait(job_id, timeout=timeout, poll=poll)
+        status = self.wait(job_id, timeout=timeout)
         if status["state"] != "done":
             raise ServiceError(
                 0,
@@ -439,29 +447,29 @@ class ServiceClient:
 
     # ------------------------------------------------------------- helpers --
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 600.0,
-        poll: float = 0.05,
-    ) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its final status payload.
+    def wait(self, job_id: str, timeout: float = 600.0) -> Dict[str, Any]:
+        """Long-poll until the job is terminal; returns its final status.
 
-        The poll interval backs off 1.5x per round (capped at 2s) so a long
-        simulation isn't hammered; raises ``TimeoutError`` past *timeout*.
+        Each request asks the server to hold it until the job finishes
+        (``status(job_id, wait=...)``), with the wait kept below the
+        socket timeout, so the answer arrives as the job ends.  Raises
+        ``TimeoutError`` past *timeout*.
         """
         deadline = time.monotonic() + timeout
-        interval = poll
         while True:
-            status = self.status(job_id)
+            asked = max(0.0, min(deadline - time.monotonic(),
+                                 self.timeout / 2))
+            began = time.monotonic()
+            status = self.status(job_id, wait=asked)
             if status["state"] in _TERMINAL_STATES:
                 return status
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} after {timeout}s"
                 )
-            time.sleep(interval)
-            interval = min(interval * 1.5, 2.0)
+            if now - began < asked:
+                time.sleep(min(_EARLY_ANSWER_PAUSE, deadline - now))
 
     @staticmethod
     def decode_report(

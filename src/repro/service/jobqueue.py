@@ -32,7 +32,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .protocol import JobRequest
 
@@ -113,6 +113,10 @@ class JobQueue:
         self._seq = itertools.count()
         self._terminal_order: List[str] = []
         self._closed = False
+        #: Called (under the queue lock) with each job that turns terminal
+        #: — what wakes ``GET /v1/jobs/<id>?wait=`` long-polls.  Must not
+        #: block.
+        self.on_retire: Optional[Callable[[Job], None]] = None
 
     # ---------------------------------------------------------- submission --
 
@@ -335,6 +339,8 @@ class JobQueue:
         if self._inflight.get(job.key) == job.id:
             del self._inflight[job.key]
         job.done_event.set()
+        if self.on_retire is not None:
+            self.on_retire(job)
         self._terminal_order.append(job.id)
         while len(self._terminal_order) > self.history:
             forgotten = self._terminal_order.pop(0)

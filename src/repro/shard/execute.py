@@ -88,7 +88,9 @@ def shard_plan_for(
     points = bench.artifacts.get_or_create(
         "shard-probe",
         plan_cache_key(config_key, fingerprint),
-        lambda: probe_quiescent_points(annotated, config),
+        lambda: probe_quiescent_points(
+            annotated, config, spec.backend or None,
+        ),
     )
     return build_plan(
         len(annotated), points, shards,

@@ -9,7 +9,10 @@ simulation that logs every quiescent epoch boundary (see
 :func:`repro.core.snapshot.is_quiescent`), and cuts are chosen from that
 log.  The probe costs one serial run per (configuration, trace) pair and is
 cached as a ``shard-probe`` artifact, so a sweep of sharded runs — or a
-re-run after a crash — pays it once.
+re-run after a crash — pays it once.  The probe runs on the job's
+execution backend: every backend logs the same quiescent points (the
+``event`` backend never skips an epoch boundary), and the fast one turns
+planning from one reference-speed simulation into one event-speed one.
 
 Exactness argument: at a quiescent boundary every comparison the simulator
 will make from then on is either positional (and all recorded state is
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..config import SimulationConfig
-from ..core.mlpsim import MlpSimulator
+from ..core.backend import resolve_backend
 from ..engine import serialize
 from ..engine.cache import content_key, stable_token
 from ..errors import ShardBoundaryError
@@ -96,15 +99,19 @@ class ShardPlan:
 
 
 def probe_quiescent_points(
-    trace: AnnotatedTrace, config: SimulationConfig,
+    trace: AnnotatedTrace,
+    config: SimulationConfig,
+    backend: Optional[str] = None,
 ) -> List[Tuple[int, int]]:
     """Every quiescent epoch boundary of one simulation, as (pos, cur).
 
-    One full serial simulation of *trace* under *config* — the cacheable
-    half of shard planning.
+    One full serial simulation of *trace* under *config* on *backend*
+    (resolved like any job's: ``None`` means ``$REPRO_BACKEND`` or the
+    default) — the cacheable half of shard planning.  The log does not
+    depend on the backend, so neither does the ``shard-probe`` cache key.
     """
     log: List[Tuple[int, int]] = []
-    MlpSimulator(config).run(trace, quiescent_log=log)
+    resolve_backend(backend).simulate(config, trace, quiescent_log=log)
     return log
 
 

@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -132,6 +133,35 @@ class TestRouterLeasing:
         assert router.wants_more() is False  # 5 pending >= 3 + 1 slots
         assert len(router.lease(big.id, max_tasks=10)) == 3
         assert len(router.lease(small.id, max_tasks=10)) == 1
+
+    def test_gate_counts_pending_not_leased_tasks(self):
+        router, worker = self._router(max_inflight=2)
+        router.add_tasks([_task("a0"), _task("a1")])
+        assert router.wants_more() is False  # 2 pending cover 2 slots
+        router.lease(worker.id, max_tasks=2)
+        assert router.wants_more() is True   # leased work plans ahead
+
+    def test_wait_for_room_wakes_on_a_lease(self):
+        router, worker = self._router(max_inflight=1)
+        router.add_tasks([_task("t0")])
+        assert router.wait_for_room(timeout=0.0) is False
+        leaser = threading.Timer(0.1, router.lease, args=(worker.id,))
+        leaser.start()
+        started = time.monotonic()
+        assert router.wait_for_room(timeout=20.0) is True
+        assert time.monotonic() - started < 10.0
+        leaser.join(timeout=5.0)
+
+    def test_on_ready_fires_when_a_lease_could_succeed(self):
+        router, worker = self._router(max_inflight=1)
+        fired = []
+        router.on_ready = lambda: fired.append(len(fired))
+        router.add_tasks([_task("t0"), _task("t1")])
+        assert len(fired) == 1
+        router.lease(worker.id)
+        assert len(fired) == 1  # a lease frees no capacity
+        router.complete(worker.id, "t0", _ok())
+        assert len(fired) == 2  # the worker's slot is free again
 
     def test_unknown_worker_rejected(self):
         router, _ = self._router()

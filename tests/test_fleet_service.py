@@ -32,6 +32,7 @@ from repro.engine.runner import (
 from repro.fleet import FleetCoordinator, FleetWorker
 from repro.harness import ExperimentSettings
 from repro.harness.experiment import Workbench
+from repro.service import JobState
 from repro.service.client import ServiceClient, ServiceError
 
 SMALL = ExperimentSettings(warmup=1500, measure=4000, seed=11,
@@ -592,6 +593,83 @@ class TestFleetBackpressure:
 
 
 
+class TestPlanAhead:
+    """The dispatcher plans the next job while the current one executes,
+    and the pending-task gate still bounds the backlog."""
+
+    @staticmethod
+    def _sharded(queue):
+        return {
+            "kind": "simulate", "shards": 2,
+            "job": {
+                "workload": "database", "variant": "pc",
+                "core_changes": {"store_queue": queue},
+            },
+        }
+
+    def test_next_job_is_planned_while_the_first_is_leased(
+        self, fleet_factory,
+    ):
+        fleet = fleet_factory(workers=0, max_inflight=2)
+        coord, url = fleet.coord, fleet.coord.url
+        # An HTTP-only worker with two slots: it leases, never completes.
+        holder = _post(url, "/v1/fleet/register", {"name": "holder"})
+        client = fleet.client()
+        first = client.submit(self._sharded(4))["id"]
+        lease = _post(url, "/v1/fleet/lease",
+                      {"worker": holder["worker"], "max": 2, "wait": 20})
+        assert sorted(t["task"] for t in lease["tasks"]) == [
+            f"{first}.0", f"{first}.1",
+        ]
+        second = client.submit(self._sharded(8))["id"]
+        deadline = time.monotonic() + 30.0
+        while (
+            not coord.router.job_tasks(second)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.02)
+        # Expanded while the first job's shards are still out.
+        assert [t.state for t in coord.router.job_tasks(second)] == [
+            "pending", "pending",
+        ]
+        assert [t.state for t in coord.router.job_tasks(first)] == [
+            "leased", "leased",
+        ]
+        assert coord.queue.get(second).state is JobState.RUNNING
+
+        # Two pending tasks cover both slots: later jobs stay queued, and
+        # pending never exceeds the slots plus one job's fan-out.
+        slots, fan_out = 2, 2
+        later = [client.submit(self._sharded(q))["id"] for q in (16, 32)]
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            assert coord.router.counts()["pending"] <= slots + fan_out
+            time.sleep(0.01)
+        assert [coord.queue.get(j).state for j in later] == [
+            JobState.QUEUED, JobState.QUEUED,
+        ]
+
+        # Leasing the planned job's tasks opens the gate at once.
+        _post(url, "/v1/fleet/complete", {
+            "worker": holder["worker"],
+            "results": [
+                {"task": f"{first}.{i}", "result": _jsonable_result()}
+                for i in (0, 1)
+            ],
+        })
+        lease = _post(url, "/v1/fleet/lease",
+                      {"worker": holder["worker"], "max": 2, "wait": 20})
+        assert len(lease["tasks"]) == 2
+        deadline = time.monotonic() + 30.0
+        while (
+            coord.queue.get(later[0]).state is JobState.QUEUED
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.02)
+        assert coord.queue.get(later[0]).state is JobState.RUNNING
+        assert coord.router.counts()["pending"] <= slots + fan_out
+
+
 def _jsonable_result(status="ok", error=""):
     return serialize.to_jsonable(JobResult(
         spec=JobSpec(workload="database"), status=status,
@@ -682,6 +760,198 @@ class TestCompletionProtocol:
             data = sock.recv(65536)
         assert data.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
 
+
+class TestStatusLongPoll:
+    """``GET /v1/jobs/<id>?wait=S`` and the client's long-polling wait.
+
+    The coordinator keeps no cache (nothing fake is published to the
+    module's shared result store); an HTTP-only worker leases the job and
+    answers it when the test says so.
+    """
+
+    @pytest.fixture
+    def coord(self):
+        coord = FleetCoordinator(
+            port=0, cache_dir=None, settings=SMALL,
+        ).start()
+        yield coord
+        coord.stop()
+
+    @staticmethod
+    def _leased_job(coord, queue=16):
+        """Submit a simulate job and lease its one task; returns
+        ``(job id, worker id)``."""
+        worker = _post(coord.url, "/v1/fleet/register", {"name": "hand"})
+        receipt = ServiceClient(coord.url).submit({
+            "kind": "simulate",
+            "job": {
+                "workload": "database", "variant": "pc",
+                "core_changes": {"store_queue": queue},
+            },
+        })
+        lease = _post(coord.url, "/v1/fleet/lease",
+                      {"worker": worker["worker"], "max": 1, "wait": 20})
+        assert [t["task"] for t in lease["tasks"]] == [f"{receipt['id']}.0"]
+        return receipt["id"], worker["worker"]
+
+    @staticmethod
+    def _complete_later(coord, job_id, worker_id, delay, pad=0):
+        def complete():
+            time.sleep(delay)
+            _post(coord.url, "/v1/fleet/complete", {
+                "worker": worker_id,
+                "results": [
+                    {"task": f"{job_id}.0", "result": _jsonable_result()},
+                ],
+                # A body this large is parsed on the default executor.
+                "pad": "x" * pad,
+            })
+
+        thread = threading.Thread(target=complete, daemon=True)
+        thread.start()
+        return thread
+
+    @staticmethod
+    def _get(coord, target):
+        started = time.monotonic()
+        try:
+            with urllib.request.urlopen(
+                f"{coord.url}{target}", timeout=30.0,
+            ) as response:
+                code, body = response.status, json.loads(response.read())
+        except urllib.error.HTTPError as exc:
+            code, body = exc.code, json.loads(exc.read())
+        return code, body, time.monotonic() - started
+
+    def test_wait_sees_the_finish_in_at_most_two_requests(self, coord):
+        job_id, worker_id = self._leased_job(coord)
+        client = ServiceClient(coord.url, timeout=30.0)
+        requests = []
+        status = client.status
+
+        def counted(*args, **kwargs):
+            requests.append(kwargs.get("wait", 0.0))
+            return status(*args, **kwargs)
+
+        client.status = counted
+        started = time.monotonic()
+        self._complete_later(coord, job_id, worker_id, 0.3)
+        final = client.wait(job_id, timeout=20.0)
+        elapsed = time.monotonic() - started
+        assert final["state"] == "done"
+        assert 1 <= len(requests) <= 2
+        assert all(wait > 0 for wait in requests)
+        assert 0.25 <= elapsed < 5.0  # answered as the job ended
+
+    def test_wait_on_an_unfinished_job_times_out_non_terminal(self, coord):
+        job_id, _ = self._leased_job(coord)
+        code, body, elapsed = self._get(coord, f"/v1/jobs/{job_id}?wait=0.3")
+        assert code == 200
+        assert body["state"] == "running"
+        assert 0.3 <= elapsed < 5.0
+
+    def test_over_cap_wait_is_clamped(self, coord, monkeypatch):
+        from repro.fleet import frontend
+
+        monkeypatch.setattr(frontend, "MAX_LONG_POLL", 0.2)
+        job_id, _ = self._leased_job(coord)
+        code, body, elapsed = self._get(coord, f"/v1/jobs/{job_id}?wait=600")
+        assert code == 200 and body["state"] == "running"
+        assert elapsed < 5.0
+
+    def test_unknown_job_answers_404_at_once(self, coord):
+        code, body, elapsed = self._get(coord, "/v1/jobs/nosuchjob?wait=20")
+        assert code == 404 and "unknown job" in body["error"]
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("value", ["soon", "-1", "nan"])
+    def test_bad_wait_answers_400(self, coord, value):
+        job_id, _ = self._leased_job(coord)
+        code, body, _ = self._get(coord, f"/v1/jobs/{job_id}?wait={value}")
+        assert code == 400
+        assert body["code"] == "protocol-invalid"
+        assert "wait" in body["error"]
+
+    def test_parked_polls_do_not_starve_a_completion(self, coord):
+        job_id, worker_id = self._leased_job(coord)
+        answers = []
+
+        def poll():
+            answers.append(self._get(coord, f"/v1/jobs/{job_id}?wait=20"))
+
+        pollers = [threading.Thread(target=poll) for _ in range(64)]
+        for thread in pollers:
+            thread.start()
+        time.sleep(0.3)  # let every poll park
+        # Far more parked polls than default-executor threads, yet the
+        # completion (its body parsed off-loop) is merged at once.
+        self._complete_later(coord, job_id, worker_id, 0.0, pad=100_000)
+        for thread in pollers:
+            thread.join(timeout=30.0)
+        assert len(answers) == 64
+        assert all(code == 200 for code, _, _ in answers)
+        assert all(body["state"] == "done" for _, body, _ in answers)
+        assert max(elapsed for _, _, elapsed in answers) < 10.0
+
+
+    def test_no_wakeup_is_lost_when_jobs_end_as_polls_arrive(self):
+        import sys
+
+        coord = FleetCoordinator(
+            port=0, cache_dir=None, settings=SMALL, max_inflight=32,
+        ).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker = _post(coord.url, "/v1/fleet/register", {"name": "hand"})
+            client = ServiceClient(coord.url)
+            jobs = [
+                client.submit({
+                    "kind": "simulate",
+                    "job": {
+                        "workload": "database", "variant": "pc",
+                        "core_changes": {"store_queue": 2 ** (i % 8 + 1),
+                                         "store_buffer": 2 ** (i // 8)},
+                    },
+                })["id"]
+                for i in range(24)
+            ]
+            leased = []
+            deadline = time.monotonic() + 30.0
+            while len(leased) < len(jobs) and time.monotonic() < deadline:
+                lease = _post(coord.url, "/v1/fleet/lease", {
+                    "worker": worker["worker"], "max": 32, "wait": 5,
+                })
+                leased += [t["task"] for t in lease["tasks"]]
+            assert len(leased) == len(jobs)
+            answers = []
+
+            def poll(job_id):
+                answers.append(self._get(coord, f"/v1/jobs/{job_id}?wait=20"))
+
+            # Polls arrive while the jobs finish one by one: each poll
+            # either sees its job terminal or is woken by its retirement.
+            pollers = [
+                threading.Thread(target=poll, args=(job_id,))
+                for job_id in jobs
+            ]
+            for thread in pollers:
+                thread.start()
+            for task in leased:
+                _post(coord.url, "/v1/fleet/complete", {
+                    "worker": worker["worker"],
+                    "results": [{"task": task, "result": _jsonable_result()}],
+                })
+            for thread in pollers:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in pollers)
+            assert [body["state"] for _, body, _ in answers] == (
+                ["done"] * len(jobs)
+            )
+            assert max(elapsed for _, _, elapsed in answers) < 10.0
+        finally:
+            sys.setswitchinterval(interval)
+            coord.stop()
 
 class TestWorkerResilience:
     def _worker(self):

@@ -517,6 +517,44 @@ class TestClientBackoff:
             previous = value
 
 
+class TestClientLongPoll:
+    def test_wait_paces_a_server_that_ignores_wait(self):
+        import json
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        seen = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                seen.append(self.path)
+                body = json.dumps({"id": "j1", "state": "running"}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{httpd.server_address[1]}", timeout=5.0,
+            )
+            with pytest.raises(TimeoutError):
+                client.wait("j1", timeout=0.5)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        # The requests asked to wait (all but a last look at the
+        # deadline); the answers came at once, so the client paused
+        # between them instead of spinning.
+        assert sum("?wait=" in path for path in seen) >= len(seen) - 1
+        assert 2 <= len(seen) <= 15
+
+
 class TestSmtAndEstimateVerbs:
     def test_smt_simulate_over_http(self, service, client):
         service.start_worker()

@@ -457,9 +457,8 @@ class ServiceClient:
         """
         deadline = time.monotonic() + timeout
         while True:
-            asked = max(0.0, min(deadline - time.monotonic(),
-                                 self.timeout / 2))
             began = time.monotonic()
+            asked = max(0.0, min(deadline - began, self.timeout / 2))
             status = self.status(job_id, wait=asked)
             if status["state"] in _TERMINAL_STATES:
                 return status

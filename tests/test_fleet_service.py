@@ -853,8 +853,8 @@ class TestStatusLongPoll:
     def test_over_cap_wait_is_clamped(self, coord, monkeypatch):
         from repro.fleet import frontend
 
-        monkeypatch.setattr(frontend, "MAX_LONG_POLL", 0.2)
         job_id, _ = self._leased_job(coord)
+        monkeypatch.setattr(frontend, "MAX_LONG_POLL", 0.2)
         code, body, elapsed = self._get(coord, f"/v1/jobs/{job_id}?wait=600")
         assert code == 200 and body["state"] == "running"
         assert elapsed < 5.0

@@ -16,7 +16,7 @@ vehicle MLPsim, together with every substrate the study depends on:
 - cross-chip sharing traffic (:mod:`repro.multiproc`),
 - the epoch MLP simulator with store buffer/queue modelling, store
   prefetching, consistency models and Hardware Scout (:mod:`repro.core`),
-- result analysis (:mod:`repro.analysis`) and the table/figure
+- SMT scheduler comparisons (:mod:`repro.analysis`) and the table/figure
   reproduction harness (:mod:`repro.harness`).
 
 Quickstart (see :mod:`repro.api` for the full front door)::

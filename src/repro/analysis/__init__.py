@@ -1,46 +1,21 @@
-"""Result post-processing for the paper's analyses.
+"""Result post-processing: the SMT scheduler comparison views.
 
-These helpers turn :class:`~repro.core.SimulationResult` objects into the
-specific views the paper's figures present: the Figure 3 termination
-histograms (:mod:`~repro.analysis.termination`), the Figure 4 MLP
-distributions (:mod:`~repro.analysis.mlp_stats`), and the Table 2 overlap
-accounting (:mod:`~repro.analysis.overlap`) — plus the SMT scheduler
-comparison views (:mod:`~repro.analysis.smt`).
+The paper's Figure 3, Figure 4 and Table 2 views are methods of
+:class:`~repro.core.SimulationResult` (``termination_fractions``,
+``mlp_distribution().bucketed`` and ``store_overlap_fraction``), which
+:mod:`repro.harness` reads directly.
 """
 
-from .mlp_stats import (
-    ExpensiveStoreStats,
-    expensive_store_stats,
-    mlp_profile,
-    store_mlp_histogram,
-)
-from .overlap import OverlapBreakdown, overlap_breakdown
 from .smt import (
     SchedulerComparison,
     compare_schedulers,
     context_breakdown,
     scheduler_rows,
 )
-from .termination import (
-    TERMINATION_ORDER,
-    dominant_condition,
-    store_caused_fraction,
-    termination_stack,
-)
 
 __all__ = [
-    "ExpensiveStoreStats",
-    "OverlapBreakdown",
     "SchedulerComparison",
-    "TERMINATION_ORDER",
     "compare_schedulers",
     "context_breakdown",
-    "dominant_condition",
-    "expensive_store_stats",
-    "mlp_profile",
-    "overlap_breakdown",
     "scheduler_rows",
-    "store_caused_fraction",
-    "store_mlp_histogram",
-    "termination_stack",
 ]

@@ -5,7 +5,7 @@ The default values reproduce the paper's Section 4.3 processor configuration:
 - private 32KB 4-way 64B-line L1 instruction and data caches,
 - a shared 2MB 4-way 64B-line L2,
 - 64K-entry gshare with a 16K-entry BTB and 16-entry return address stack,
-- 32-entry fetch buffer, 32-entry issue window, 64-entry reorder buffer,
+- 32-entry issue window, 64-entry reorder buffer,
 - 16-entry store buffer, 32-entry store queue, store prefetch at retire,
   8-byte store coalescing, 64-entry load buffer,
 - processor consistency (SPARC TSO flavour), and
@@ -194,16 +194,12 @@ class MemoryConfig:
     l1i: CacheConfig = field(default_factory=lambda: CacheConfig(32 * 1024, 4))
     l1d: CacheConfig = field(default_factory=lambda: CacheConfig(32 * 1024, 4))
     l2: CacheConfig = field(default_factory=lambda: CacheConfig(2 * 1024 * 1024, 4))
-    tlb_entries: int = 2048
-    page_bytes: int = 8192
     l1_latency: int = 4
     l2_latency: int = 15
     memory_latency: int = 500
     smac: SmacConfig | None = None
 
     def __post_init__(self) -> None:
-        _require(self.tlb_entries > 0, "TLB must have at least one entry")
-        _require(_is_pow2(self.page_bytes), "page size must be a power of two")
         _require(
             0 < self.l1_latency < self.l2_latency < self.memory_latency,
             "latencies must satisfy L1 < L2 < memory",
@@ -218,7 +214,6 @@ class MemoryConfig:
 class CoreConfig:
     """Out-of-order core parameters and store-handling policy knobs."""
 
-    fetch_buffer: int = 32
     issue_window: int = 32
     rob: int = 64
     load_buffer: int = 64
@@ -234,8 +229,8 @@ class CoreConfig:
     branch: BranchPredictorConfig = field(default_factory=BranchPredictorConfig)
 
     def __post_init__(self) -> None:
-        for name in ("fetch_buffer", "issue_window", "rob", "load_buffer",
-                     "store_buffer", "store_queue"):
+        for name in ("issue_window", "rob", "load_buffer", "store_buffer",
+                     "store_queue"):
             _require(getattr(self, name) > 0, f"{name} must be positive")
         _require(
             self.coalesce_bytes == 0 or _is_pow2(self.coalesce_bytes),
@@ -277,18 +272,12 @@ class CoreConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Multiprocessor topology: chips (nodes) and cores per chip."""
+    """Multiprocessor topology: the number of chips (nodes)."""
 
     nodes: int = 2
-    cores_per_node: int = 2
 
     def __post_init__(self) -> None:
         _require(self.nodes >= 1, "system needs at least one node")
-        _require(self.cores_per_node >= 1, "each node needs at least one core")
-
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * self.cores_per_node
 
 
 @dataclass(frozen=True)

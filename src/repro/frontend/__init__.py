@@ -1,18 +1,16 @@
-"""Front-end substrate: branch prediction and the fetch buffer.
+"""Front-end substrate: branch prediction.
 
-The epoch MLP model needs the front end for two things: (1) a *mispredicted
-branch dependent on a missing load* is a window termination condition, so we
-need to know which dynamic branches mispredict; and (2) the fetch buffer
-bounds how far fetch can run ahead of a stalled pipeline.
+The epoch MLP model needs the front end for one thing: a *mispredicted
+branch dependent on a missing load* is a window termination condition, so
+we need to know which dynamic branches mispredict.  No fetch buffer is
+modelled: the window is bounded by the issue window, ROB and store queue.
 """
 
 from .branch import BranchPredictor, BranchTargetBuffer, GshareTable, ReturnAddressStack
-from .fetch import FetchBuffer
 
 __all__ = [
     "BranchPredictor",
     "BranchTargetBuffer",
-    "FetchBuffer",
     "GshareTable",
     "ReturnAddressStack",
 ]

@@ -50,8 +50,8 @@ AXIS_BOOLS = ("sle", "prefetch_past_serializing", "perfect_stores")
 
 #: Integer sizing knobs on :class:`repro.config.CoreConfig`.
 AXIS_INTS = (
-    "fetch_buffer", "issue_window", "rob", "load_buffer",
-    "store_buffer", "store_queue", "coalesce_bytes",
+    "issue_window", "rob", "load_buffer", "store_buffer", "store_queue",
+    "coalesce_bytes",
 )
 
 #: Job-level axes: sweepable like knobs but carried on the

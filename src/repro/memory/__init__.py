@@ -1,8 +1,9 @@
 """Cache-hierarchy substrate.
 
 Implements the paper's memory system: private write-through no-write-allocate
-L1 instruction/data caches, a shared write-back L2, a TLB, MESI line states
-for cross-chip coherence, and the Store Miss Accelerator (SMAC).
+L1 instruction/data caches, a shared write-back L2 with MESI line states
+for cross-chip coherence, and the Store Miss Accelerator (SMAC).  TLB misses
+are serviced on chip and never reach the epoch model, so no TLB is modelled.
 
 The hierarchy's job in this reproduction is *miss classification*: given an
 instruction stream it decides which fetches, loads and stores go off chip.
@@ -12,11 +13,9 @@ re-run cheaply across core configurations.
 """
 
 from .annotate import AccessInfo, AnnotatedTrace, annotate_trace
-from .cache import CacheLine, SetAssociativeCache
-from .coherence import MesiState
+from .cache import CacheLine, MesiState, SetAssociativeCache
 from .hierarchy import AccessOutcome, HitLevel, MemoryCounters, MemorySystem
 from .smac import SmacProbe, StoreMissAccelerator
-from .tlb import Tlb
 
 __all__ = [
     "AccessInfo",
@@ -30,6 +29,5 @@ __all__ = [
     "SetAssociativeCache",
     "SmacProbe",
     "StoreMissAccelerator",
-    "Tlb",
     "annotate_trace",
 ]

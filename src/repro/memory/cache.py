@@ -14,11 +14,26 @@ true LRU, the only policy modelled.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import CacheConfig
-from .coherence import MesiState
+
+
+class MesiState(enum.Enum):
+    """Classic MESI stable states of a cached line.
+
+    The transitions live in :class:`~repro.memory.hierarchy.MemorySystem`:
+    local fills enter Exclusive, a store makes a line Modified, a remote
+    read (:meth:`~repro.memory.hierarchy.MemorySystem.snoop_load`)
+    downgrades it to Shared and a remote write invalidates it.
+    """
+
+    MODIFIED = "M"
+    EXCLUSIVE = "E"
+    SHARED = "S"
+    INVALID = "I"
 
 
 @dataclass(slots=True)

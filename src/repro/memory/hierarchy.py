@@ -21,10 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..config import MemoryConfig
-from .cache import CacheStats, SetAssociativeCache
-from .coherence import MesiState
+from .cache import CacheStats, MesiState, SetAssociativeCache
 from .smac import SmacStats, StoreMissAccelerator
-from .tlb import Tlb
 
 
 class HitLevel(enum.Enum):
@@ -133,7 +131,6 @@ class MemorySystem:
         self.l1i = SetAssociativeCache(config.l1i)
         self.l1d = SetAssociativeCache(config.l1d)
         self.l2 = SetAssociativeCache(config.l2)
-        self.tlb = Tlb(config.tlb_entries, config.page_bytes)
         self.smac = (
             StoreMissAccelerator(config.smac) if config.smac is not None else None
         )
@@ -153,8 +150,8 @@ class MemorySystem:
     # -- instruction side ------------------------------------------------------
 
     def fetch(self, pc: int) -> AccessOutcome:
-        """Fetch the instruction at *pc*; sequential same-line fetches hit
-        the fetch buffer and never re-access the caches."""
+        """Fetch the instruction at *pc*; sequential same-line fetches
+        reuse the line last fetched and never re-access the caches."""
         stats = self.stats
         stats.instructions += 1
         line = pc & self._fetch_mask
@@ -177,7 +174,6 @@ class MemorySystem:
     def load(self, address: int) -> AccessOutcome:
         """Classify a data load."""
         self.stats.loads += 1
-        self.tlb.access(address)
         line = address & self._load_mask
         l1d = self.l1d
         if l1d.lookup(line) is not None:
@@ -194,7 +190,6 @@ class MemorySystem:
         """Classify a data store (write-through L1, write-allocate L2)."""
         stats = self.stats
         stats.stores += 1
-        self.tlb.access(address)
         line = address & self._store_mask
         l2 = self.l2
         # Write-through, no-write-allocate L1: update on hit, never fill.
@@ -272,7 +267,6 @@ class MemorySystem:
         self.l1i.stats.reset()
         self.l1d.stats.reset()
         self.l2.stats.reset()
-        self.tlb.stats.reset()
         if self.smac is not None:
             self.smac.stats.reset()
 

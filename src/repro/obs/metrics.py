@@ -169,19 +169,6 @@ class MetricsRegistry:
             self._help[name] = help
         return family
 
-    def inc_labeled(
-        self,
-        name: str,
-        labels: Dict[str, str],
-        delta: float = 1,
-        help: Optional[str] = None,
-    ) -> None:
-        """Increment one series of the labeled counter family *name*."""
-        key = self._label_key(labels)
-        with self._lock:
-            family = self._labeled_family(name, "counter", help)
-            family[key] = family.get(key, 0.0) + delta
-
     def set_labeled(
         self,
         name: str,
@@ -258,9 +245,6 @@ class MetricsRegistry:
             },
             "labeled": labeled,
         }
-
-    def _help_for(self, name: str) -> str:
-        return self._help.get(name, f"repro metric {name}")
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format (version 0.0.4).

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from typing import List, Tuple
+from typing import List
 
 from ..isa import Instruction
 
@@ -21,50 +21,7 @@ def materialize(trace: Iterable[Instruction]) -> List[Instruction]:
     return list(trace)
 
 
-def split_warmup(
-    trace: Iterable[Instruction], warmup: int, measure: int
-) -> Tuple[List[Instruction], List[Instruction]]:
-    """Split a stream into (warmup, measurement) windows.
-
-    Mirrors the paper's methodology: the first ``warmup`` instructions prime
-    the caches and predictors, the next ``measure`` instructions are where
-    statistics are collected.  Raises nothing if the stream is shorter than
-    requested; callers check lengths when exactness matters.
-    """
-    if warmup < 0 or measure <= 0:
-        raise ValueError("warmup must be >= 0 and measure > 0")
-    iterator = iter(trace)
-    head = list(itertools.islice(iterator, warmup))
-    body = list(itertools.islice(iterator, measure))
-    return head, body
-
-
 def concatenate(*traces: Iterable[Instruction]) -> Iterator[Instruction]:
     """Chain several traces into one stream."""
     return itertools.chain(*traces)
 
-
-def interleave(
-    traces: Iterable[Iterable[Instruction]], quantum: int = 1
-) -> Iterator[Instruction]:
-    """Round-robin interleave several per-core traces.
-
-    Used to approximate multi-core L2 contention: instructions are drawn
-    ``quantum`` at a time from each trace in turn until every trace is
-    exhausted.
-    """
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
-    iterators = [iter(t) for t in traces]
-    while iterators:
-        exhausted: list[Iterator[Instruction]] = []
-        for iterator in iterators:
-            chunk = list(itertools.islice(iterator, quantum))
-            if not chunk:
-                exhausted.append(iterator)
-                continue
-            yield from chunk
-            if len(chunk) < quantum:
-                exhausted.append(iterator)
-        for iterator in exhausted:
-            iterators.remove(iterator)

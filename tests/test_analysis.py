@@ -1,21 +1,25 @@
-"""Analysis helpers: termination stacks, MLP profiles, overlap breakdowns."""
+"""The paper's analysis views, read off :class:`SimulationResult` the way
+the harness reads them: Figure 3's termination mix, Figure 4's MLP
+distribution and Table 2's overlap fraction."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    TERMINATION_ORDER,
-    dominant_condition,
-    expensive_store_stats,
-    mlp_profile,
-    overlap_breakdown,
-    store_caused_fraction,
-    store_mlp_histogram,
-    termination_stack,
-)
 from repro.core import SimulationResult
 from repro.core.epoch import EpochRecord, TerminationCondition, TriggerKind
+
+#: The conditions Figure 3 plots, in its legend order (the report's rows).
+FIGURE3_CONDITIONS = [
+    condition for condition in TerminationCondition
+    if condition is not TerminationCondition.END_OF_TRACE
+]
+
+
+def dominant(result):
+    """The most frequent termination among epochs with store MLP >= 1."""
+    return max(result.termination_fractions(1).items(),
+               key=lambda item: item[1])[0]
 
 
 def epoch(index, stores=0, loads=0, insts=0,
@@ -45,23 +49,25 @@ def result():
 
 class TestTermination:
     def test_order_matches_figure3_legend(self):
-        assert TERMINATION_ORDER[0] is TerminationCondition.STORE_BUFFER_FULL
-        assert TERMINATION_ORDER[-1] is TerminationCondition.WINDOW_FULL
-        assert len(TERMINATION_ORDER) == 8
+        assert FIGURE3_CONDITIONS[0] is TerminationCondition.STORE_BUFFER_FULL
+        assert FIGURE3_CONDITIONS[-1] is TerminationCondition.WINDOW_FULL
+        assert len(FIGURE3_CONDITIONS) == 8
 
     def test_stack_covers_all_conditions(self, result):
-        stack = termination_stack(result)
-        assert len(stack) == len(TERMINATION_ORDER)
-        total = sum(fraction for _, fraction in stack)
+        fractions = result.termination_fractions(1)
+        assert set(fractions) <= set(FIGURE3_CONDITIONS)
         # 3 of 4 epochs have store MLP >= 1; fractions are of all epochs.
-        assert total == pytest.approx(0.75)
+        assert sum(fractions.values()) == pytest.approx(0.75)
 
     def test_store_caused_fraction(self, result):
-        assert store_caused_fraction(result) == pytest.approx(0.5)
+        caused = sum(fraction for condition, fraction
+                     in result.termination_fractions().items()
+                     if condition.store_caused)
+        assert caused == pytest.approx(0.5)
 
     def test_dominant_condition(self, result):
         # Among store-MLP>=1 epochs: serialize, window-full, sq+sb-full.
-        assert dominant_condition(result) in {
+        assert dominant(result) in {
             TerminationCondition.STORE_SERIALIZE,
             TerminationCondition.WINDOW_FULL,
             TerminationCondition.STORE_QUEUE_STORE_BUFFER_FULL,
@@ -69,43 +75,38 @@ class TestTermination:
 
     def test_empty_result(self):
         empty = SimulationResult(instructions=0)
-        assert dominant_condition(empty) is None
-        assert store_caused_fraction(empty) == 0.0
+        assert empty.termination_fractions(1) == {}
+        assert empty.termination_fractions() == {}
 
 
 class TestMlpStats:
     def test_histogram_includes_zero_bucket(self, result):
-        histogram = store_mlp_histogram(result)
-        assert histogram[0] == pytest.approx(0.25)
-        assert histogram[1] == pytest.approx(0.5)
-        assert histogram[2] == pytest.approx(0.25)
+        distribution = result.mlp_distribution()
+        assert distribution.store_mlp_fraction(0) == pytest.approx(0.25)
+        assert distribution.store_mlp_fraction(1) == pytest.approx(0.5)
+        assert distribution.store_mlp_fraction(2) == pytest.approx(0.25)
 
     def test_histogram_caps(self):
         result = SimulationResult(instructions=100, epochs=[epoch(0, stores=99)])
-        histogram = store_mlp_histogram(result, cap=10)
-        assert histogram == {10: 1.0}
+        assert result.mlp_distribution().bucketed(10, 5) == {(10, 0): 1.0}
 
     def test_profile_excludes_zero_store_bars(self, result):
-        bars = mlp_profile(result)
-        assert all(store_mlp >= 1 for store_mlp, _ in bars)
+        # Figure 4 plots only store MLP >= 1; the zero bar's mass is what
+        # keeps the plotted bars from summing to one.
+        cells = result.mlp_distribution().bucketed(10, 5)
+        plotted = sum(f for (store_mlp, _), f in cells.items() if store_mlp)
+        assert plotted == pytest.approx(0.75)
 
     def test_expensive_stores(self, result):
-        stats = expensive_store_stats(result)
         # Epochs 0 and 3: one missing store, nothing else.
-        assert stats.expensive_epochs == 2
-        assert stats.fraction == pytest.approx(0.5)
+        assert result.mlp_distribution().fraction(1, 0) == pytest.approx(0.5)
 
 
 class TestOverlap:
     def test_breakdown_totals(self, result):
-        breakdown = overlap_breakdown(result)
-        assert breakdown.fully_overlapped == 4
-        assert breakdown.accelerated == 2
-        assert breakdown.epoch_overlapped == 4
-        assert breakdown.total == 10
-        assert breakdown.overlap_fraction == pytest.approx(0.4)
-        assert breakdown.exposed_fraction == pytest.approx(0.4)
+        # 4 fully overlapped + 2 accelerated + 4 in epochs = 10 missing stores.
+        assert result.store_miss_count == 4
+        assert result.store_overlap_fraction == pytest.approx(0.4)
 
     def test_empty_breakdown(self):
-        breakdown = overlap_breakdown(SimulationResult(instructions=0))
-        assert breakdown.overlap_fraction == 0.0
+        assert SimulationResult(instructions=0).store_overlap_fraction == 0.0

@@ -114,6 +114,27 @@ class TestCli:
             )
         assert "unknown sweep axis" in str(excinfo.value)
 
+    def test_sweep_rejects_the_removed_fetch_buffer_axis(self):
+        # No fetch buffer is modelled, so it is not an axis: the command
+        # fails with the valid-axes message, not a traceback.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *SMALL, "--cache-dir", "none",
+             "sweep", "--workload", "database",
+             "--axis", "fetch_buffer=8,16"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode != 0
+        assert "unknown sweep axis 'fetch_buffer'" in proc.stderr
+        assert "valid axes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_tune_writes_best_config(self, capsys, tmp_path):
         out_path = tmp_path / "best.json"
         code, out, _ = run_cli(

@@ -119,9 +119,6 @@ class TestMemoryConfig:
 
 
 class TestSystemConfig:
-    def test_total_cores(self):
-        assert SystemConfig(nodes=2, cores_per_node=2).total_cores == 4
-
     def test_rejects_zero_nodes(self):
         with pytest.raises(ConfigError):
             SystemConfig(nodes=0)

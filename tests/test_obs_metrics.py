@@ -160,8 +160,9 @@ class TestPrometheusRendering:
 class TestLabeledSeries:
     def test_inc_and_set_and_read_back(self):
         registry = MetricsRegistry()
-        registry.inc_labeled("worker_tasks", {"worker": "a"}, 2)
-        registry.inc_labeled("worker_tasks", {"worker": "a"})
+        registry.set_labeled("worker_tasks", {"worker": "a"}, 2, kind="counter")
+        # A set installs the absolute total; it does not add to it.
+        registry.set_labeled("worker_tasks", {"worker": "a"}, 3, kind="counter")
         registry.set_labeled(
             "worker_tasks", {"worker": "b"}, 7, kind="counter",
         )
@@ -173,7 +174,8 @@ class TestLabeledSeries:
         registry = MetricsRegistry()
         registry.set_labeled("inflight", {"worker": "a"}, 1, kind="gauge")
         with pytest.raises(ValueError, match="is a gauge, not a counter"):
-            registry.inc_labeled("inflight", {"worker": "a"})
+            registry.set_labeled("inflight", {"worker": "a"}, 2,
+                                 kind="counter")
 
     def test_remove_series_and_family(self):
         registry = MetricsRegistry()
@@ -187,12 +189,13 @@ class TestLabeledSeries:
 
     def test_labeled_families_render_and_parse_strictly(self):
         registry = MetricsRegistry()
-        registry.inc_labeled(
+        registry.set_labeled(
             "fleet_worker_tasks_done_total", {"worker": "alpha"}, 5,
-            help="tasks per worker",
+            kind="counter", help="tasks per worker",
         )
-        registry.inc_labeled(
+        registry.set_labeled(
             "fleet_worker_tasks_done_total", {"worker": "beta"}, 2,
+            kind="counter",
         )
         registry.set_labeled(
             "fleet_worker_inflight", {"worker": "alpha"}, 1.0, kind="gauge",

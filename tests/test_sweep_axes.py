@@ -54,6 +54,16 @@ class TestActionableErrors:
         for name in valid_axes():
             assert name in message
 
+    def test_fetch_buffer_is_not_an_axis(self):
+        # No fetch buffer is modelled, so no value of it could change a
+        # result; sweeping it would only cost simulations.
+        assert "fetch_buffer" not in valid_axes()
+        with pytest.raises(ValueError) as excinfo:
+            coerce_axis_value("fetch_buffer", 8)
+        message = str(excinfo.value)
+        assert "unknown sweep axis 'fetch_buffer'" in message
+        assert "valid axes" in message
+
     def test_bad_enum_value_lists_the_spellings(self):
         with pytest.raises(ValueError) as excinfo:
             coerce_axis_value("store_prefetch", "sp9")

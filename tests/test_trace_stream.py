@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.isa import Instruction, InstructionClass
-from repro.trace import collect_statistics, materialize, split_warmup, take
-from repro.trace.stream import concatenate, interleave
+from repro.trace import collect_statistics, materialize, take
+from repro.trace.stream import concatenate
 
 
 def nops(n, pc_base=0):
@@ -27,39 +27,10 @@ class TestStream:
     def test_materialize_realizes_iterators(self):
         assert len(materialize(iter(nops(5)))) == 5
 
-    def test_split_warmup(self):
-        warm, measure = split_warmup(nops(100), warmup=30, measure=50)
-        assert len(warm) == 30
-        assert len(measure) == 50
-
-    def test_split_warmup_short_stream(self):
-        warm, measure = split_warmup(nops(40), warmup=30, measure=50)
-        assert len(warm) == 30
-        assert len(measure) == 10
-
-    def test_split_warmup_validates(self):
-        with pytest.raises(ValueError):
-            split_warmup(nops(10), warmup=-1, measure=5)
-
     def test_concatenate(self):
         combined = list(concatenate(nops(3), nops(2, pc_base=100)))
         assert len(combined) == 5
         assert combined[3].pc == 100
-
-    def test_interleave_round_robin(self):
-        a = nops(4, pc_base=0)
-        b = nops(4, pc_base=1000)
-        merged = list(interleave([a, b], quantum=2))
-        assert len(merged) == 8
-        assert [inst.pc for inst in merged[:4]] == [0, 4, 1000, 1004]
-
-    def test_interleave_uneven_lengths(self):
-        merged = list(interleave([nops(5), nops(2, pc_base=1000)], quantum=2))
-        assert len(merged) == 7
-
-    def test_interleave_validates_quantum(self):
-        with pytest.raises(ValueError):
-            list(interleave([nops(2)], quantum=0))
 
 
 class TestStatistics:

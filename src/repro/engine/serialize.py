@@ -11,6 +11,12 @@ one tagged encoding shared by every such type:
   dataclass fields rebuild hashable)
 - dicts        -> ``{"$map": [[key, value], ...]}`` (keys need not be
   strings, and plain payload dicts can never collide with the tags)
+- lists of a column-wise class -> ``{"$cols": "ClassName", "fields":
+  {name: [value, ...]}}``: one column per field, enums as their values.
+  A result carries thousands of epoch records, and one tagged dict per
+  record (holding two tagged enums) made them the bulk of every wire
+  payload.  Records in the per-record ``$dc`` form still decode, so
+  payloads stored before the columns existed stay readable.
 
 Only *registered* classes decode: :func:`register` maps a class name to its
 type, and every module that defines a wire-visible dataclass registers it at
@@ -27,8 +33,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import typing
 from dataclasses import fields, is_dataclass
-from typing import Any, Dict, Tuple, Type
+from typing import Any, Dict, List, Tuple, Type
 
 __all__ = [
     "SerializeError",
@@ -44,6 +51,11 @@ class SerializeError(TypeError):
 
 _DATACLASSES: Dict[str, Type[Any]] = {}
 _ENUMS: Dict[str, Type[enum.Enum]] = {}
+#: Dataclasses whose lists encode as ``$cols``: name -> (class, one
+#: ``(field name, field type)`` pair per field, in field order).
+_COLUMNAR: Dict[str, Tuple[type, Tuple[Tuple[str, type], ...]]] = {}
+#: Field types a column may hold: JSON scalars, or enums as their values.
+_SCALARS = (bool, int, float, str)
 
 
 def register(*types: type) -> None:
@@ -71,6 +83,21 @@ def register(*types: type) -> None:
         table[cls.__name__] = cls
 
 
+def _register_columns(cls: type) -> None:
+    """Encode lists of the dataclass *cls* column-wise (``$cols``)."""
+    hints = typing.get_type_hints(cls)
+    columns = tuple((name, hints[name]) for name in _field_names(cls))
+    for name, kind in columns:
+        if kind not in _SCALARS and not (
+                isinstance(kind, type) and issubclass(kind, enum.Enum)):
+            raise SerializeError(
+                f"{cls.__name__}.{name}: a column holds scalars or enums, "
+                f"not {kind!r}"
+            )
+    register(cls)
+    _COLUMNAR[cls.__name__] = (cls, columns)
+
+
 @functools.lru_cache(maxsize=None)
 def _field_names(cls: type) -> Tuple[str, ...]:
     """A dataclass's field names, computed once per class."""
@@ -94,6 +121,9 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, tuple):
         return {"$tuple": [to_jsonable(item) for item in obj]}
     if isinstance(obj, list):
+        entry = _COLUMNAR.get(type(obj[0]).__name__) if obj else None
+        if entry is not None and all(type(item) is entry[0] for item in obj):
+            return _encode_columns(obj, *entry)
         return [to_jsonable(item) for item in obj]
     if isinstance(obj, dict):
         return {
@@ -138,6 +168,8 @@ def from_jsonable(data: Any) -> Any:
             return cls(**{
                 name: from_jsonable(value) for name, value in raw.items()
             })
+        if "$cols" in data:
+            return _decode_columns(data)
         if "$tuple" in data:
             return tuple(from_jsonable(item) for item in data["$tuple"])
         if "$map" in data:
@@ -150,6 +182,69 @@ def from_jsonable(data: Any) -> Any:
             f"dicts must be encoded as $map"
         )
     raise SerializeError(f"cannot decode {type(data).__name__}")
+
+
+def _encode_columns(
+    records: List[Any],
+    cls: type,
+    columns: Tuple[Tuple[str, type], ...],
+) -> Dict[str, Any]:
+    encoded: Dict[str, List[Any]] = {}
+    for name, kind in columns:
+        values = [getattr(record, name) for record in records]
+        if not all(type(value) is kind for value in values):
+            raise SerializeError(
+                f"{cls.__name__}.{name} holds a value that is not "
+                f"{kind.__name__}"
+            )
+        if kind not in _SCALARS:
+            values = [value.value for value in values]
+        encoded[name] = values
+    return {"$cols": cls.__name__, "fields": encoded}
+
+
+def _decode_columns(data: Dict[str, Any]) -> List[Any]:
+    name = data["$cols"]
+    entry = _COLUMNAR.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise SerializeError(f"unknown column type {name!r} in payload")
+    cls, columns = entry
+    raw = data.get("fields")
+    if not isinstance(raw, dict):
+        raise SerializeError(f"{name} columns must be an object")
+    expected = [field for field, _ in columns]
+    if set(raw) != set(expected):
+        raise SerializeError(
+            f"{name} columns: missing {sorted(set(expected) - set(raw))}, "
+            f"unknown {sorted(set(raw) - set(expected))}"
+        )
+    decoded = []
+    for field, kind in columns:
+        values = raw[field]
+        if not isinstance(values, list):
+            raise SerializeError(f"{name}.{field} column is not a list")
+        if decoded and len(values) != len(decoded[0]):
+            raise SerializeError(
+                f"{name} columns are ragged: {field} has {len(values)} "
+                f"values, {expected[0]} has {len(decoded[0])}"
+            )
+        if kind in _SCALARS:
+            if not all(type(value) is kind for value in values):
+                raise SerializeError(
+                    f"{name}.{field} column holds a value that is not "
+                    f"{kind.__name__}"
+                )
+        else:
+            members = {member.value: member for member in kind}
+            try:
+                values = [members[value] for value in values]
+            except (KeyError, TypeError) as exc:
+                raise SerializeError(
+                    f"{name}.{field} column holds a value that is not a "
+                    f"{kind.__name__}: {exc}"
+                ) from None
+        decoded.append(values)
+    return [cls(*row) for row in zip(*decoded)]
 
 
 def _hashable(key: Any) -> Any:
@@ -186,8 +281,9 @@ def _register_builtin_types() -> None:
         TriggerKind, TerminationCondition,
         CacheConfig, SmacConfig, BranchPredictorConfig, MemoryConfig,
         CoreConfig, SystemConfig, SimulationConfig,
-        EpochRecord, SimulationResult,
+        SimulationResult,
     )
+    _register_columns(EpochRecord)
 
 
 _register_builtin_types()

@@ -384,9 +384,13 @@ class FleetCoordinator:
 
         The request signature alone would let a coordinator running other
         warmup/measure/seed/calibrate settings on the same cache directory
-        answer with a result measured under the wrong settings.
+        answer with a result measured under the wrong settings.  The wire
+        version is part of the key because the stored payload is wire
+        encoded: a coordinator never serves one its clients cannot decode.
         """
-        return content_key(RESULT_KIND, self.settings, request.signature())
+        return content_key(
+            RESULT_KIND, PROTOCOL_VERSION, self.settings, request.signature(),
+        )
 
     def _begin_job_trace(self, job: Job) -> None:
         """Open the job's root span — the anchor of its cross-process tree.
@@ -1336,7 +1340,9 @@ class _AsyncFrontend:
 
     @staticmethod
     def _encode_json(payload: Any) -> bytes:
-        return json.dumps(payload, indent=2).encode("utf-8")
+        # No indent: any indent makes CPython fall back from its C encoder
+        # to the pure-Python one (~12x slower on a finished sharded job).
+        return json.dumps(payload).encode("utf-8")
 
     async def _dispatch(
         self, method: str, target: str, body: bytes,

@@ -107,16 +107,3 @@ def is_serializing(kind: InstructionClass, model: ConsistencyModel) -> bool:
     if model is ConsistencyModel.PC:
         return kind in _PC_SERIALIZING
     return kind in _WC_SERIALIZING
-
-
-def drains_store_queue(kind: InstructionClass, model: ConsistencyModel) -> bool:
-    """True when *kind* must wait for every earlier store to commit.
-
-    This is the property that exposes store-miss latency: under PC both
-    ``casa`` and ``membar`` drain the store buffer and store queue, while
-    under WC no barrier in the lock idiom does (``lwsync`` orders stores but
-    the pipeline continues past it).
-    """
-    if model is ConsistencyModel.PC:
-        return kind in _PC_SERIALIZING
-    return False

@@ -289,43 +289,6 @@ class ServiceClient:
             payload["backend"] = backend
         return self.submit(payload)
 
-    def submit_estimate(
-        self,
-        workload: Union[str, JobSpec, Dict[str, Any]],
-        variant: str = "pc",
-        priority: int = 0,
-        contexts: int = 1,
-        **core_changes: Any,
-    ) -> Dict[str, Any]:
-        """Submit an analytical EPI estimate (``api.estimate`` over the
-        wire) — the service answers from arithmetic alone, no simulation.
-        """
-        if not isinstance(workload, str):
-            spec = JobSpec.coerce(workload)
-            changes = dict(spec.core_changes)
-            changes.update(core_changes)
-            core_changes = changes
-            if variant == "pc":
-                variant = spec.variant
-            if contexts == 1:
-                contexts = spec.contexts
-            workload = spec.workload
-        payload: Dict[str, Any] = {
-            "kind": "estimate",
-            "priority": priority,
-            "job": {
-                "workload": workload,
-                "variant": variant,
-                "core_changes": {
-                    name: getattr(value, "value", value)
-                    for name, value in core_changes.items()
-                },
-            },
-        }
-        if contexts != 1:
-            payload["job"]["contexts"] = contexts
-        return self.submit(payload)
-
     def submit_tune(
         self,
         workload: Union[str, TuneSpec],

@@ -87,9 +87,11 @@ __all__ = [
 
 #: Wire protocol version.  Every request and response envelope carries it
 #: as ``"v"``; a request naming a different version is answered with a
-#: structured 400 instead of being misinterpreted.  Requests without ``"v"``
-#: are accepted as version 1 (the pre-versioning wire form).
-PROTOCOL_VERSION = 1
+#: structured 400 instead of being misinterpreted.  Version 2 encodes epoch
+#: record lists column-wise (``$cols``, see :mod:`repro.engine.serialize`),
+#: which a version-1 client cannot decode; the request format is unchanged,
+#: so a request without ``"v"`` (curl, the pre-versioning form) is accepted.
+PROTOCOL_VERSION = 2
 
 JOB_KINDS = ("sweep", "simulate", "figure", "tune", "estimate")
 FIGURES = ("figure2", "figure3", "figure4", "figure5", "figure6",

@@ -43,6 +43,7 @@ from ..core.window import DeferredLoad
 from ..engine import serialize
 from ..engine.cache import ArtifactCache, content_key
 from ..errors import CheckpointCorruptError, FaultInjectedError
+from ..service.protocol import PROTOCOL_VERSION
 
 if TYPE_CHECKING:
     from ..engine.runner import JobSpec
@@ -106,10 +107,13 @@ class CheckpointStore:
         """The resume token: content hash of the work the checkpoint is for.
 
         The fault-injection field is excluded so a clean resubmission of
-        the same job finds checkpoints written by a faulted attempt.
+        the same job finds checkpoints written by a faulted attempt.  The
+        wire version is included because the record's digest is taken over
+        the wire encoding: a checkpoint written under another encoding is
+        a clean miss, not a digest mismatch.
         """
         clean = replace(spec, fault="")
-        return content_key("checkpoint", clean, settings)
+        return content_key("checkpoint", PROTOCOL_VERSION, clean, settings)
 
     def save(
         self,

@@ -19,9 +19,3 @@ def materialize(trace: Iterable[Instruction]) -> List[Instruction]:
     if isinstance(trace, list):
         return trace
     return list(trace)
-
-
-def concatenate(*traces: Iterable[Instruction]) -> Iterator[Instruction]:
-    """Chain several traces into one stream."""
-    return itertools.chain(*traces)
-

@@ -1026,3 +1026,21 @@ class TestFleetDrain:
             "pending": 0, "leased": 0, "done": 0, "failed": 0,
         }
         assert status["draining"] is False
+
+
+class TestResultKey:
+    def test_result_store_is_keyed_by_wire_version(self, monkeypatch):
+        # Stored payloads are wire encoded: a coordinator speaking another
+        # wire version must miss them, not serve what its clients cannot
+        # decode.
+        from repro.fleet import frontend
+        from repro.service.protocol import parse_job_request
+
+        coord = FleetCoordinator(settings=SMALL, cache_dir=None)
+        request = parse_job_request({
+            "kind": "simulate", "job": {"workload": "database"},
+        })
+        current = coord._result_key(request)
+        assert coord._result_key(request) == current
+        monkeypatch.setattr(frontend, "PROTOCOL_VERSION", 1)
+        assert coord._result_key(request) != current

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import ConsistencyModel
+from repro.config import ConsistencyModel, SimulationConfig
+from repro.core.mlpsim import MlpSimulator
 from repro.isa import (
     Instruction,
     InstructionClass,
@@ -15,7 +16,7 @@ from repro.isa import (
     is_serializing,
     is_store_like,
 )
-from repro.isa.opcodes import drains_store_queue, is_control
+from repro.isa.opcodes import is_control
 from repro.isa.registers import REG_ZERO
 
 
@@ -71,11 +72,21 @@ class TestSerialization:
 
     def test_only_pc_barriers_drain_the_store_queue(self):
         """The paper's central asymmetry: casa/membar drain under PC; no
-        WC barrier in the lock idiom drains the store queue."""
-        assert drains_store_queue(InstructionClass.CAS, ConsistencyModel.PC)
-        assert drains_store_queue(InstructionClass.MEMBAR, ConsistencyModel.PC)
-        for kind in InstructionClass:
-            assert not drains_store_queue(kind, ConsistencyModel.WC)
+        WC barrier in the lock idiom drains the store queue.  The core
+        decides drains through its per-model serializer handler table."""
+        def draining(model):
+            simulator = MlpSimulator(
+                SimulationConfig().with_core(consistency=model)
+            )
+            return {
+                kind for kind, handler in simulator._serial_handlers.items()
+                if handler.__func__ is MlpSimulator._handle_serializer_pc
+            }
+
+        assert draining(ConsistencyModel.PC) == {
+            InstructionClass.CAS, InstructionClass.MEMBAR,
+        }
+        assert draining(ConsistencyModel.WC) == set()
 
 
 class TestInstruction:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
@@ -11,7 +14,8 @@ from repro.core.epoch import EpochRecord, TerminationCondition, TriggerKind
 from repro.core.results import SimulationResult
 from repro.engine import from_jsonable, to_jsonable
 from repro.engine.serialize import SerializeError
-from repro.engine.runner import JobResult, JobSpec, RunReport
+from repro.engine.runner import JobResult, JobSpec, RunReport, ShardedReport
+from repro.fleet.frontend import _AsyncFrontend
 from repro.harness.sweeps import SweepSpec
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -169,13 +173,15 @@ class TestParseJobRequest:
         assert request.kind == "simulate"
 
     def test_missing_version_accepted_as_v1(self):
-        # Pre-versioning clients send no "v"; they speak v1 by definition.
+        # Pre-versioning clients (and curl) send no "v".  The request
+        # format is the same in v1 and v2 (only results changed), so the
+        # request is still understood.
         request = parse_job_request(wire({
             "kind": "simulate", "job": {"workload": "database"},
         }))
         assert request.kind == "simulate"
 
-    @pytest.mark.parametrize("version", [2, 0, "1", None])
+    @pytest.mark.parametrize("version", [1, 0, "2", None])
     def test_unsupported_version_is_structured_400(self, version):
         with pytest.raises(ProtocolError) as excinfo:
             parse_job_request(wire({
@@ -302,6 +308,152 @@ class TestWireRoundTrips:
         )
         back = JobResult.from_dict(wire(job.to_dict()))
         assert back == job and not back.ok
+
+
+def random_epochs(seed, count):
+    rng = random.Random(seed)
+    return [
+        EpochRecord(
+            index=index,
+            trigger=rng.choice(list(TriggerKind)),
+            termination=rng.choice(list(TerminationCondition)),
+            store_misses=rng.randrange(12),
+            load_misses=rng.randrange(6),
+            inst_misses=rng.randrange(2),
+            instructions=rng.randrange(1, 400),
+            scouted=rng.random() < 0.3,
+        )
+        for index in range(count)
+    ]
+
+
+def epoch_columns(epochs):
+    return wire(to_jsonable(epochs))
+
+
+class TestColumnarEpochs:
+    """Epoch record lists travel as one ``$cols`` object per list."""
+
+    @pytest.mark.parametrize("seed,count", [(0, 0), (1, 1), (2, 7), (3, 400)])
+    def test_seeded_round_trip(self, seed, count):
+        epochs = random_epochs(seed, count)
+        back = from_jsonable(epoch_columns(epochs))
+        assert back == epochs
+        assert all(type(record) is EpochRecord for record in back)
+
+    def test_every_enum_value_and_scouted_both_ways(self):
+        combos = itertools.product(
+            TriggerKind, TerminationCondition, (False, True),
+        )
+        epochs = [
+            EpochRecord(index=i, trigger=trigger, termination=termination,
+                        store_misses=i % 3, instructions=i, scouted=scouted)
+            for i, (trigger, termination, scouted) in enumerate(combos)
+        ]
+        payload = epoch_columns(epochs)
+        assert payload["$cols"] == "EpochRecord"
+        assert set(payload["fields"]["trigger"]) == \
+            {kind.value for kind in TriggerKind}
+        assert from_jsonable(payload) == epochs
+
+    def test_simulation_result_through_json_text(self):
+        result = SimulationResult(
+            instructions=12_000, epochs=random_epochs(4, 60),
+            fully_overlapped_stores=9, scout_episodes=3,
+            stores_committed=700, sq_occupancy_hwm=31,
+        )
+        text = json.dumps(to_jsonable(result))
+        assert '"$cols": "EpochRecord"' in text
+        back = from_jsonable(json.loads(text))
+        assert back == result
+        assert back.epi_per_1000 == result.epi_per_1000
+
+    def test_sharded_report_through_json_text(self):
+        from repro.shard.plan import ShardPlan
+
+        spec = JobSpec(workload="database")
+        shards = [
+            SimulationResult(instructions=500, epochs=random_epochs(5, 9)),
+            SimulationResult(instructions=700, epochs=random_epochs(6, 13)),
+        ]
+        merged = SimulationResult(
+            instructions=1200,
+            epochs=[
+                dataclasses.replace(record, index=index)
+                for index, record in enumerate(
+                    shards[0].epochs + shards[1].epochs)
+            ],
+        )
+        report = ShardedReport(
+            spec=spec,
+            plan=ShardPlan(instructions=1200, requested=2, cuts=(500,)),
+            jobs=[JobResult(spec=spec, status="ok", result=result)
+                  for result in shards],
+            merged=merged,
+        )
+        back = from_jsonable(json.loads(json.dumps(to_jsonable(report))))
+        assert back == report
+        assert back.merged.epoch_count == 22
+
+    def test_per_record_form_still_decodes(self):
+        # Result-store entries written before the columns existed hold one
+        # tagged dict per record.
+        result = SimulationResult(instructions=900, epochs=random_epochs(7, 5))
+        legacy = to_jsonable(result)
+        legacy["fields"]["epochs"] = [
+            to_jsonable(record) for record in result.epochs
+        ]
+        assert legacy["fields"]["epochs"][0]["$dc"] == "EpochRecord"
+        assert from_jsonable(wire(legacy)) == result
+
+    def test_columns_take_a_quarter_of_the_per_record_bytes(self):
+        epochs = random_epochs(8, 500)
+        columns = json.dumps(to_jsonable(epochs))
+        records = json.dumps([to_jsonable(record) for record in epochs])
+        assert 4 * len(columns) <= len(records)
+
+    @pytest.mark.parametrize("damage,fragment", [
+        (lambda p: p["fields"]["load_misses"].pop(), "ragged"),
+        (lambda p: p["fields"].update(bogus=[0, 0, 0]), "unknown ['bogus']"),
+        (lambda p: p["fields"].pop("scouted"), "missing ['scouted']"),
+        (lambda p: p["fields"]["trigger"].__setitem__(1, "rename"),
+         "not a TriggerKind"),
+        (lambda p: p["fields"]["termination"].__setitem__(0, ["x"]),
+         "not a TerminationCondition"),
+        (lambda p: p["fields"]["index"].__setitem__(2, "2"), "not int"),
+        (lambda p: p["fields"].__setitem__("index", 3), "not a list"),
+        (lambda p: p.__setitem__("fields", [1]), "must be an object"),
+        (lambda p: p.__setitem__("$cols", "Epoch"), "unknown column type"),
+        (lambda p: p.__setitem__("$cols", "SimulationResult"),
+         "unknown column type"),
+    ])
+    def test_malformed_columns_raise(self, damage, fragment):
+        payload = epoch_columns(random_epochs(9, 3))
+        assert len(from_jsonable(payload)) == 3
+        damage(payload)
+        with pytest.raises(SerializeError) as excinfo:
+            from_jsonable(payload)
+        assert fragment in str(excinfo.value)
+
+    def test_record_with_a_wrongly_typed_field_is_not_encoded(self):
+        epochs = random_epochs(10, 2)
+        epochs[1].trigger = "store"
+        with pytest.raises(SerializeError, match="EpochRecord.trigger"):
+            to_jsonable(epochs)
+
+
+class TestCompactResponses:
+    def test_encoded_response_is_one_line(self):
+        payload = {
+            "v": PROTOCOL_VERSION, "state": "done",
+            "result": {"summary": "line one\nline two",
+                       "report": to_jsonable(random_epochs(11, 4))},
+        }
+        body = _AsyncFrontend._encode_json(payload)
+        assert b"\n" not in body
+        # the default separators keep fields greppable by curl checks
+        assert b'"state": "done"' in body
+        assert json.loads(body) == payload
 
 
 class TestJsonify:

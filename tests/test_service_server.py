@@ -322,9 +322,10 @@ class TestProtocolVersioning:
         assert client.status(receipt["id"])["v"] == PROTOCOL_VERSION
 
     def test_version_mismatch_is_structured_400(self, client):
+        # A v1 client cannot decode v2's column-wise results.
         with pytest.raises(ServiceError) as excinfo:
             client.submit({
-                "v": 2,
+                "v": 1,
                 "kind": "sweep",
                 "sweep": {"workloads": ["database"],
                           "axes": {"store_queue": [16]}},
@@ -577,7 +578,10 @@ class TestSmtAndEstimateVerbs:
     def test_estimate_resolves_without_the_dispatcher(self, client):
         # The worker never runs: estimates are answered inline on submit,
         # so the job is already done when the receipt comes back.
-        receipt = client.submit_estimate("database", scout="hws2")
+        receipt = client.submit({
+            "kind": "estimate",
+            "job": {"workload": "database", "core_changes": {"scout": "hws2"}},
+        })
         status = client.wait(receipt["id"], timeout=30.0)
         assert status["state"] == "done"
         result = status["result"]

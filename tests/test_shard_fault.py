@@ -117,6 +117,29 @@ class TestCorruptRecovery:
                     record.verify()
 
 
+class TestWireVersionedToken:
+    def test_checkpoint_of_another_wire_version_is_a_clean_miss(
+        self, tmp_path, monkeypatch,
+    ):
+        # A record's digest is taken over the wire encoding, so a record
+        # written under another encoding would fail verification and be
+        # reported corrupt.  Keyed by wire version, it is never read.
+        from repro.shard import checkpoint
+
+        monkeypatch.setattr(checkpoint, "PROTOCOL_VERSION", 1)
+        report = _runner(tmp_path).run_sharded(
+            JobSpec(workload="database"), 1, checkpoint_every=1000,
+        )
+        report.raise_on_failure()
+        shard = report.jobs[0].spec
+        store = CheckpointStore(ArtifactCache(tmp_path / "cache"))
+        old_token = store.token(shard, SMALL)
+        assert store.load(shard, SMALL) is not None
+        monkeypatch.undo()
+        assert store.token(shard, SMALL) != old_token
+        assert store.load(shard, SMALL) is None
+
+
 class TestCompletedShardsNotRecomputed:
     def test_only_faulted_shards_rerun(self, tmp_path, golden):
         runner = _runner(tmp_path)

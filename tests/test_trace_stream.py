@@ -6,7 +6,6 @@ import pytest
 
 from repro.isa import Instruction, InstructionClass
 from repro.trace import collect_statistics, materialize, take
-from repro.trace.stream import concatenate
 
 
 def nops(n, pc_base=0):
@@ -26,11 +25,6 @@ class TestStream:
 
     def test_materialize_realizes_iterators(self):
         assert len(materialize(iter(nops(5)))) == 5
-
-    def test_concatenate(self):
-        combined = list(concatenate(nops(3), nops(2, pc_base=100)))
-        assert len(combined) == 5
-        assert combined[3].pc == 100
 
 
 class TestStatistics:

@@ -26,39 +26,47 @@ Quickstart (see :mod:`repro.api` for the full front door)::
     result = api.run("database")             # default paper configuration
     print(result.summary())
     print(result.epi_per_1000)               # the paper's figure unit
+
+Every name below is exported lazily (PEP 562): ``import repro`` loads no
+submodule, and ``repro.MlpSimulator`` imports :mod:`repro.core` on first
+use.  A command imports only what it runs (DESIGN.md, "Import layering").
 """
 
-from . import api
-from .config import (
-    BranchPredictorConfig,
-    CacheConfig,
-    ConsistencyModel,
-    CoreConfig,
-    MemoryConfig,
-    ScoutMode,
-    SimulationConfig,
-    SmacConfig,
-    StorePrefetchMode,
-    SystemConfig,
-)
-from .core import (
-    MlpSimulator,
-    SimulationResult,
-    TerminationCondition,
-    TriggerKind,
-    simulate,
-)
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    ReproError,
-    SimulationError,
-    TraceError,
-)
-from .harness.experiment import ExperimentSettings
-from .isa import Instruction, InstructionClass
-from .memory import MemorySystem, StoreMissAccelerator, annotate_trace
-from .workloads import WORKLOADS, WorkloadGenerator, WorkloadProfile
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("api",),
+    ".config": (
+        "BranchPredictorConfig",
+        "CacheConfig",
+        "ConsistencyModel",
+        "CoreConfig",
+        "MemoryConfig",
+        "ScoutMode",
+        "SimulationConfig",
+        "SmacConfig",
+        "StorePrefetchMode",
+        "SystemConfig",
+    ),
+    ".core": (
+        "MlpSimulator",
+        "SimulationResult",
+        "TerminationCondition",
+        "TriggerKind",
+        "simulate",
+    ),
+    ".errors": (
+        "CalibrationError",
+        "ConfigError",
+        "ReproError",
+        "SimulationError",
+        "TraceError",
+    ),
+    ".harness.experiment": ("ExperimentSettings",),
+    ".isa": ("Instruction", "InstructionClass"),
+    ".memory": ("MemorySystem", "StoreMissAccelerator", "annotate_trace"),
+    ".workloads": ("WORKLOADS", "WorkloadGenerator", "WorkloadProfile"),
+})
 
 __version__ = "2.0.0"
 

@@ -72,19 +72,12 @@ extension and testing.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Union
 
+from ._lazy import lazy_exports
 from .config import SimulationConfig
 from .core.results import SimulationResult
-from .estimate import EpiEstimate, estimate
 from .engine.cache import ArtifactCache, resolve_cache_dir
-from .engine.runner import (
-    EngineRunner,
-    JobResult,
-    JobSpec,
-    RunReport,
-    ShardedReport,
-)
 from .harness.experiment import ExperimentSettings, Workbench
 from .harness.sweeps import (
     SweepRecord,
@@ -92,14 +85,30 @@ from .harness.sweeps import (
     coerce_axis_value,
     valid_axes,
 )
-from .obs.options import ObsOptions
-from .obs.recorder import EpochTimelineRecorder
-from .service.client import ServiceClient
 from .shard.checkpoint import CheckpointStore
 from .shard.execute import shard_plan_for
 from .shard.plan import ShardPlan
-from .smt import SmtResult, run_smt, valid_schedulers
-from .tune import SearchSpace, TuneResult, TuneSpec, run_tune
+
+if TYPE_CHECKING:
+    from .engine.runner import EngineRunner, JobResult, JobSpec
+    from .obs.options import ObsOptions
+    from .service.client import ServiceClient
+    from .smt import SmtResult
+    from .tune import SearchSpace, TuneResult, TuneSpec
+
+# A single run needs only the imports above.  The pool runner, the
+# estimator, SMT, tuning, tracing and the service client load when a
+# function below first uses them, or when one of these names is read.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine.runner": (
+        "EngineRunner", "JobResult", "JobSpec", "RunReport", "ShardedReport",
+    ),
+    ".estimate": ("EpiEstimate", "estimate"),
+    ".obs.options": ("ObsOptions",),
+    ".service.client": ("ServiceClient",),
+    ".smt": ("SmtResult", "valid_schedulers"),
+    ".tune": ("SearchSpace", "TuneResult", "TuneSpec"),
+})
 
 __all__ = [
     "EngineRunner",
@@ -144,6 +153,8 @@ def _resolve_obs(
             "(full ObsOptions), not both"
         )
     if trace is not None:
+        from .obs.options import ObsOptions
+
         return ObsOptions.for_trace(trace)
     return obs
 
@@ -234,6 +245,8 @@ def run(
     """
     options = _resolve_obs(trace, obs)
     if not isinstance(profile, str):
+        from .engine.runner import JobSpec
+
         base = JobSpec.coerce(profile)
         merged = dict(base.core_changes)
         merged.update(core_changes)
@@ -263,6 +276,8 @@ def run(
                 "contexts= cannot be combined with trace=/obs= "
                 "(SMT contexts drive their own shared-SMAC observers)"
             )
+        from .smt import run_smt
+
         if bench is None:
             bench = workbench(settings, cache_dir)
         return run_smt(
@@ -279,6 +294,8 @@ def run(
                 "bench= cannot be combined with shards=/checkpoint_every= "
                 "(sharded runs execute through an EngineRunner)"
             )
+        from .engine.runner import EngineRunner, JobSpec
+
         runner = EngineRunner(
             settings=settings or ExperimentSettings(),
             cache_dir=cache_dir,
@@ -305,6 +322,8 @@ def run(
             profile, variant=variant, config=config, backend=backend,
             **core_changes,
         )
+    from .obs.recorder import EpochTimelineRecorder
+
     tracer = options.open_tracer()
     try:
         observer = (
@@ -357,6 +376,8 @@ def sweep(
     Mutually exclusive; ignored if an explicit *runner* is supplied (the
     runner already carries its own obs configuration).
     """
+    from .engine.runner import EngineRunner, JobResult, RunReport
+
     options = _resolve_obs(trace, obs)
     if runner is not None and options is not None:
         raise ValueError(
@@ -468,6 +489,8 @@ def tune(
     Returns a :class:`TuneResult`; see ``result.best_knobs``,
     ``result.best_epi_per_1000`` and ``result.summary()``.
     """
+    from .tune import TuneSpec, run_tune
+
     options = _resolve_obs(trace, obs)
     if isinstance(space, TuneSpec):
         spec = space
@@ -516,6 +539,8 @@ def shard_plan(
     shards the trace actually supports (boundary-starved traces yield
     fewer than requested, never unsafe cuts).
     """
+    from .engine.runner import JobSpec
+
     if bench is None:
         bench = workbench(settings, cache_dir)
     spec = JobSpec(
@@ -548,6 +573,8 @@ def resume(
     resuming by token, and is silently discarded (fresh start) when
     resuming by spec.
     """
+    from .engine.runner import EngineRunner, JobSpec
+
     if isinstance(job_or_token, JobSpec):
         spec = job_or_token
         if spec.checkpoint_every <= 0:
@@ -598,6 +625,8 @@ def connect(
     each request holding for at most half of *timeout* (and the server's
     30 s cap).  ``status(job_id, wait=S)`` makes one such request.
     """
+    from .service.client import ServiceClient
+
     return ServiceClient(
         url, timeout=timeout, retries=retries, backoff=backoff,
     )

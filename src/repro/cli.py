@@ -44,36 +44,16 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
-from . import api
-from .api import (  # the documented facade re-exports the working types
-    EngineRunner,
-    ExperimentSettings,
-    JobSpec,
-    SweepSpec,
-    Workbench,
-)
+# Building the parser needs only these; each command imports what it runs
+# (DESIGN.md, "Import layering"), so ``mlpsim run`` never loads the pool
+# runner, the service client or the figure drivers.
 from .config import ConsistencyModel, ScoutMode, StorePrefetchMode
-from .core.backend import backend_names
-from .harness import (
-    coerce_axis_value,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    format_series,
-    table1,
-    table2,
-    table3,
-)
-from .harness.figures import ALL_WORKLOADS
-from .tune import STRATEGIES
-from .harness.formatting import format_table
-from .harness.tables import format_table1, format_table2, format_table3
+from .names import ALL_WORKLOADS, BACKENDS, STRATEGIES
+
+if TYPE_CHECKING:
+    from .harness.experiment import ExperimentSettings, Workbench
 
 _PREFETCH = {
     "sp0": StorePrefetchMode.NONE,
@@ -180,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for a sharded run (default: min(4, cpus))",
     )
     run.add_argument(
-        "--backend", default=None, choices=list(backend_names()),
+        "--backend", default=None, choices=list(BACKENDS),
         help="execution backend (default: $REPRO_BACKEND or 'event'); "
              "all backends return bit-identical results",
     )
@@ -242,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="every worker writes a JSONL trace file into this directory",
     )
     sw.add_argument(
-        "--backend", default=None, choices=list(backend_names()),
+        "--backend", default=None, choices=list(BACKENDS),
         help="execution backend for every grid point (default: "
              "$REPRO_BACKEND or 'event'); results are bit-identical",
     )
@@ -297,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tn.add_argument("--workers", type=int, default=None,
                     help="worker processes (default: min(4, cpus))")
     tn.add_argument(
-        "--backend", default=None, choices=list(backend_names()),
+        "--backend", default=None, choices=list(BACKENDS),
         help="execution backend for every evaluation",
     )
     tn.add_argument(
@@ -357,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_cmd.add_argument(
         "--backend", default=None,
-        choices=list(backend_names()) + ["all"],
+        choices=[*BACKENDS, "all"],
         help="perf-bench one execution backend, or 'all' for the full "
              "backend comparison report (BENCH_backends.json)",
     )
@@ -417,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--default-backend", default="",
-        choices=["", *backend_names()],
+        choices=["", *BACKENDS],
         help="backend stamped on jobs that did not pick one",
     )
 
@@ -498,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sb.add_argument("--priority", type=int, default=0)
     sb.add_argument(
-        "--backend", default="", choices=["", *backend_names()],
+        "--backend", default="", choices=["", *BACKENDS],
         help="execution backend the service should run the sweep on",
     )
     sb.add_argument("--no-wait", action="store_true",
@@ -582,6 +562,8 @@ def _cache_dir(args: argparse.Namespace) -> Any:
 
 def _parse_axis(spec: str, flag: str = "--axis") -> Tuple[str, List[Any]]:
     """``store_queue=16,32`` -> ("store_queue", [16, 32])."""
+    from .harness.sweeps import coerce_axis_value
+
     name, _, raw = spec.partition("=")
     name = name.strip()
     if not name or not raw:
@@ -646,6 +628,8 @@ def _parse_age(text: str) -> float:
 
 
 def _print_nested(results: dict, precision: int = 3) -> None:
+    from .harness.formatting import format_series
+
     for workload, series in results.items():
         print(f"== {workload} ==")
         if all(isinstance(v, dict) for v in series.values()):
@@ -664,6 +648,8 @@ def _print_nested(results: dict, precision: int = 3) -> None:
 
 
 def _print_figure3(bench: Workbench, workloads, sle: bool = False) -> None:
+    from .harness.figures import figure3
+
     results = figure3(bench, workloads, sle=sle)
     for workload, fractions in results.items():
         print(f"== {workload} ==")
@@ -674,6 +660,8 @@ def _print_figure3(bench: Workbench, workloads, sle: bool = False) -> None:
 
 
 def _print_figure4(bench: Workbench, workloads) -> None:
+    from .harness.figures import figure4
+
     results = figure4(bench, workloads)
     for workload, cells in results.items():
         print(f"== {workload} ==")
@@ -687,6 +675,9 @@ def _print_figure4(bench: Workbench, workloads) -> None:
 
 
 def _print_figure6(bench: Workbench, workloads) -> None:
+    from .harness.figures import figure6
+    from .harness.formatting import format_series
+
     results = figure6(bench, workloads)
     for workload, series in results.items():
         print(f"== {workload} ==")
@@ -710,6 +701,8 @@ def _print_with_perfect(results: dict) -> None:
 
 def _render_figure(name: str, bench: Workbench, workloads,
                    sle: bool = False) -> None:
+    from .harness.figures import figure2, figure5, figure7, figure8
+
     if name == "figure2":
         _print_nested(figure2(bench, workloads))
     elif name == "figure3":
@@ -729,6 +722,10 @@ def _render_figure(name: str, bench: Workbench, workloads,
 
 
 def _cmd_sweep(args, settings: ExperimentSettings, workloads) -> int:
+    from . import api
+    from .harness.formatting import format_table
+    from .harness.sweeps import SweepSpec
+
     axes = _parse_axes(args.axis, "--axis")
     if not axes:
         print("sweep needs at least one --axis", file=sys.stderr)
@@ -790,6 +787,9 @@ def _best_config_payload(result) -> Dict[str, Any]:
 
 
 def _cmd_tune(args, settings: ExperimentSettings, workloads) -> int:
+    from . import api
+    from .harness.formatting import format_table
+
     space = _parse_axes(args.param, "--param")
     if not space:
         print("tune needs at least one --param", file=sys.stderr)
@@ -845,6 +845,9 @@ def _cmd_tune(args, settings: ExperimentSettings, workloads) -> int:
 
 
 def _cmd_figures(args, settings: ExperimentSettings, workloads) -> int:
+    from . import api
+    from .engine.runner import EngineRunner, JobSpec
+
     names = [n.strip() for n in args.names.split(",") if n.strip()]
     unknown = set(names) - set(_FIGURES)
     if unknown:
@@ -875,6 +878,9 @@ def _cmd_figures(args, settings: ExperimentSettings, workloads) -> int:
 
 def _cmd_bench_smoke(args, settings: ExperimentSettings) -> int:
     """A tiny end-to-end parallel sweep: pipeline + cache + pool."""
+    from .engine.runner import EngineRunner, JobSpec
+    from .harness.experiment import ExperimentSettings
+
     smoke_settings = ExperimentSettings(
         warmup=min(settings.warmup, 3000),
         measure=min(settings.measure, 9000),
@@ -933,6 +939,8 @@ def _cmd_run(args, settings: ExperimentSettings) -> int:
 
 
 def _run(args, settings: ExperimentSettings) -> int:
+    from . import api
+
     _check_workload(args.workload, args.contexts)
     variant = (
         ("wc" if args.consistency == "wc" else "pc")
@@ -980,6 +988,8 @@ def _run(args, settings: ExperimentSettings) -> int:
             print("--trace is not supported with --shards/--checkpoint-every",
                   file=sys.stderr)
             return 2
+        from .engine.runner import EngineRunner, JobSpec
+
         runner = EngineRunner(
             settings=settings, cache_dir=_cache_dir(args),
             workers=args.workers,
@@ -1019,6 +1029,9 @@ def _run(args, settings: ExperimentSettings) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import api
+    from .harness.sweeps import coerce_axis_value
+
     knobs = {}
     for spec in args.knob:
         name, _, raw = spec.partition("=")
@@ -1056,6 +1069,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    from . import api
     from .errors import ReproError
 
     try:
@@ -1078,7 +1092,7 @@ def _cmd_resume(args) -> int:
 
 def _cmd_serve(args, settings: ExperimentSettings) -> int:
     from .fleet import serve_fleet
-    from .obs import ObsOptions
+    from .obs.options import ObsOptions
 
     obs = (
         ObsOptions.for_trace(
@@ -1106,8 +1120,8 @@ def _cmd_serve(args, settings: ExperimentSettings) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from .obs import ObsOptions
     from .fleet import run_worker
+    from .obs.options import ObsOptions
 
     obs = (
         ObsOptions.for_trace(
@@ -1226,7 +1240,7 @@ def _render_fleet_top(
 
 
 def _cmd_fleet(args) -> int:
-    from .service import ServiceClient, ServiceError
+    from .service.client import ServiceClient, ServiceError
 
     if args.fleet_command == "top":
         return _cmd_fleet_top(args)
@@ -1267,7 +1281,8 @@ def _cmd_fleet(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .obs import read_events, render_timeline
+    from .obs.report import render_timeline
+    from .obs.trace import read_events
 
     try:
         print(render_timeline(read_events(args.path), limit=args.limit),
@@ -1279,8 +1294,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_obs(args) -> int:
-    from .obs import load_events, read_events, render_report
-    from .obs.report import summarize
+    from .obs.report import render_report, summarize
+    from .obs.trace import load_events, read_events
 
     if args.obs_command == "report":
         try:
@@ -1300,12 +1315,12 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_obs_critical_path(args) -> int:
-    from .obs import (
+    from .obs.timeline import (
         fleet_job_ids,
         job_timeline,
-        load_events,
         render_timeline_report,
     )
+    from .obs.trace import load_events
 
     try:
         events = load_events(args.trace_path)
@@ -1341,7 +1356,7 @@ def _cmd_obs_critical_path(args) -> int:
 
 
 def _print_job_status(status: Dict[str, Any]) -> None:
-    from .service import ServiceClient
+    from .service.client import ServiceClient
 
     print(f"job {status['id']}: {status['state']} "
           f"({status['description']})")
@@ -1361,7 +1376,8 @@ def _print_job_status(status: Dict[str, Any]) -> None:
 
 
 def _cmd_submit(args) -> int:
-    from .service import ServiceError
+    from . import api
+    from .service.client import ServiceError
 
     axes = _parse_axes(args.axis, "--axis")
     if not axes:
@@ -1391,7 +1407,8 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    from .service import ServiceError
+    from . import api
+    from .service.client import ServiceError
 
     try:
         status = api.connect(args.url).status(args.job_id)
@@ -1436,14 +1453,19 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    settings = ExperimentSettings(
+def _settings(args: argparse.Namespace) -> ExperimentSettings:
+    from .harness.experiment import ExperimentSettings
+
+    return ExperimentSettings(
         warmup=args.warmup,
         measure=args.measure,
         seed=args.seed,
         calibrate=not args.no_calibrate,
     )
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     workloads = tuple(
         name.strip() for name in args.workloads.split(",") if name.strip()
     )
@@ -1453,13 +1475,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     if args.command == "run":
-        return _cmd_run(args, settings)
+        return _cmd_run(args, _settings(args))
     if args.command == "estimate":
         return _cmd_estimate(args)
     if args.command == "resume":
         return _cmd_resume(args)
     if args.command == "serve":
-        return _cmd_serve(args, settings)
+        return _cmd_serve(args, _settings(args))
     if args.command == "worker":
         return _cmd_worker(args)
     if args.command == "fleet":
@@ -1475,11 +1497,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "obs":
         return _cmd_obs(args)
     if args.command == "sweep":
-        return _cmd_sweep(args, settings, workloads)
+        return _cmd_sweep(args, _settings(args), workloads)
     if args.command == "tune":
-        return _cmd_tune(args, settings, workloads)
+        return _cmd_tune(args, _settings(args), workloads)
     if args.command == "figures":
-        return _cmd_figures(args, settings, workloads)
+        return _cmd_figures(args, _settings(args), workloads)
     if args.command == "bench":
         if args.perf:
             from .bench.perf import main as perf_main
@@ -1495,15 +1517,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not args.smoke:
             print("bench requires --smoke or --perf", file=sys.stderr)
             return 2
-        return _cmd_bench_smoke(args, settings)
+        return _cmd_bench_smoke(args, _settings(args))
 
-    bench = api.workbench(settings, _cache_dir(args))
+    from . import api
+    from .harness import tables
+
+    bench = api.workbench(_settings(args), _cache_dir(args))
     if args.command == "table1":
-        print(format_table1(table1(bench, workloads)))
+        print(tables.format_table1(tables.table1(bench, workloads)))
     elif args.command == "table2":
-        print(format_table2(table2(bench, workloads)))
+        print(tables.format_table2(tables.table2(bench, workloads)))
     elif args.command == "table3":
-        print(format_table3(table3(bench, workloads)))
+        print(tables.format_table3(tables.table3(bench, workloads)))
     elif args.command == "figure3":
         _render_figure("figure3", bench, workloads, sle=args.sle)
     elif args.command in _FIGURES:

@@ -389,7 +389,7 @@ class EventSimulator(MlpSimulator):
                 continue
 
             state.pos = pos
-            serial_handlers[kind](trace, state, inst, info)
+            serial_handlers[kind](self, trace, state, inst, info)
             if state.termination is not None:
                 break  # pos stays: the stalled instruction retries next epoch
             pos += 1

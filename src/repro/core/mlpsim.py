@@ -110,24 +110,28 @@ class MlpSimulator:
         # Precomputed dispatch for the serializing instruction classes.
         # The consistency model decides each class's semantics once, here,
         # instead of per instruction inside the scan loop.  All handlers
-        # share the (trace, state, inst, info) signature.
+        # share the (self, trace, state, inst, info) signature.  They are
+        # stored unbound: bound methods would point back at the simulator,
+        # and the cycle would keep every finished simulator (with its
+        # trace and any skip tables) alive until the cyclic collector ran.
+        cls = type(self)
         if self.core.consistency is ConsistencyModel.PC:
             self._serial_handlers = {
-                InstructionClass.CAS: self._handle_serializer_pc,
-                InstructionClass.MEMBAR: self._handle_serializer_pc,
+                InstructionClass.CAS: cls._handle_serializer_pc,
+                InstructionClass.MEMBAR: cls._handle_serializer_pc,
                 # isync waits on older instructions only under WC; in a
                 # PC-configured run it executes freely.
-                InstructionClass.ISYNC: self._handle_freely,
-                InstructionClass.LWSYNC: self._handle_barrier,
+                InstructionClass.ISYNC: cls._handle_freely,
+                InstructionClass.LWSYNC: cls._handle_barrier,
             }
         else:
             self._serial_handlers = {
                 # CAS in a WC-configured run of a TSO trace: an atomic
                 # load+store without TSO's drain semantics.
-                InstructionClass.CAS: self._handle_wc_cas,
-                InstructionClass.MEMBAR: self._handle_barrier,
-                InstructionClass.ISYNC: self._handle_isync_wc,
-                InstructionClass.LWSYNC: self._handle_barrier,
+                InstructionClass.CAS: cls._handle_wc_cas,
+                InstructionClass.MEMBAR: cls._handle_barrier,
+                InstructionClass.ISYNC: cls._handle_isync_wc,
+                InstructionClass.LWSYNC: cls._handle_barrier,
             }
 
     # ------------------------------------------------------------------ run --
@@ -464,7 +468,7 @@ class MlpSimulator:
             # Rare serializing classes (CAS/MEMBAR/ISYNC/LWSYNC) through the
             # per-model dispatch table.
             state.pos = pos
-            serial_handlers[kind](trace, state, inst, info)
+            serial_handlers[kind](self, trace, state, inst, info)
             if state.termination is not None:
                 break  # pos stays: the stalled instruction retries next epoch
             pos += 1

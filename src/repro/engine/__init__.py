@@ -13,26 +13,32 @@ Sits between the core simulator and the experiment harness:
 
 The Workbench (:mod:`repro.harness.experiment`) builds on the cache; the
 sweep helpers (:mod:`repro.harness.sweeps`), the CLI and the figure benches
-build on the runner.
+build on the runner.  The names below are exported lazily, so a single run,
+which reads the cache but never starts a pool, does not import the runner
+(or ``multiprocessing``).
 """
 
-from .cache import (
-    ArtifactCache,
-    CacheStats,
-    DiskTierStats,
-    PruneResult,
-    content_key,
-    resolve_cache_dir,
-    stable_token,
-)
-from .runner import (
-    EngineRunner,
-    JobResult,
-    JobSpec,
-    RunReport,
-    execute_job,
-)
-from .serialize import from_jsonable, to_jsonable
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": (
+        "ArtifactCache",
+        "CacheStats",
+        "DiskTierStats",
+        "PruneResult",
+        "content_key",
+        "resolve_cache_dir",
+        "stable_token",
+    ),
+    ".runner": (
+        "EngineRunner",
+        "JobResult",
+        "JobSpec",
+        "RunReport",
+        "execute_job",
+    ),
+    ".serialize": ("from_jsonable", "to_jsonable"),
+})
 
 __all__ = [
     "ArtifactCache",

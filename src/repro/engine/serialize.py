@@ -20,9 +20,11 @@ one tagged encoding shared by every such type:
 
 Only *registered* classes decode: :func:`register` maps a class name to its
 type, and every module that defines a wire-visible dataclass registers it at
-import time.  Decoding an unregistered name raises :class:`SerializeError`
-with the offending tag — a loud failure beats silently instantiating the
-wrong thing from untrusted input.
+import time.  Those modules are listed in ``_WIRE_MODULES``; a lookup that
+misses imports them once, so a payload decodes in a process that has not
+imported its types' modules yet.  Decoding an unregistered name raises
+:class:`SerializeError` with the offending tag — a loud failure beats
+silently instantiating the wrong thing from untrusted input.
 
 The encoding is pure data: ``json.dumps(to_jsonable(x))`` always succeeds
 for registered types, and ``from_jsonable(json.loads(s))`` rebuilds equal
@@ -33,16 +35,29 @@ from __future__ import annotations
 
 import enum
 import functools
+import importlib
 import typing
 from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Tuple, Type
 
 __all__ = [
+    "PROTOCOL_VERSION",
     "SerializeError",
     "from_jsonable",
     "register",
     "to_jsonable",
 ]
+
+#: Wire protocol version.  Every request and response envelope of the
+#: service carries it as ``"v"``; a request naming a different version is
+#: answered with a structured 400 instead of being misinterpreted.  Version
+#: 2 encodes epoch record lists column-wise (``$cols``, below), which a
+#: version-1 client cannot decode; the request format is unchanged, so a
+#: request without ``"v"`` (curl, the pre-versioning form) is accepted.
+#: It lives with the encoding it versions, so the checkpoint store can key
+#: records by it without importing the service (:mod:`repro.service.protocol`
+#: re-exports it).
+PROTOCOL_VERSION = 2
 
 
 class SerializeError(TypeError):
@@ -56,6 +71,25 @@ _ENUMS: Dict[str, Type[enum.Enum]] = {}
 _COLUMNAR: Dict[str, Tuple[type, Tuple[Tuple[str, type], ...]]] = {}
 #: Field types a column may hold: JSON scalars, or enums as their values.
 _SCALARS = (bool, int, float, str)
+
+#: The modules that register wire-visible types when imported.  Package
+#: exports are lazy, so a process can receive a payload naming a type
+#: whose module it has not imported; the first lookup that misses imports
+#: these, then looks again.
+_WIRE_MODULES = (
+    "..engine.runner",
+    "..estimate",
+    "..harness.experiment",
+    "..harness.sweeps",
+    "..service.protocol",
+    "..shard.checkpoint",
+    "..shard.plan",
+    "..smt.results",
+    "..tune.driver",
+    "..tune.space",
+    "..tune.state",
+)
+_wire_modules_loaded = False
 
 
 def register(*types: type) -> None:
@@ -96,6 +130,19 @@ def _register_columns(cls: type) -> None:
             )
     register(cls)
     _COLUMNAR[cls.__name__] = (cls, columns)
+
+
+def _registered(table: Dict[str, Any], name: Any) -> Any:
+    """The entry *table* holds for *name*, importing the wire modules
+    once if it holds none yet."""
+    global _wire_modules_loaded
+    entry = table.get(name)
+    if entry is None and not _wire_modules_loaded:
+        for module in _WIRE_MODULES:
+            importlib.import_module(module, __package__)
+        _wire_modules_loaded = True
+        entry = table.get(name)
+    return entry
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,14 +193,14 @@ def from_jsonable(data: Any) -> Any:
         return [from_jsonable(item) for item in data]
     if isinstance(data, dict):
         if "$enum" in data:
-            cls = _ENUMS.get(data["$enum"])
+            cls = _registered(_ENUMS, data["$enum"])
             if cls is None:
                 raise SerializeError(
                     f"unknown enum type {data['$enum']!r} in payload"
                 )
             return cls(data["value"])
         if "$dc" in data:
-            cls = _DATACLASSES.get(data["$dc"])
+            cls = _registered(_DATACLASSES, data["$dc"])
             if cls is None:
                 raise SerializeError(
                     f"unknown dataclass type {data['$dc']!r} in payload"
@@ -205,7 +252,7 @@ def _encode_columns(
 
 def _decode_columns(data: Dict[str, Any]) -> List[Any]:
     name = data["$cols"]
-    entry = _COLUMNAR.get(name) if isinstance(name, str) else None
+    entry = _registered(_COLUMNAR, name) if isinstance(name, str) else None
     if entry is None:
         raise SerializeError(f"unknown column type {name!r} in payload")
     cls, columns = entry

@@ -321,10 +321,14 @@ class FleetCoordinator:
         request = parse_job_request(payload)
         if request.kind == "estimate":
             # Pure arithmetic — resolved inline on the coordinator, no
-            # worker lease, no queue wait.
+            # worker lease, no queue wait.  The answer is computed before
+            # the job is queued: the dispatcher claims queued jobs, so
+            # the job must not wait in the queue for it (the first
+            # estimate also imports the mix resolver).
+            payload = estimate_payload(request)
             job, deduped = self.queue.submit(request)
             if not deduped:
-                self.queue.resolve_queued(job.id, estimate_payload(request))
+                self.queue.resolve_queued(job.id, payload)
                 self._record_finish(job)
             self.metrics.inc("jobs_submitted_total")
             if deduped:

@@ -36,6 +36,11 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional
 
+# The leased job path, imported before the worker joins rather than inside
+# its first lease: shard tasks run through repro.shard, and every task
+# resolves a built-in backend (importing repro.core.backends registers them).
+from .. import shard  # noqa: F401
+from ..core import backends  # noqa: F401
 from ..engine import serialize
 from ..engine.runner import EngineRunner, JobSpec, default_workers
 from ..errors import ReproError

@@ -6,30 +6,36 @@ figure-level sweeps (dozens of core configurations) pay the expensive
 memory-side simulation only once per variant.
 :mod:`~repro.harness.tables` and :mod:`~repro.harness.figures` are the
 drivers, one function per paper exhibit; each returns structured data and
-has a matching formatter in :mod:`~repro.harness.formatting`.
+has a matching formatter in :mod:`~repro.harness.formatting`.  The names
+below are exported lazily: a single run imports the Workbench, not the
+figure, table and report drivers.
 """
 
-from .experiment import ExperimentSettings
-from .figures import (
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-)
-from .formatting import format_table, format_series
-from .report import generate_report
-from .sweeps import (
-    SweepRecord,
-    SweepSpec,
-    best_point,
-    coerce_axis_value,
-    pareto_front,
-    valid_axes,
-)
-from .tables import table1, table2, table3
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".experiment": ("ExperimentSettings",),
+    ".figures": (
+        "figure2",
+        "figure3",
+        "figure4",
+        "figure5",
+        "figure6",
+        "figure7",
+        "figure8",
+    ),
+    ".formatting": ("format_table", "format_series"),
+    ".report": ("generate_report",),
+    ".sweeps": (
+        "SweepRecord",
+        "SweepSpec",
+        "best_point",
+        "coerce_axis_value",
+        "pareto_front",
+        "valid_axes",
+    ),
+    ".tables": ("table1", "table2", "table3"),
+})
 
 __all__ = [
     "ExperimentSettings",

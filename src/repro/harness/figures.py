@@ -21,10 +21,9 @@ from ..config import (
     StorePrefetchMode,
 )
 from ..core.epoch import TerminationCondition
+from ..names import ALL_WORKLOADS
 from ..workloads import WORKLOADS, WorkloadProfile
 from .experiment import SharingSettings, Workbench
-
-ALL_WORKLOADS: Tuple[str, ...] = ("database", "tpcw", "specjbb", "specweb")
 
 _PREFETCH_LABELS = {
     StorePrefetchMode.NONE: "Sp0",

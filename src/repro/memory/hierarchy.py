@@ -221,21 +221,31 @@ class MemorySystem:
     # -- coherence side -----------------------------------------------------------
 
     def snoop_store(self, address: int) -> None:
-        """A remote chip wrote *address*: invalidate everywhere."""
+        """A remote chip wrote *address*: invalidate everywhere.
+
+        A dirty (Modified) L2 copy is written back before it is dropped.
+        """
         line = self.l2.line_address(address)
-        self.l2.invalidate(line)
+        dropped = self.l2.invalidate(line)
+        if dropped is not None and dropped.dirty:
+            self.l2.stats.writebacks += 1
         self.l1d.invalidate(line)
         self.l1i.invalidate(line)
         if self.smac is not None and self.smac.snoop(address):
             self.stats.smac_coherence_invalidates += 1
 
     def snoop_load(self, address: int) -> None:
-        """A remote chip read *address*: downgrade, surrender SMAC ownership."""
+        """A remote chip read *address*: downgrade, surrender SMAC ownership.
+
+        A dirty (Modified) L2 copy is written back as it becomes Shared.
+        """
         line = self.l2.line_address(address)
         cached = self.l2.probe(line)
         if cached is not None:
+            if cached.dirty:
+                self.l2.stats.writebacks += 1
             cached.state = MesiState.SHARED
-            cached.dirty = False  # writeback implied on M->S
+            cached.dirty = False
         if self.smac is not None and self.smac.snoop(address):
             self.stats.smac_coherence_invalidates += 1
 

@@ -23,47 +23,52 @@ One package shared by the simulator core, the engine and the service:
 Everything is standard library only, and everything is pay-for-what-you-
 use: with no tracer, recorder or profiler attached the hot paths keep
 their existing ``is None`` fast checks and golden results stay
-bit-identical.
+bit-identical.  Imports are pay-for-what-you-use too: the names below are
+exported lazily, so importing one submodule loads only that submodule.
 """
 
-from .context import (
-    correlation,
-    correlation_id,
-    current_traceparent,
-    format_traceparent,
-    new_correlation_id,
-    new_span_id,
-    parent_span_id,
-    parse_traceparent,
-    set_correlation_id,
-    set_parent_span_id,
-    trace_context,
-)
-from .logging import get_logger, setup_logging
-from .metrics import MetricsRegistry, percentile
-from .options import ObsOptions
-from .profile import PhaseProfiler
-from .recorder import STALL_CONDITIONS, EpochTimelineRecorder
-from .report import render_report, render_timeline, summarize
-from .timeline import (
-    PHASES,
-    JobTimeline,
-    aggregate_phases,
-    connected_roots,
-    critical_path,
-    fleet_job_ids,
-    job_timeline,
-    render_timeline_report,
-    span_tree,
-)
-from .trace import (
-    Span,
-    Tracer,
-    default_trace_file,
-    load_events,
-    read_events,
-    trace_files,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".context": (
+        "correlation",
+        "correlation_id",
+        "current_traceparent",
+        "format_traceparent",
+        "new_correlation_id",
+        "new_span_id",
+        "parent_span_id",
+        "parse_traceparent",
+        "set_correlation_id",
+        "set_parent_span_id",
+        "trace_context",
+    ),
+    ".logging": ("get_logger", "setup_logging"),
+    ".metrics": ("MetricsRegistry", "percentile"),
+    ".options": ("ObsOptions",),
+    ".profile": ("PhaseProfiler",),
+    ".recorder": ("STALL_CONDITIONS", "EpochTimelineRecorder"),
+    ".report": ("render_report", "render_timeline", "summarize"),
+    ".timeline": (
+        "PHASES",
+        "JobTimeline",
+        "aggregate_phases",
+        "connected_roots",
+        "critical_path",
+        "fleet_job_ids",
+        "job_timeline",
+        "render_timeline_report",
+        "span_tree",
+    ),
+    ".trace": (
+        "Span",
+        "Tracer",
+        "default_trace_file",
+        "load_events",
+        "read_events",
+        "trace_files",
+    ),
+})
 
 __all__ = [
     "EpochTimelineRecorder",

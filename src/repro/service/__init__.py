@@ -17,12 +17,19 @@ identical requests.  This package holds the pieces it is built from:
   fleet worker leases whole, and answers the ``estimate`` verb,
 - :mod:`repro.service.client` — the blocking Python client used by the
   CLI (``mlpsim submit`` / ``mlpsim status``) and the tests.
+
+The names below are exported lazily, so importing one piece (the
+protocol, say) does not load the HTTP client.
 """
 
-from ..obs.metrics import MetricsRegistry
-from .client import ServiceClient, ServiceError
-from .jobqueue import Job, JobQueue, JobState, QueueFullError
-from .protocol import JobRequest, ProtocolError, parse_job_request
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..obs.metrics": ("MetricsRegistry",),
+    ".client": ("ServiceClient", "ServiceError"),
+    ".jobqueue": ("Job", "JobQueue", "JobState", "QueueFullError"),
+    ".protocol": ("JobRequest", "ProtocolError", "parse_job_request"),
+})
 
 __all__ = [
     "Job",

@@ -70,10 +70,11 @@ from ..core.backend import backend_names
 from ..engine import serialize
 from ..engine.cache import content_key
 from ..engine.runner import JobSpec
+from ..engine.serialize import PROTOCOL_VERSION
 from ..errors import ProtocolError
-from ..harness.figures import ALL_WORKLOADS
 from ..harness.sweeps import SweepSpec, coerce_axis_value
-from ..tune import STRATEGIES, TuneSpec
+from ..names import ALL_WORKLOADS, STRATEGIES
+from ..tune import TuneSpec
 
 __all__ = [
     "FIGURES",
@@ -84,14 +85,6 @@ __all__ = [
     "jsonify",
     "parse_job_request",
 ]
-
-#: Wire protocol version.  Every request and response envelope carries it
-#: as ``"v"``; a request naming a different version is answered with a
-#: structured 400 instead of being misinterpreted.  Version 2 encodes epoch
-#: record lists column-wise (``$cols``, see :mod:`repro.engine.serialize`),
-#: which a version-1 client cannot decode; the request format is unchanged,
-#: so a request without ``"v"`` (curl, the pre-versioning form) is accepted.
-PROTOCOL_VERSION = 2
 
 JOB_KINDS = ("sweep", "simulate", "figure", "tune", "estimate")
 FIGURES = ("figure2", "figure3", "figure4", "figure5", "figure6",

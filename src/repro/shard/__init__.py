@@ -23,6 +23,13 @@ This package supplies the three pieces:
 
 Reachable through the facade as :func:`repro.api.shard_plan`,
 ``api.run(..., shards=N, checkpoint_every=K)`` and :func:`repro.api.resume`.
+
+Unlike the other packages, this one binds its names eagerly: ``repro.api``
+imports :func:`shard_plan_for`, which loads every submodule here anyway,
+and the benchmark's layer spans (``perfbench/layers.py``) replace
+``shard_plan_for`` and ``merge_results`` on this package, which only a real
+module attribute allows.  None of the submodules imports the service, the
+pool runner or ``repro.obs``.
 """
 
 from .checkpoint import CheckpointRecord, CheckpointStore, FaultInjector

@@ -42,8 +42,8 @@ from ..core.store_unit import StoreEntry, StoreUnitStats
 from ..core.window import DeferredLoad
 from ..engine import serialize
 from ..engine.cache import ArtifactCache, content_key
+from ..engine.serialize import PROTOCOL_VERSION
 from ..errors import CheckpointCorruptError, FaultInjectedError
-from ..service.protocol import PROTOCOL_VERSION
 
 if TYPE_CHECKING:
     from ..engine.runner import JobSpec

@@ -6,13 +6,18 @@ provides binary persistence (:mod:`~repro.trace.reader` /
 artifact cache stores annotations in (:mod:`~repro.trace.annotated`),
 composable stream utilities
 (:mod:`~repro.trace.stream`) and whole-trace statistics used for the
-paper's Table 1 (:mod:`~repro.trace.stats`).
+paper's Table 1 (:mod:`~repro.trace.stats`).  The names below are exported
+lazily: the artifact cache imports the codec, not the statistics.
 """
 
-from .reader import read_trace, read_trace_file
-from .stats import InstructionMix, TraceStatistics, collect_statistics
-from .stream import take, materialize
-from .writer import write_trace, write_trace_file
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".reader": ("read_trace", "read_trace_file"),
+    ".stats": ("InstructionMix", "TraceStatistics", "collect_statistics"),
+    ".stream": ("take", "materialize"),
+    ".writer": ("write_trace", "write_trace_file"),
+})
 
 __all__ = [
     "InstructionMix",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Mapping, Tuple
 
+from ..names import STRATEGIES
 from .space import Candidate, SearchSpace, canonical_candidate
 
 __all__ = [
@@ -32,10 +33,6 @@ __all__ = [
     "Tuner",
     "make_tuner",
 ]
-
-#: The registered strategy names, in documentation order.
-STRATEGIES = ("grid", "random", "genetic")
-
 
 class Tuner:
     """Base ask/tell search driver over a :class:`SearchSpace`."""

@@ -104,6 +104,28 @@ class TestRegistry:
         with pytest.raises(UnknownBackendError):
             resolve_backend()
 
+    @pytest.mark.parametrize("consistency", list(ConsistencyModel))
+    def test_a_finished_simulation_leaves_no_cyclic_garbage(
+        self, bench, consistency,
+    ):
+        # A long-lived process (a fleet worker) runs simulation after
+        # simulation.  A simulator caught in a reference cycle outlives its
+        # run, with its trace and skip tables, until the cyclic collector
+        # happens to run: the worker's memory then swings by hundreds of
+        # MB.  Reference counting alone must free every simulator.
+        import gc
+
+        trace = bench.annotated("database", "pc")[:2000]
+        config = SimulationConfig().with_core(consistency=consistency)
+        gc.collect()
+        gc.disable()
+        try:
+            for name in backend_names():
+                resolve_backend(name).simulate(config, trace)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 # ----------------------------------------------- workload-level differential --
 

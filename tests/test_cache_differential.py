@@ -280,7 +280,10 @@ class ReferenceMemory:
 
     def snoop_store(self, address):
         line = self._line(address)
-        for cache in (self.l2, self.l1d, self.l1i):
+        dropped = self.l2.invalidate(line)
+        if dropped is not None:
+            self.l2.stats["writebacks"] += dropped[1]  # a dirty line
+        for cache in (self.l1d, self.l1i):
             cache.invalidate(line)
         if self.smac is not None and self.smac.snoop(address):
             self.stats["smac_coherence_invalidates"] += 1
@@ -288,6 +291,7 @@ class ReferenceMemory:
     def snoop_load(self, address):
         entry = self.l2.probe(self._line(address))
         if entry is not None:
+            self.l2.stats["writebacks"] += entry[1]  # a dirty line
             entry[1], entry[2] = False, S
         if self.smac is not None and self.smac.snoop(address):
             self.stats["smac_coherence_invalidates"] += 1

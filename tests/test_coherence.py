@@ -64,6 +64,7 @@ class TestSnoopRead:
         line = memory.l2.probe(ADDRESS)
         assert line.state is MesiState.SHARED
         assert not line.dirty  # the data went back to memory
+        assert memory.l2.stats.writebacks == 1
 
     @pytest.mark.parametrize("state", [MesiState.EXCLUSIVE, MesiState.SHARED])
     def test_clean_states_downgrade_silently(self, memory, state):
@@ -72,6 +73,7 @@ class TestSnoopRead:
         line = memory.l2.probe(ADDRESS)
         assert line.state is MesiState.SHARED
         assert not line.dirty
+        assert memory.l2.stats.writebacks == 0
 
     def test_invalid_stays_invalid(self, memory):
         memory.snoop_load(ADDRESS)
@@ -85,6 +87,7 @@ class TestSnoopWrite:
         memory.snoop_store(ADDRESS)
         assert state_of(memory) is MesiState.INVALID
         assert memory.l2.stats.snoop_invalidates == 1
+        assert memory.l2.stats.writebacks == 1
 
     @pytest.mark.parametrize("state", [
         MesiState.EXCLUSIVE, MesiState.SHARED, MesiState.INVALID,

@@ -80,7 +80,7 @@ class TestSerialization:
             )
             return {
                 kind for kind, handler in simulator._serial_handlers.items()
-                if handler.__func__ is MlpSimulator._handle_serializer_pc
+                if handler is MlpSimulator._handle_serializer_pc
             }
 
         assert draining(ConsistencyModel.PC) == {

@@ -4,17 +4,16 @@
 Starts a coordinator without a local worker and two worker *processes*
 (the same ``mlpsim serve --workers 0`` / ``mlpsim worker --join`` entry
 points a user runs), submits a sharded simulate job, SIGKILLs one worker
-while it holds a leased shard with at least one checkpoint persisted, and
-then asserts:
+while it holds a leased, unfinished shard, and then asserts:
 
 1. the coordinator evicts the dead worker and requeues its shard;
-2. the surviving worker resumes the shard from the killed worker's
-   checkpoint (``resumed_shards >= 1`` — no completed work redone);
+2. the surviving worker recomputes the shard: the job took a second
+   round, and the shard reports ``attempts > 1``;
 3. the merged result is bit-identical to a direct single-process run;
 4. the job's trace — coordinator plus both worker processes, across the
-   SIGKILL and the cross-worker resume — joins into ONE connected span
-   tree, and its five-phase decomposition reconciles with the measured
-   wall time within 5%;
+   SIGKILL and the re-lease — joins into ONE connected span tree, and
+   its five-phase decomposition reconciles with the measured wall time
+   within 5%;
 5. ``/metrics`` carries both workers' federated labeled series
    (``fleet_worker_*{worker="..."}``), the SIGKILLed worker's included;
 6. a SIGTERM drain shuts the coordinator down cleanly (exit 0, nothing
@@ -24,13 +23,13 @@ A rendered critical-path report is always written to
 ``<log-dir>/fleet-critical-path.txt`` so CI failure artifacts include
 the per-phase post-mortem.
 
-Exits non-zero with diagnostics on any deviation; CI uploads the log and
-checkpoint directories as artifacts for post-mortem.
+Exits non-zero with diagnostics on any deviation; CI uploads the log
+directory as an artifact for post-mortem.
 
 Usage::
 
     python scripts/fleet_smoke.py [--cache-dir DIR] [--shards N]
-        [--checkpoint-every K]
+        [--log-dir DIR]
 """
 
 from __future__ import annotations
@@ -71,17 +70,25 @@ def _wait_for(predicate, timeout: float, what: str):
     raise TimeoutError(f"timed out waiting for {what}")
 
 
+def _federated(metrics: dict) -> set:
+    """Workers with a labeled series on the coordinator's /metrics."""
+    return {
+        entry["labels"].get("worker")
+        for entry in metrics.get("labeled", {}).get(
+            "fleet_worker_tasks_done_total", [],
+        )
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cache-dir", default=".ci-fleet-cache")
     parser.add_argument("--workload", default="database")
     parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--checkpoint-every", type=int, default=2000)
     parser.add_argument("--warmup", type=int, default=3000)
     # Large enough that one shard runs for whole seconds even on a fast
     # host: the SIGKILL must land while the victim still holds a leased,
-    # checkpointed, *unfinished* shard, and that window is the shard's
-    # execution time.
+    # *unfinished* shard, and that window is the shard's execution time.
     parser.add_argument("--measure", type=int, default=60000)
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--log-dir", default=".")
@@ -154,44 +161,51 @@ def main(argv: list[str] | None = None) -> int:
             30.0, "both workers to register",
         )
         print("fleet smoke: 2 workers registered")
+        # A worker's totals ride on its heartbeats: let both report once,
+        # so the victim has series to retain after it is killed.
+        _wait_for(
+            lambda: {"victim", "survivor"} <= _federated(
+                _get(url, "/metrics?format=json"),
+            ),
+            30.0, "both workers to report metrics",
+        )
 
         client = ServiceClient(url, timeout=30.0)
         receipt = client.submit({
             "kind": "simulate",
             "job": {"workload": args.workload, "variant": "pc"},
             "shards": args.shards,
-            "checkpoint_every": args.checkpoint_every,
         })
         job_id = receipt["id"]
         print(f"fleet smoke: sharded job {job_id} submitted")
 
-        # Kill the victim once it holds a lease AND its shard has persisted
-        # a checkpoint (so there is something to resume from).
-        def victim_leases_with_checkpoint():
-            status = _get(url, "/v1/fleet/status")
-            victims = [
-                w["id"] for w in status["workers"] if w["name"] == "victim"
-            ]
-            if not victims:
-                return False
-            held = [
-                t for t in status["task_table"]
-                if t["state"] == "leased" and t["worker"] == victims[0]
-            ]
-            checkpoint_dir = os.path.join(cache_dir, "checkpoint")
-            return bool(held) and bool(
-                os.path.isdir(checkpoint_dir)
-                and len(os.listdir(checkpoint_dir)) >= args.shards
-            )
+        # Kill the victim while it holds a leased, unfinished shard.  It is
+        # SIGSTOPped first, so the lease can be confirmed still open (not
+        # completed in between) before the SIGKILL lands.
+        victim = workers["victim"]
 
-        _wait_for(
-            victim_leases_with_checkpoint, 60.0,
-            "the victim to lease a shard with a checkpoint on disk",
-        )
-        os.kill(workers["victim"].pid, signal.SIGKILL)
+        def victim_lease():
+            status = _get(url, "/v1/fleet/status")
+            ids = [w["id"] for w in status["workers"] if w["name"] == "victim"]
+            return ids and [
+                t["id"] for t in status["task_table"]
+                if t["state"] == "leased" and t["worker"] == ids[0]
+            ]
+
+        deadline = time.monotonic() + 60.0
+        while True:
+            held = _wait_for(
+                victim_lease, max(0.1, deadline - time.monotonic()),
+                "the victim to lease a shard",
+            )
+            os.kill(victim.pid, signal.SIGSTOP)
+            if set(held) & set(victim_lease() or ()):
+                break
+            os.kill(victim.pid, signal.SIGCONT)  # it finished: next lease
+        os.kill(victim.pid, signal.SIGKILL)
         print(
-            f"fleet smoke: SIGKILLed worker 'victim' "
-            f"(pid {workers['victim'].pid}) mid-shard"
+            f"fleet smoke: SIGKILLed worker 'victim' (pid {victim.pid}) "
+            f"holding {sorted(held)}"
         )
 
         status = client.wait(job_id, timeout=300.0)
@@ -203,33 +217,23 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sharded = status["result"]["sharded"]
             report = ShardedReport.from_dict(status["result"]["report"])
+            attempts = [job.attempts for job in report.jobs]
             print(
-                f"  rounds={sharded['rounds']} "
-                f"resumed_shards={sharded['resumed_shards']} "
+                f"  rounds={sharded['rounds']} attempts={attempts} "
                 f"plan={sharded['plan']}"
             )
             if sharded["rounds"] < 2:
                 failures.append(
                     "the killed shard was never re-leased (rounds < 2)"
                 )
-            if sharded["resumed_shards"] < 1:
+            if max(attempts) < 2:
                 failures.append(
-                    "the re-routed shard did not resume from the dead "
-                    "worker's checkpoint"
+                    "no shard reports a recomputation (attempts > 1)"
                 )
             if report.merged != golden:
                 failures.append(
                     "merged fleet result differs from the single-process "
                     "golden"
-                )
-            redone = [
-                job for job in report.jobs
-                if job.ok and job.attempts > 1 and job.resumed_pos < 0
-            ]
-            if redone:
-                failures.append(
-                    f"{len(redone)} shard(s) were recomputed from scratch "
-                    f"instead of resuming"
                 )
         metrics = _get(url, "/metrics?format=json")
         if metrics["gauges"].get("fleet_workers_evicted_total", 0) < 1:
@@ -238,12 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         # Metrics federation: both worker processes must have labeled
         # series on the coordinator's /metrics — including the SIGKILLed
         # one, whose last reported totals are retained after eviction.
-        federated = {
-            entry["labels"].get("worker")
-            for entry in metrics.get("labeled", {}).get(
-                "fleet_worker_tasks_done_total", [],
-            )
-        }
+        federated = _federated(metrics)
         missing = {"victim", "survivor"} - federated
         if missing:
             failures.append(
@@ -252,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
             )
 
         # Trace propagation: the job's spans — coordinator + both worker
-        # processes, across the SIGKILL and the cross-worker resume —
+        # processes, across the SIGKILL and the re-lease —
         # must join into one connected tree, and the phase decomposition
         # must reconcile with the measured wall time.
         events = load_events(trace_dir)
@@ -278,11 +277,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"phase sum {timeline.phase_sum:.3f}s deviates from "
                     f"wall {timeline.wall:.3f}s by more than 5%"
                 )
-            if timeline.resumes < 1:
-                failures.append(
-                    "timeline records no checkpoint resume for the "
-                    "re-routed shard"
-                )
 
         # Graceful drain: coordinator exits 0 with nothing abandoned, and
         # the surviving worker drains out by itself.
@@ -302,8 +296,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
         print(
-            "fleet smoke OK: eviction, checkpoint resume, bit-identical "
-            "merge, connected trace tree, federated metrics, clean drain"
+            "fleet smoke OK: eviction, re-lease and recomputation, "
+            "bit-identical merge, connected trace tree, federated metrics, "
+            "clean drain"
         )
         return 0
     finally:

@@ -77,7 +77,6 @@ from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Union
 from ._lazy import lazy_exports
 from .config import SimulationConfig
 from .core.results import SimulationResult
-from .engine.cache import ArtifactCache, resolve_cache_dir
 from .harness.experiment import ExperimentSettings, Workbench
 from .harness.sweeps import (
     SweepRecord,
@@ -85,7 +84,6 @@ from .harness.sweeps import (
     coerce_axis_value,
     valid_axes,
 )
-from .shard.checkpoint import CheckpointStore
 from .shard.execute import shard_plan_for
 from .shard.plan import ShardPlan
 
@@ -132,7 +130,6 @@ __all__ = [
     "Workbench",
     "connect",
     "estimate",
-    "resume",
     "run",
     "shard_plan",
     "sweep",
@@ -194,7 +191,6 @@ def run(
     trace: Union[str, Path, None] = None,
     obs: Optional[ObsOptions] = None,
     shards: int = 1,
-    checkpoint_every: int = 0,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     contexts: int = 1,
@@ -223,11 +219,9 @@ def run(
         result = api.run("database", backend="reference")
 
     *shards* > 1 segments the trace at probed quiescent boundaries and fans
-    the segments across *workers* processes; *checkpoint_every* > 0
-    additionally snapshots progress every K instructions so interrupted
-    runs resume instead of restarting (``mlpsim resume`` /
-    :func:`resume`).  Either engages the fault-tolerant sharded execution
-    path; the returned result is bit-identical to an unsharded run.
+    the segments across *workers* processes through the fault-tolerant
+    sharded execution path (a failed shard is recomputed from its start);
+    the returned result is bit-identical to an unsharded run.
 
     *trace* names a directory to write a JSONL epoch trace into
     (rendered by ``mlpsim trace`` / ``mlpsim obs report``); *obs* passes
@@ -241,7 +235,7 @@ def run(
     (see :func:`valid_schedulers`).  Returns an :class:`SmtResult`
     instead of a :class:`SimulationResult`; ``contexts=1`` is
     bit-identical to the single-context pipeline under every policy.
-    SMT runs do not compose with *shards*/*checkpoint_every*/*trace*.
+    SMT runs do not compose with *shards*/*trace*.
     """
     options = _resolve_obs(trace, obs)
     if not isinstance(profile, str):
@@ -257,8 +251,6 @@ def run(
             config = base.config
         if backend is None and base.backend:
             backend = base.backend
-        if checkpoint_every == 0 and base.checkpoint_every > 0:
-            checkpoint_every = base.checkpoint_every
         if contexts == 1 and base.contexts > 1:
             contexts = base.contexts
         if not scheduler and base.scheduler:
@@ -266,9 +258,9 @@ def run(
         profile = base.workload
     core_changes = _coerce_core_changes(core_changes)
     if contexts > 1:
-        if shards > 1 or checkpoint_every > 0:
+        if shards > 1:
             raise ValueError(
-                "contexts= cannot be combined with shards=/checkpoint_every= "
+                "contexts= cannot be combined with shards= "
                 "(SMT runs are not shardable)"
             )
         if options is not None:
@@ -288,10 +280,10 @@ def run(
         raise ValueError(
             "scheduler= only applies to SMT runs; pass contexts > 1"
         )
-    if shards > 1 or checkpoint_every > 0:
+    if shards > 1:
         if bench is not None:
             raise ValueError(
-                "bench= cannot be combined with shards=/checkpoint_every= "
+                "bench= cannot be combined with shards= "
                 "(sharded runs execute through an EngineRunner)"
             )
         from .engine.runner import EngineRunner, JobSpec
@@ -309,9 +301,7 @@ def run(
             core_changes=tuple(sorted(core_changes.items())),
             backend=backend or "",
         )
-        report = runner.run_sharded(
-            spec, shards, checkpoint_every=checkpoint_every,
-        )
+        report = runner.run_sharded(spec, shards)
         report.raise_on_failure()
         assert report.merged is not None
         return report.merged
@@ -350,7 +340,6 @@ def sweep(
     obs: Optional[ObsOptions] = None,
     backend: Optional[str] = None,
     shards: int = 1,
-    checkpoint_every: int = 0,
 ) -> List[SweepRecord]:
     """Execute a sweep *spec* and return one record per grid point.
 
@@ -364,9 +353,6 @@ def sweep(
     *shards* > 1 runs every grid point through the fault-tolerant sharded
     path (:meth:`EngineRunner.run_sharded`) — long traces split at
     quiescent boundaries, failed shards retry, results stay bit-identical.
-    *checkpoint_every* > 0 snapshots each job every K instructions so an
-    interrupted sweep resumes instead of restarting; it composes with
-    *shards* the same way it does for :func:`run`.
 
     *backend* runs every grid point on the named execution backend.
     Results are bit-identical across backends.
@@ -403,17 +389,10 @@ def sweep(
             obs=options,
         )
     jobs = spec.to_jobs()
-    if backend or checkpoint_every > 0:
+    if backend:
         from dataclasses import replace
 
-        jobs = [
-            replace(
-                job,
-                backend=backend or job.backend,
-                checkpoint_every=checkpoint_every or job.checkpoint_every,
-            )
-            for job in jobs
-        ]
+        jobs = [replace(job, backend=backend) for job in jobs]
     if shards > 1:
         # Each grid point runs as its own sharded execution; synthesize a
         # grid-ordered report from the merged results so spec.records()
@@ -421,9 +400,7 @@ def sweep(
         merged_jobs: List[JobResult] = []
         wall_time = 0.0
         for job in jobs:
-            sharded = runner.run_sharded(
-                job, shards, checkpoint_every=checkpoint_every,
-            )
+            sharded = runner.run_sharded(job, shards)
             sharded.raise_on_failure()
             wall_time += sharded.wall_time
             merged_jobs.append(JobResult(
@@ -550,62 +527,6 @@ def shard_plan(
         core_changes=tuple(sorted(core_changes.items())),
     )
     return shard_plan_for(bench, spec, shards)
-
-
-def resume(
-    job_or_token: Union[JobSpec, str],
-    *,
-    settings: Optional[ExperimentSettings] = None,
-    cache_dir: Any = "auto",
-    workers: Optional[int] = None,
-) -> JobResult:
-    """Resume a checkpointed job from its latest persisted checkpoint.
-
-    Accepts either the original :class:`JobSpec` (with *settings* matching
-    the original run) or the resume *token* a sharded/checkpointed run
-    reported — the token's stored record carries the spec and settings, so
-    ``api.resume(token)`` needs nothing else beyond the same *cache_dir*.
-
-    The job re-executes through the engine; if a verified checkpoint
-    exists it restarts from that snapshot (``JobResult.resumed_pos`` tells
-    you where), otherwise it runs from the beginning.  A corrupt
-    checkpoint raises :class:`repro.errors.CheckpointCorruptError` when
-    resuming by token, and is silently discarded (fresh start) when
-    resuming by spec.
-    """
-    from .engine.runner import EngineRunner, JobSpec
-
-    if isinstance(job_or_token, JobSpec):
-        spec = job_or_token
-        if spec.checkpoint_every <= 0:
-            raise ValueError(
-                "the job spec was never checkpointed "
-                "(checkpoint_every == 0); there is nothing to resume from"
-            )
-    else:
-        directory = resolve_cache_dir(cache_dir)
-        if directory is None:
-            raise ValueError(
-                "resuming from a token requires a persistent cache_dir"
-            )
-        store = CheckpointStore(ArtifactCache(directory))
-        record = store.load_record(str(job_or_token))
-        if record is None:
-            raise KeyError(
-                f"no checkpoint stored under token "
-                f"{str(job_or_token)[:16]}... in {directory}"
-            )
-        record.verify()
-        spec = record.spec
-        settings = record.settings
-    runner = EngineRunner(
-        settings=settings or ExperimentSettings(),
-        cache_dir=cache_dir,
-        workers=workers if workers is not None else 1,
-    )
-    report = runner.run([spec])
-    report.raise_on_failure()
-    return report.jobs[0]
 
 
 def connect(

@@ -151,11 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "shards in parallel (result is bit-identical to unsharded)",
     )
     run.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="K",
-        help="snapshot simulation state every K instructions so an "
-             "interrupted run resumes via 'mlpsim resume TOKEN'",
-    )
-    run.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for a sharded run (default: min(4, cpus))",
     )
@@ -188,17 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the full estimate as JSON instead of the summary line",
     )
-
-    rs = sub.add_parser(
-        "resume",
-        help="resume a checkpointed simulation from its resume token",
-    )
-    rs.add_argument(
-        "token",
-        help="resume token printed by 'mlpsim run --checkpoint-every K' "
-             "(the checkpoint's artifact-cache key)",
-    )
-    rs.add_argument("--workers", type=int, default=None)
 
     sw = sub.add_parser(
         "sweep",
@@ -958,10 +942,9 @@ def _run(args, settings: ExperimentSettings) -> int:
         perfect_stores=args.perfect_stores,
     )
     if args.contexts > 1:
-        if args.shards > 1 or args.checkpoint_every > 0 or args.trace:
+        if args.shards > 1 or args.trace:
             print(
-                "--contexts > 1 is not supported with --shards/"
-                "--checkpoint-every/--trace",
+                "--contexts > 1 is not supported with --shards/--trace",
                 file=sys.stderr,
             )
             return 2
@@ -983,10 +966,9 @@ def _run(args, settings: ExperimentSettings) -> int:
         print("--scheduler only applies with --contexts > 1",
               file=sys.stderr)
         return 2
-    if args.shards > 1 or args.checkpoint_every > 0:
+    if args.shards > 1:
         if args.trace is not None:
-            print("--trace is not supported with --shards/--checkpoint-every",
-                  file=sys.stderr)
+            print("--trace is not supported with --shards", file=sys.stderr)
             return 2
         from .engine.runner import EngineRunner, JobSpec
 
@@ -999,17 +981,10 @@ def _run(args, settings: ExperimentSettings) -> int:
             core_changes=tuple(sorted(core_changes.items())),
             backend=args.backend or "",
         )
-        report = runner.run_sharded(
-            spec, args.shards, checkpoint_every=args.checkpoint_every,
-        )
+        report = runner.run_sharded(spec, args.shards)
         print(f"# plan: {report.plan.describe()}", file=sys.stderr)
         for job in report.jobs:
-            line = f"  {job.spec.describe():52s} [{job.status}]"
-            if job.resumed_pos >= 0:
-                line += f" resumed@{job.resumed_pos}"
-            print(line)
-            if job.checkpoint_token:
-                print(f"    resume token: {job.checkpoint_token}")
+            print(f"  {job.spec.describe():52s} [{job.status}]")
         print(f"# {report.summary()}", file=sys.stderr)
         if not report.ok:
             return 1
@@ -1065,28 +1040,6 @@ def _cmd_estimate(args) -> int:
         ))
     else:
         print(guess.summary())
-    return 0
-
-
-def _cmd_resume(args) -> int:
-    from . import api
-    from .errors import ReproError
-
-    try:
-        job = api.resume(
-            args.token, cache_dir=_cache_dir(args), workers=args.workers,
-        )
-    except (KeyError, ValueError, ReproError) as exc:
-        print(f"resume failed: {exc}", file=sys.stderr)
-        return 1
-    line = f"{job.spec.describe()} [{job.status}]"
-    if job.resumed_pos >= 0:
-        line += f" resumed@{job.resumed_pos}"
-    print(line)
-    if not job.ok:
-        print(f"  error: {job.error}", file=sys.stderr)
-        return 1
-    print(job.result.summary())
     return 0
 
 
@@ -1478,8 +1431,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_run(args, _settings(args))
     if args.command == "estimate":
         return _cmd_estimate(args)
-    if args.command == "resume":
-        return _cmd_resume(args)
     if args.command == "serve":
         return _cmd_serve(args, _settings(args))
     if args.command == "worker":

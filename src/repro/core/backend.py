@@ -3,8 +3,8 @@
 A :class:`Backend` is a strategy for *executing* a simulation; it never
 changes what is simulated.  Every backend consumes the same inputs as
 :meth:`repro.core.mlpsim.MlpSimulator.run` — a configuration plus an
-annotated trace, with the optional shard/checkpoint hooks — and must
-produce a bit-identical :class:`~repro.core.results.SimulationResult`.
+annotated trace, with the optional shard hooks — and must produce a
+bit-identical :class:`~repro.core.results.SimulationResult`.
 The differential suite (``tests/test_backends.py``) enforces that promise
 against the ``reference`` oracle for every registered backend.
 
@@ -74,7 +74,7 @@ class Backend(ABC):
         **kwargs,
     ) -> SimulationResult:
         """Run one simulation; *kwargs* are :meth:`MlpSimulator.run`'s
-        keyword-only shard/checkpoint hooks."""
+        keyword-only shard hooks."""
 
 
 class ReferenceBackend(Backend):

@@ -2,7 +2,7 @@
 
 The reference scan visits every instruction of every epoch, but most of
 those visits do nothing: between miss clusters the simulator is *quiescent*
-(the :func:`repro.core.snapshot.is_quiescent` condition — nothing
+(the :func:`repro.core.window.is_quiescent` condition — nothing
 outstanding, nothing deferred, every register ready) and a quiescent scan
 step over a hit is a pure no-op except for two store-unit counters.  This
 backend derives, once per trace, the next *interesting* position from each
@@ -138,8 +138,8 @@ def build_skip_tables(trace: AnnotatedTrace) -> SkipTables:
 class EventSimulator(MlpSimulator):
     """A :class:`MlpSimulator` whose window scan skips quiescent spans.
 
-    Everything outside :meth:`_scan_window` — the epoch loop, resume /
-    stop / checkpoint instrumentation, scout episodes, the class handlers —
+    Everything outside :meth:`_scan_window` — the epoch loop, the shard
+    stop and quiescence probe, scout episodes, the class handlers —
     is inherited unchanged; only the hot per-instruction walk is replaced
     by the armed-skip variant described in the module docstring.
     """

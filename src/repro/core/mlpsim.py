@@ -48,7 +48,7 @@ golden-result tests pin the outputs to the pre-optimization values
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..config import (
     ConsistencyModel,
@@ -56,22 +56,21 @@ from ..config import (
     ScoutMode,
     SimulationConfig,
 )
-from ..errors import CheckpointCorruptError, ShardBoundaryError
+from ..errors import ShardBoundaryError
 from ..isa import Instruction, InstructionClass
 from ..memory.annotate import AccessInfo, AnnotatedTrace
 from .epoch import TerminationCondition, TriggerKind
 from .results import SimulationResult
 from .scoreboard import RegisterScoreboard
 from .scout import run_scout
-from .snapshot import (
-    SNAPSHOT_VERSION,
-    SimulatorSnapshot,
-    capture_snapshot,
-    is_quiescent,
-    restore_simulation,
-)
 from .store_unit import StoreEntry, StoreUnit
-from .window import DeferredLoad, EpochAccountant, WindowObserver, WindowState
+from .window import (
+    DeferredLoad,
+    EpochAccountant,
+    WindowObserver,
+    WindowState,
+    is_quiescent,
+)
 
 _SCOUTABLE = frozenset({
     TerminationCondition.WINDOW_FULL,
@@ -141,43 +140,26 @@ class MlpSimulator:
         trace: AnnotatedTrace,
         observer: WindowObserver | None = None,
         *,
-        resume: SimulatorSnapshot | None = None,
         stop: int | None = None,
-        checkpoint_every: int = 0,
-        checkpoint_sink: Optional[
-            Callable[[SimulatorSnapshot], None]
-        ] = None,
         quiescent_log: Optional[List[Tuple[int, int]]] = None,
     ) -> SimulationResult:
         """Partition *trace* into epochs and return the measurements.
 
         The keyword-only parameters drive :mod:`repro.shard`:
 
-        - *resume* restarts from a :class:`SimulatorSnapshot` captured by an
-          earlier run over the same trace, bit-identically.
         - *stop* ends the run at a planned shard boundary: the first
           epoch-loop bottom where the cursor is at *stop* and the machine
           is quiescent.  The boundary must be one this simulation actually
           passes through quiescently (a position from a shard plan); a
           cursor that moves past it raises :class:`ShardBoundaryError`.
-        - *checkpoint_every* = K calls *checkpoint_sink* with a snapshot at
-          the first epoch boundary at or past each multiple of K
-          instructions.  The mark sequence depends only on K, so a resumed
-          run checkpoints at the same positions as an uninterrupted one.
         - *quiescent_log* collects ``(pos, cur)`` at every quiescent epoch
           boundary — the probe behind shard planning.
         """
-        state, accountant = self.new_state(trace, observer, resume=resume)
+        state, accountant = self.new_state(trace, observer)
         n = len(trace)
         # Epoch-boundary instrumentation is cold (once per epoch, not per
         # instruction); a single flag keeps the plain path to one check.
-        instrumented = (
-            stop is not None or quiescent_log is not None
-            or (checkpoint_every > 0 and checkpoint_sink is not None)
-        )
-        next_mark = 0
-        if checkpoint_every > 0:
-            next_mark = (state.pos // checkpoint_every + 1) * checkpoint_every
+        instrumented = stop is not None or quiescent_log is not None
 
         step_epoch = self.step_epoch
         while not step_epoch(trace, state, accountant)[0]:
@@ -205,15 +187,6 @@ class MlpSimulator:
                 and is_quiescent(state)
             ):
                 quiescent_log.append((pos, state.cur))
-            if (
-                checkpoint_every > 0
-                and checkpoint_sink is not None
-                and pos >= next_mark
-            ):
-                checkpoint_sink(capture_snapshot(state, accountant, n))
-                next_mark = (
-                    pos // checkpoint_every + 1
-                ) * checkpoint_every
 
         # Final drain: entries whose misses completed in the last epoch are
         # committed here so the bandwidth accounting covers every store.
@@ -226,40 +199,22 @@ class MlpSimulator:
         self,
         trace: AnnotatedTrace,
         observer: WindowObserver | None = None,
-        *,
-        resume: SimulatorSnapshot | None = None,
     ) -> Tuple[WindowState, EpochAccountant]:
-        """The ``(state, accountant)`` pair a simulation of *trace* starts
-        from: fresh, or restored from a *resume* snapshot.
+        """The fresh ``(state, accountant)`` pair a simulation of *trace*
+        starts from.
 
         :meth:`run` and externally driven simulations (:mod:`repro.smt`,
         which interleaves epochs from several contexts) both start here
         and advance with :meth:`step_epoch`.
         """
         core = self.core
-        n = len(trace)
-        stagnation_limit = core.store_queue + core.store_buffer + 8
-        attached = observer if observer is not None else self.observer
-        if resume is None:
-            state = WindowState(
-                scoreboard=RegisterScoreboard(),
-                store_unit=StoreUnit(core),
-                stagnation_limit=stagnation_limit,
-                observer=attached,
-            )
-            return state, EpochAccountant(instructions=n)
-        if resume.version != SNAPSHOT_VERSION:
-            raise CheckpointCorruptError(
-                f"snapshot version {resume.version} != {SNAPSHOT_VERSION}"
-            )
-        if resume.instructions != n:
-            raise CheckpointCorruptError(
-                f"snapshot belongs to a {resume.instructions}-instruction "
-                f"trace, got {n} instructions"
-            )
-        return restore_simulation(
-            resume, core, stagnation_limit, observer=attached,
+        state = WindowState(
+            scoreboard=RegisterScoreboard(),
+            store_unit=StoreUnit(core),
+            stagnation_limit=core.store_queue + core.store_buffer + 8,
+            observer=observer if observer is not None else self.observer,
         )
+        return state, EpochAccountant(instructions=len(trace))
 
     def step_epoch(
         self,

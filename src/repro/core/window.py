@@ -244,6 +244,39 @@ class WindowState:
         return TerminationCondition.STORE_BUFFER_FULL
 
 
+def is_quiescent(state: WindowState) -> bool:
+    """True when *state* (at an epoch boundary) carries nothing forward.
+
+    The predicate behind :mod:`repro.shard` boundaries: store buffer and
+    store queue empty with no pending barrier, no *unmatured or missing*
+    deferred work (entries whose epoch already passed and that will not
+    miss are dropped untouched by the next ``begin_epoch``), every register
+    usable in the current epoch, and no resolved (prefetched) position at
+    or beyond the cursor.  A fresh simulator started on the remaining trace
+    suffix behaves identically from here: every comparison the simulator
+    makes is positional or epoch-relative, and all the state it consults
+    from now on compares equal in both coordinate systems.
+    """
+    unit = state.store_unit
+    if unit.sb or unit.sq or unit._pending_barrier:
+        return False
+    cur = state.cur
+    for deferred in state.replay:
+        if deferred.missing or deferred.exec_epoch > cur:
+            return False
+    for epoch in state.deferred_other:
+        if epoch > cur:
+            return False
+    for epoch in state.scoreboard._ready:
+        if epoch > cur:
+            return False
+    pos = state.pos
+    for index in state.resolved:
+        if index >= pos:
+            return False
+    return True
+
+
 class EpochAccountant:
     """Centralized miss/overlap/scout accounting for one simulation run.
 

@@ -117,11 +117,9 @@ class JobSpec:
 
     The shard fields turn a simulate job into one segment of a sharded run
     (see :mod:`repro.shard`): ``shard_start``/``shard_stop`` bound the
-    half-open trace span (``-1`` means the natural end), ``checkpoint_every``
-    asks for a snapshot every K instructions so a failed attempt resumes
-    instead of restarting, and ``fault`` arms a test-only fault injection
-    (``"kill@M"``/``"corrupt@M"``).  All default to "off", keeping plain
-    jobs byte-compatible with previously serialized specs.
+    half-open trace span (``-1`` means the natural end), and ``fault`` arms
+    a test-only fault injection (``"kill@M"``).  All default to "off",
+    keeping plain jobs byte-compatible with previously serialized specs.
 
     ``backend`` names the execution backend (``"event"``, the default, or
     ``"reference"``) the simulation runs on; ``""`` defers to
@@ -148,7 +146,6 @@ class JobSpec:
     label: str = ""
     shard_start: int = -1
     shard_stop: int = -1
-    checkpoint_every: int = 0
     fault: str = ""
     backend: str = ""
     contexts: int = 1
@@ -158,9 +155,7 @@ class JobSpec:
     def sharded(self) -> bool:
         """True when this spec runs through the shard execution path."""
         return self.action == "simulate" and (
-            self.shard_start >= 0
-            or self.shard_stop >= 0
-            or self.checkpoint_every > 0
+            self.shard_start >= 0 or self.shard_stop >= 0
         )
 
     def effective_backend(self) -> str:
@@ -276,11 +271,7 @@ class JobSpec:
 class JobResult:
     """Outcome of one job.
 
-    For sharded/checkpointed jobs the extra fields record recovery
-    behaviour: ``resumed_pos`` is the absolute trace position the attempt
-    restarted from (``-1`` = fresh start), ``checkpoints_written`` counts
-    snapshots persisted by this attempt, and ``checkpoint_token`` is the
-    cache key ``mlpsim resume`` accepts.
+    ``attempts`` counts the executions it took, retries included.
     """
 
     spec: JobSpec
@@ -291,9 +282,6 @@ class JobResult:
     wall_time: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    resumed_pos: int = -1
-    checkpoints_written: int = 0
-    checkpoint_token: str = ""
 
     @property
     def ok(self) -> bool:
@@ -382,10 +370,12 @@ class ShardedReport:
     """Outcome of one sharded execution (:meth:`EngineRunner.run_sharded`).
 
     ``jobs`` holds the final :class:`JobResult` per shard in trace order
-    (the last attempt when a shard was retried); ``rounds`` counts
-    execution rounds (1 = no shard needed a retry); ``merged`` is the
-    exact whole-run :class:`SimulationResult` when every shard succeeded,
-    ``None`` otherwise.
+    (the last attempt when a shard was retried; ``attempts`` counts them
+    all); ``rounds`` counts execution rounds (1 = no shard needed a retry
+    round); ``merged`` is the exact whole-run :class:`SimulationResult`
+    when every shard succeeded, ``None`` otherwise.  Once ``merged``
+    exists the per-shard results are dropped (``result`` is ``None``):
+    the merge was their only reader.
     """
 
     spec: JobSpec
@@ -404,14 +394,6 @@ class ShardedReport:
     def failed(self) -> List[JobResult]:
         return [job for job in self.jobs if not job.ok]
 
-    @property
-    def resumed_shards(self) -> int:
-        return sum(1 for job in self.jobs if job.resumed_pos >= 0)
-
-    @property
-    def checkpoints_written(self) -> int:
-        return sum(job.checkpoints_written for job in self.jobs)
-
     def raise_on_failure(self) -> None:
         bad = self.failed
         if bad:
@@ -428,8 +410,6 @@ class ShardedReport:
         state = "merged ok" if self.ok else f"{len(self.failed)} shard(s) failed"
         return (
             f"{len(self.jobs)} shard(s) in {self.rounds} round(s), {state}; "
-            f"{self.resumed_shards} resumed from checkpoints, "
-            f"{self.checkpoints_written} checkpoint(s) written; "
             f"{self.wall_time:.2f}s across {self.workers} worker(s)"
         )
 
@@ -473,8 +453,6 @@ class EngineTelemetry:
         self.jobs_active = 0
         self.sharded_runs = 0
         self.shard_rounds = 0
-        self.checkpoints_written = 0
-        self.shard_resumes = 0
         self.sim_epochs = 0
         self.sim_instructions = 0
         self.sb_occupancy_hwm = 0
@@ -500,9 +478,6 @@ class EngineTelemetry:
                 else:
                     self.jobs_failed += 1
                 self.job_retries += max(0, job.attempts - 1)
-                self.checkpoints_written += job.checkpoints_written
-                if job.resumed_pos >= 0:
-                    self.shard_resumes += 1
                 result = job.result
                 if result is None:
                     continue
@@ -533,10 +508,6 @@ class EngineTelemetry:
                 "engine_jobs_failed_total": float(self.jobs_failed),
                 "engine_jobs_timeout_total": float(self.jobs_timeout),
                 "engine_job_retries_total": float(self.job_retries),
-                "shard_checkpoints_written_total": float(
-                    self.checkpoints_written
-                ),
-                "shard_resumes_total": float(self.shard_resumes),
                 "sim_epochs_total": float(self.sim_epochs),
                 "sim_instructions_total": float(self.sim_instructions),
             }
@@ -587,15 +558,6 @@ class EngineTelemetry:
         registry.gauge(
             "engine_shard_rounds_total", lambda: self.shard_rounds,
             help="shard execution rounds (retries add rounds)",
-        )
-        registry.gauge(
-            "engine_checkpoints_written_total",
-            lambda: self.checkpoints_written,
-            help="simulator checkpoints persisted to the artifact cache",
-        )
-        registry.gauge(
-            "engine_shard_resumes_total", lambda: self.shard_resumes,
-            help="shard attempts that resumed from a checkpoint",
         )
         registry.gauge(
             "sim_epochs_total", lambda: self.sim_epochs,
@@ -683,20 +645,13 @@ def execute_job(
     spec: JobSpec,
     observer: Optional[WindowObserver] = None,
     profiler: Optional[PhaseProfiler] = None,
-    tracer: Optional[Tracer] = None,
 ) -> Optional[SimulationResult]:
-    """Run one job against *bench* (shared by the serial and worker paths).
-
-    Sharded/checkpointed simulate specs (``spec.sharded``) return a
-    :class:`repro.shard.execute.ShardOutcome` instead of a bare result —
-    :func:`_run_job` unpacks it into the job payload.
-    """
+    """Run one job against *bench* (shared by the serial and worker paths)."""
     if spec.contexts > 1:
         if spec.sharded:
             raise EngineConfigError(
-                "multi-context (SMT) jobs cannot be sharded or "
-                "checkpointed; run with contexts=1 or drop the shard "
-                "options"
+                "multi-context (SMT) jobs cannot be sharded; run with "
+                "contexts=1 or drop the shard options"
             )
         from ..smt import run_smt
 
@@ -719,9 +674,7 @@ def execute_job(
     if spec.sharded:
         from ..shard.execute import run_shard_job
 
-        return run_shard_job(
-            bench, spec, observer=observer, profiler=profiler, tracer=tracer,
-        )
+        return run_shard_job(bench, spec, observer=observer, profiler=profiler)
     if spec.action == "annotate":
         if profiler is not None:
             with profiler.phase("annotate"):
@@ -787,19 +740,8 @@ def _run_job(
     )
     start = time.perf_counter()
     hits_before, misses_before = bench.artifacts.stats.snapshot()
-    shard_meta: Dict[str, Any] = {}
     try:
-        result = execute_job(
-            bench, spec, observer=observer, profiler=profiler, tracer=tracer,
-        )
-        if spec.sharded and result is not None:
-            outcome = result
-            result = outcome.result
-            shard_meta = {
-                "resumed_pos": outcome.resumed_pos,
-                "checkpoints_written": outcome.checkpoints_written,
-                "checkpoint_token": outcome.checkpoint_token,
-            }
+        result = execute_job(bench, spec, observer=observer, profiler=profiler)
         status, error = "ok", ""
     except Exception as exc:  # reported per-job, never crashes the batch
         result = None
@@ -818,7 +760,6 @@ def _run_job(
         "wall_time": time.perf_counter() - start,
         "cache_hits": hits_after - hits_before,
         "cache_misses": misses_after - misses_before,
-        **shard_meta,
     }
 
 
@@ -969,7 +910,6 @@ class EngineRunner:
         self,
         spec: JobSpec,
         shards: int,
-        checkpoint_every: int = 0,
         plan: Any = None,
     ) -> "ShardedReport":
         """Execute one simulate job as a fault-tolerant sharded run.
@@ -978,12 +918,10 @@ class EngineRunner:
         :func:`repro.shard.execute.shard_plan_for` if omitted), the shards
         fan out across the worker pool as independent jobs, and the
         per-shard results merge into a result bit-identical to an unsharded
-        run.  Failed shards are retried in follow-up rounds (up to
-        ``retries`` extra rounds) with a **fresh pool** — the recovery path
-        for a worker process dying mid-shard, which breaks the whole pool —
-        and, when ``checkpoint_every > 0``, each retry resumes from the
-        shard's last persisted checkpoint instead of recomputing.
-        Shards that already succeeded are never re-run.
+        run.  Failed shards are recomputed from their start in follow-up
+        rounds (up to ``retries`` extra rounds) with a **fresh pool** — the
+        recovery path for a worker process dying mid-shard, which breaks
+        the whole pool.  Shards that already succeeded are never re-run.
         """
         from ..shard.execute import shard_plan_for
         from ..shard.merge import merge_results
@@ -1003,7 +941,6 @@ class EngineRunner:
                 spec,
                 shard_start=lo,
                 shard_stop=hi,
-                checkpoint_every=checkpoint_every,
                 label=f"{base} shard[{lo}:{hi})",
             )
             for lo, hi in plan.shards
@@ -1016,6 +953,8 @@ class EngineRunner:
             report = self.run([shard_specs[i] for i in pending])
             still_failed = []
             for index, job in zip(pending, report.jobs):
+                if index in final:  # a retry round: count every execution
+                    job.attempts += final[index].attempts
                 final[index] = job
                 if not job.ok:
                     still_failed.append(index)
@@ -1026,6 +965,9 @@ class EngineRunner:
         merged: Optional[SimulationResult] = None
         if not pending:
             merged = merge_results([job.result for job in jobs])
+            # The merge is the only reader of the per-shard results: the
+            # report carries each shard's epochs once, inside `merged`.
+            jobs = [replace(job, result=None) for job in jobs]
         with self.telemetry._lock:
             self.telemetry.sharded_runs += 1
             self.telemetry.shard_rounds += rounds
@@ -1160,12 +1102,12 @@ class EngineRunner:
                 }
             if payload["status"] == "ok" or attempts > self.retries:
                 return JobResult(spec=spec, attempts=attempts, **payload)
-            attempts += 1
             try:
                 future = pool.submit(_run_job_in_worker, spec, *context)
             except Exception as exc:  # pool already broken: give up
                 payload["error"] += f" (retry unavailable: {exc})"
                 return JobResult(spec=spec, attempts=attempts, **payload)
+            attempts += 1
 
 
 serialize.register(JobSpec, JobResult, RunReport, ShardedReport)

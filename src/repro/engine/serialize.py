@@ -54,10 +54,10 @@ __all__ = [
 #: 2 encodes epoch record lists column-wise (``$cols``, below), which a
 #: version-1 client cannot decode; the request format is unchanged, so a
 #: request without ``"v"`` (curl, the pre-versioning form) is accepted.
-#: It lives with the encoding it versions, so the checkpoint store can key
-#: records by it without importing the service (:mod:`repro.service.protocol`
+#: Version 3 dropped the checkpoint fields of job specs and results.  It
+#: lives with the encoding it versions (:mod:`repro.service.protocol`
 #: re-exports it).
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 class SerializeError(TypeError):
@@ -82,7 +82,6 @@ _WIRE_MODULES = (
     "..harness.experiment",
     "..harness.sweeps",
     "..service.protocol",
-    "..shard.checkpoint",
     "..shard.plan",
     "..smt.results",
     "..tune.driver",

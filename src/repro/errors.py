@@ -73,22 +73,12 @@ class ShardBoundaryError(ReproError):
     code = "shard-boundary"
 
 
-class CheckpointCorruptError(ReproError):
-    """A stored simulator checkpoint failed its integrity check.
-
-    The snapshot digest did not match, or the snapshot disagrees with the
-    trace/configuration it claims to belong to.  Callers treat the
-    checkpoint as absent and restart the shard from its beginning.
-    """
-
-    code = "checkpoint-corrupt"
-
-
 class ArtifactCorruptError(ReproError):
-    """A persisted cache entry failed its frame or checksum check.
+    """A persisted cache entry failed its frame, checksum or digest check.
 
-    The artifact cache treats the entry as absent: it deletes it and
-    recomputes the artifact.
+    The reader treats the entry as absent: the artifact cache deletes it
+    and recomputes the artifact; the tuner discards its saved population
+    and tunes from scratch.
     """
 
     code = "artifact-corrupt"
@@ -99,8 +89,8 @@ class FaultInjectedError(ReproError):
 
     Raised on the serial execution path, where killing the process would
     take the caller down with it; pool workers hard-exit instead.  Either
-    way the engine's retry machinery must recover the job from its last
-    checkpoint.
+    way the engine's retry machinery must recompute the task from its
+    start.
     """
 
     code = "fault-injected"

@@ -32,10 +32,9 @@ current one's tasks execute.  Workers long-poll
 :class:`~repro.engine.runner.EngineRunner` (whole requests through
 :class:`~repro.service.executor.ServiceEngine`), and POST results back.  A
 worker SIGKILLed mid-shard misses its heartbeats, is evicted, and its
-leased shards requeue — the next worker to lease them resumes from the
-last verified checkpoint in the shared cache (content-keyed, so no
-completed shard is ever recomputed) and the merged result stays
-bit-identical to a single-node run.
+leased shards requeue — the next worker to lease them recomputes them
+from their start (completed shards are never recomputed) and the merged
+result stays bit-identical to a single-node run.
 
 Nothing on the job path sleep-polls.  The dispatcher waits on the
 router's condition; lease long-polls and ``GET /v1/jobs/<id>?wait=S``
@@ -250,7 +249,10 @@ class FleetCoordinator:
         self._wakeups.fire(_LEASE_KEY)
 
     def _job_retired(self, job: Job) -> None:
-        """JobQueue hook: wake the job's status long-polls."""
+        """JobQueue hook: close the job's trace span, then wake its status
+        long-polls — a client woken by the end of its job finds the
+        span's end in the trace."""
+        self._end_job_trace(job)
         self._wakeups.fire(job.id)
         if self.draining:
             self._wake_leases()  # the backlog may just have drained
@@ -320,15 +322,12 @@ class FleetCoordinator:
         """Parse, admission-check and enqueue one submission."""
         request = parse_job_request(payload)
         if request.kind == "estimate":
-            # Pure arithmetic — resolved inline on the coordinator, no
-            # worker lease, no queue wait.  The answer is computed before
-            # the job is queued: the dispatcher claims queued jobs, so
-            # the job must not wait in the queue for it (the first
-            # estimate also imports the mix resolver).
-            payload = estimate_payload(request)
-            job, deduped = self.queue.submit(request)
+            # Pure arithmetic — answered inline on the coordinator: the
+            # job is created done, with no worker lease and no queue wait.
+            job, deduped = self.queue.submit(
+                request, result=estimate_payload(request),
+            )
             if not deduped:
-                self.queue.resolve_queued(job.id, payload)
                 self._record_finish(job)
             self.metrics.inc("jobs_submitted_total")
             if deduped:
@@ -346,8 +345,8 @@ class FleetCoordinator:
             RESULT_KIND, self._result_key(request), default=sentinel,
         )
         if cached is not sentinel:
-            job, deduped = self.queue.submit(request)
-            if not deduped and self.queue.resolve_queued(job.id, cached):
+            job, deduped = self.queue.submit(request, result=cached)
+            if not deduped:
                 self.metrics.inc("fleet_result_cache_hits_total")
                 _log.info(
                     "job %s served from the cluster result store", job.id,
@@ -412,7 +411,7 @@ class FleetCoordinator:
             parent="", job=job.id, priority=job.priority,
         )
 
-    def _end_job_trace(self, job: Job, state: str = "") -> None:
+    def _end_job_trace(self, job: Job) -> None:
         root = self._job_spans.pop(job.id, None)
         if root is None or self._tracer is None:
             return
@@ -420,7 +419,7 @@ class FleetCoordinator:
         self._tracer.event(
             "span_end", "fleet_job", corr=job.id, span="", id=root,
             parent="", job=job.id, dur=max(0.0, finished - job.submitted_at),
-            state=state or job.state.value,
+            state=job.state.value,
         )
 
     # ------------------------------------------------------------ expansion --
@@ -460,15 +459,14 @@ class FleetCoordinator:
             spec = request.job
             if backend:
                 spec = replace(spec, backend=backend)
-            if request.shards > 1 or request.checkpoint_every > 0:
-                plan = self._plan_shards(spec, max(1, request.shards))
+            if request.shards > 1:
+                plan = self._plan_shards(spec, request.shards)
                 base = spec.describe()
                 specs = [
                     replace(
                         spec,
                         shard_start=lo,
                         shard_stop=hi,
-                        checkpoint_every=request.checkpoint_every,
                         label=f"{base} shard[{lo}:{hi})",
                     )
                     for lo, hi in plan.shards
@@ -615,8 +613,6 @@ class FleetCoordinator:
             self._tracer.event(
                 "fleet_task_complete", corr=task.corr, task=task.id,
                 worker=worker_id, state=task.state,
-                resumed_pos=getattr(result, "resumed_pos", -1),
-                checkpoints=getattr(result, "checkpoints_written", 0),
             )
         self._maybe_finish_job(task.job_id)
         return task
@@ -753,36 +749,35 @@ class FleetCoordinator:
 
         plan, base_spec = planned
         merged = merge_results([r.result for r in results])
+        # The merge is the only reader of the per-shard results: ship each
+        # shard's epochs once, inside `merged`.  A shard's attempts are its
+        # task's leases, so a re-leased shard reports each execution.
         sharded = ShardedReport(
             spec=base_spec,
             plan=plan,
-            jobs=list(results),
+            jobs=[
+                replace(r, result=None, attempts=t.attempts)
+                for r, t in zip(results, tasks)
+            ],
             rounds=max(t.attempts for t in tasks),
             wall_time=wall,
             workers=workers,
             merged=merged,
         )
-        payload = {
+        return {
             "kind": "simulate",
             "sharded": {
                 "requested": request.shards,
                 "shard_count": plan.shard_count,
                 "plan": plan.describe(),
                 "rounds": sharded.rounds,
-                "resumed_shards": sharded.resumed_shards,
-                "checkpoints_written": sharded.checkpoints_written,
-                "tokens": [r.checkpoint_token for r in results],
             },
             "report": sharded.to_dict(),
-            "summary": sharded.summary(),
+            "summary": merged.summary(),
         }
-        if merged is not None:
-            payload["summary"] = merged.summary()
-        return payload
 
     def _record_finish(self, job: Job) -> None:
         self.metrics.inc(f"jobs_{job.state.value}_total")
-        self._end_job_trace(job)
         if job.finished_at is None:
             return
         if job.started_at is not None:
@@ -1445,7 +1440,7 @@ class _AsyncFrontend:
             wait = _query_wait(query)
             if wait > 0:
                 await coord.wait_terminal(job, wait)
-            return 200, job.status_payload(), None, False
+            return 200, coord.queue.status(job), None, False
         return 404, {"error": f"unknown path {path}"}, None, False
 
     async def _post(
@@ -1503,7 +1498,6 @@ class _AsyncFrontend:
         outcome = coord.queue.cancel(job_id)
         if outcome:
             coord.metrics.inc("jobs_cancelled_total")
-            coord._end_job_trace(job, state="cancelled")
             return (
                 200,
                 {
@@ -1591,8 +1585,8 @@ def serve_fleet(
     coordinator alone, for workers that join with ``mlpsim worker --join``.
 
     SIGTERM (and Ctrl-C) triggers a graceful drain: stop accepting, let
-    workers finish or checkpoint in-flight work within *drain_timeout*,
-    then exit — nonzero when work had to be abandoned.  Shells start
+    workers finish in-flight work within *drain_timeout*, then exit —
+    nonzero when work had to be abandoned.  Shells start
     backgrounded children with SIGINT ignored, so ``kill -TERM`` is how
     scripts shut the server down.
     """

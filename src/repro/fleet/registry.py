@@ -5,10 +5,9 @@ HTTP, so worker liveness is expressed entirely through heartbeats: a
 worker that registers receives a lease TTL, renews it by heartbeating
 (every TTL/3 in practice), and is evicted once the lease has been expired
 for longer than the grace period.  Eviction is what triggers failure
-handling: the router requeues every task the dead worker held, and —
-because checkpoints live in the shared artifact cache keyed by content,
-not by worker — whichever worker picks a requeued shard up resumes it
-from the last verified checkpoint automatically.
+handling: the router requeues every task the dead worker held, and
+whichever worker leases a requeued shard next recomputes it from its
+start.
 
 Draining is the graceful half of the same protocol: a draining worker is
 handed no new leases (the flag rides back on heartbeat/lease responses),

@@ -31,9 +31,8 @@ a lease could newly succeed, so parked lease long-polls wake at once.
 Failure handling: a task completed with a failed status (or abandoned by
 an evicted worker) returns to the pending pool up to ``retries`` extra
 attempts; tasks that exhaust their attempts fail their whole job.  Tasks
-already completed are never requeued — together with content-keyed
-checkpoints this is what makes "no completed shard is recomputed" hold
-across worker deaths.
+already completed are never requeued, so a worker death recomputes only
+the shards it held, never a completed one.
 """
 
 from __future__ import annotations

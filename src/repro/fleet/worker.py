@@ -4,7 +4,7 @@ A worker joins a coordinator (``mlpsim worker --join URL``, or the
 in-process worker ``mlpsim serve`` starts), adopts the coordinator's
 experiment settings and shared artifact-cache directory (both ride back
 on the registration response — this is what guarantees bit-identical
-results and cross-worker checkpoint resume), then loops:
+results), then loops:
 
     long-poll ``/v1/fleet/lease``  →  run the leased specs through the
     local EngineRunner (figure and tune tasks, which carry a whole
@@ -20,8 +20,8 @@ process dies (or the machine does), the missed heartbeats evict it and the
 coordinator requeues its leased tasks — nothing on the worker side needs
 to clean up, which is the point of pull-based leasing.
 
-SIGTERM drains gracefully: the current batch finishes (writing its
-checkpoints), results are posted, the worker deregisters and exits 0.
+SIGTERM drains gracefully: the current batch finishes, results are
+posted, the worker deregisters and exits 0.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ class FleetWorker:
         the coordinator stayed unreachable).  Any other coordinator error
         is logged and the batch dropped — the work itself is safe: our
         leases are released when we leave or get evicted, the tasks
-        requeue, and the next attempt resumes from shared checkpoints.
+        requeue, and the next lease recomputes them.
         Crashing a healthy worker over one bad answer would turn a single
         failed job into a fleet-wide cascade.
         """
@@ -301,8 +301,8 @@ class FleetWorker:
                 return True
             except urllib.error.HTTPError as exc:
                 if exc.code == 410:
-                    # Evicted mid-batch: the tasks were requeued and the
-                    # shared checkpoints mean no work is lost.
+                    # Evicted mid-batch: the tasks were requeued and
+                    # another worker recomputes them.
                     _log.warning("evicted before completing; exiting")
                     return False
                 _log.error(

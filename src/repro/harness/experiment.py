@@ -355,7 +355,7 @@ class Workbench:
         Applies the same resolution :meth:`run` uses — workload defaults,
         explicit overrides, and the forced WC consistency model for ``wc*``
         variants — so callers that need the config *without* running (shard
-        planning, checkpoint keys) agree exactly with the simulation path.
+        planning) agree exactly with the simulation path.
         """
         if config is None:
             config = self.simulation_config(workload, **core_changes)

@@ -30,7 +30,7 @@ installs both halves with :func:`trace_context`; a
 falls back to :func:`parent_span_id` — so a worker's ``engine_batch`` /
 ``job`` spans parent to the coordinator's job span and ``mlpsim obs
 critical-path`` can join the segments written by every process into a
-single tree, including the resume-on-another-worker hop.
+single tree, including the re-lease-to-another-worker hop.
 """
 
 from __future__ import annotations

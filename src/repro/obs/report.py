@@ -39,9 +39,6 @@ def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     sb_hwm = 0
     sq_hwm = 0
     spans: Dict[str, Dict[str, float]] = {}
-    checkpoints = 0
-    shard_resumes: List[Dict[str, Any]] = []
-    checkpoint_corruptions = 0
 
     for event in events:
         kind = event.get("kind", "")
@@ -56,12 +53,6 @@ def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             termination_counts[event.get("condition", "?")] += 1
         elif kind == "store_stall":
             store_stalls += 1
-        elif kind == "checkpoint":
-            checkpoints += 1
-        elif kind == "shard_resume":
-            shard_resumes.append(event)
-        elif kind == "checkpoint_corrupt":
-            checkpoint_corruptions += 1
         elif kind == "span_end":
             name = event.get("name", "?")
             stats = spans.setdefault(
@@ -88,15 +79,6 @@ def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "sq_occupancy_hwm": sq_hwm,
         "terminations": dict(sorted(termination_counts.items())),
         "spans": {name: spans[name] for name in sorted(spans)},
-        "checkpoints": checkpoints,
-        "shard_resumes": [
-            {
-                "job": str(event.get("job", "?")),
-                "pos": int(event.get("pos", -1)),
-            }
-            for event in shard_resumes
-        ],
-        "checkpoint_corruptions": checkpoint_corruptions,
         "epoch_rows": epoch_rows,
     }
 
@@ -176,22 +158,6 @@ def render_report(events: Iterable[Dict[str, Any]]) -> str:
     lines.append(f"store stalls:      {digest['store_stalls']}")
     lines.append(f"SB occupancy HWM:  {digest['sb_occupancy_hwm']}")
     lines.append(f"SQ occupancy HWM:  {digest['sq_occupancy_hwm']}")
-
-    if (
-        digest["checkpoints"]
-        or digest["shard_resumes"]
-        or digest["checkpoint_corruptions"]
-    ):
-        lines.append("")
-        lines.append("checkpointing")
-        lines.append(f"  checkpoints written {digest['checkpoints']}")
-        lines.append(
-            f"  corrupt discarded   {digest['checkpoint_corruptions']}"
-        )
-        for resume in digest["shard_resumes"]:
-            lines.append(
-                f"  resumed @ {resume['pos']:<10} {resume['job']}"
-            )
 
     if len(digest["epochs_by_corr"]) > 1:
         lines.append("")

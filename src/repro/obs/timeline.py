@@ -27,8 +27,8 @@ the phase sum always reconciles with measured wall time:
 ``lease_wait``  backbone task expanded/requeued → leased by a worker
 ``recovery``    a backbone lease that died (worker evicted mid-shard) →
                 the next lease's completion of the re-run; covers the
-                lost execution tail, eviction detection and checkpoint
-                resume
+                lost execution tail, eviction detection and the
+                recomputation
 ``executing``   backbone lease → that lease's own completion
 ``merging``     last task completion → job payload assembled/published
 =============== ========================================================
@@ -93,8 +93,6 @@ class JobTimeline:
     task_count: int = 0
     backbone_task: str = ""
     workers: List[str] = field(default_factory=list)
-    resumes: int = 0
-    checkpoints: int = 0
     segments: List[Segment] = field(default_factory=list)
 
     @property
@@ -122,8 +120,6 @@ class JobTimeline:
             "tasks": self.task_count,
             "backbone_task": self.backbone_task,
             "workers": list(self.workers),
-            "resumes": self.resumes,
-            "checkpoints": self.checkpoints,
             "segments": [
                 {
                     "phase": s.phase,
@@ -264,9 +260,6 @@ def job_timeline(
                 workers.append(worker)
         elif kind == "fleet_task_complete":
             completes.setdefault(str(event.get("task", "")), []).append(event)
-            if int(event.get("resumed_pos", -1)) >= 0:
-                timeline.resumes += 1
-            timeline.checkpoints += int(event.get("checkpoints", 0))
     if not saw_root:
         return None
     timeline.workers = workers
@@ -341,14 +334,7 @@ def job_timeline(
                 timeline.segments.append(
                     Segment(
                         phase, cursor, ts,
-                        detail=(
-                            f"worker {event.get('worker', '?')}"
-                            + (
-                                f" resumed@{event.get('resumed_pos')}"
-                                if int(event.get("resumed_pos", -1)) >= 0
-                                else ""
-                            )
-                        ),
+                        detail=f"worker {event.get('worker', '?')}",
                     ),
                 )
                 cursor = ts
@@ -415,11 +401,6 @@ def render_timeline_report(
     lines.append(
         f"  wall {timeline.wall:.3f}s across {timeline.task_count} task(s)"
         f" on {len(timeline.workers)} worker(s)"
-        + (f"; {timeline.resumes} resume(s)" if timeline.resumes else "")
-        + (
-            f", {timeline.checkpoints} checkpoint(s)"
-            if timeline.checkpoints else ""
-        )
     )
     phases = timeline.phases
     wall = timeline.wall or 1.0

@@ -4,6 +4,7 @@ Lifecycle of a job::
 
     queued ──> running ──> done | failed
        └────────────────> cancelled        (only while still queued)
+    done                                   (answered at submit)
 
 Submissions are deduplicated while in flight: a request whose content
 signature (:meth:`repro.service.protocol.JobRequest.signature`) matches a
@@ -113,15 +114,23 @@ class JobQueue:
         self._seq = itertools.count()
         self._terminal_order: List[str] = []
         self._closed = False
-        #: Called (under the queue lock) with each job that turns terminal
-        #: — what wakes ``GET /v1/jobs/<id>?wait=`` long-polls.  Must not
-        #: block.
+        #: Called (under the queue lock) with each job that turns terminal,
+        #: before its ``done_event`` is set — what closes the job's trace
+        #: span and wakes ``GET /v1/jobs/<id>?wait=`` long-polls.  Must
+        #: not block.
         self.on_retire: Optional[Callable[[Job], None]] = None
 
     # ---------------------------------------------------------- submission --
 
-    def submit(self, request: JobRequest) -> Tuple[Job, bool]:
+    def submit(
+        self, request: JobRequest, result: Any = None,
+    ) -> Tuple[Job, bool]:
         """Enqueue *request*, or attach to an identical in-flight job.
+
+        With a *result* (an answer the caller already has: an estimate, or
+        a hit in a shared result store) a new job is created ``done``
+        under the same lock acquisition, so no dispatcher can claim it
+        first; it takes no queue slot.
 
         Returns ``(job, deduped)``.  Raises :class:`QueueFullError` when the
         pending backlog is at capacity, ``RuntimeError`` once closed.
@@ -135,14 +144,6 @@ class JobQueue:
                 job = self._jobs[existing_id]
                 job.dedup_count += 1
                 return job, True
-            pending = sum(
-                1 for job in self._jobs.values()
-                if job.state is JobState.QUEUED
-            )
-            if pending >= self.capacity:
-                raise QueueFullError(
-                    f"queue is full ({self.capacity} jobs pending)"
-                )
             job = Job(
                 id=uuid.uuid4().hex[:12],
                 request=request,
@@ -150,6 +151,20 @@ class JobQueue:
                 priority=request.priority,
                 submitted_at=time.time(),
             )
+            if result is not None:
+                self._jobs[job.id] = job
+                job.started_at = job.submitted_at
+                job.result = result
+                self._retire(job, JobState.DONE)
+                return job, False
+            pending = sum(
+                1 for queued in self._jobs.values()
+                if queued.state is JobState.QUEUED
+            )
+            if pending >= self.capacity:
+                raise QueueFullError(
+                    f"queue is full ({self.capacity} jobs pending)"
+                )
             self._jobs[job.id] = job
             self._inflight[key] = job.id
             heapq.heappush(
@@ -198,29 +213,10 @@ class JobQueue:
         with self._ready:
             if job.state is not JobState.RUNNING:
                 return
-            job.state = JobState.FAILED if error else JobState.DONE
             job.result = result
             job.error = error
             job.traceback = tb
-            self._retire(job)
-
-    def resolve_queued(self, job_id: str, result: Any) -> bool:
-        """Resolve a still-queued job directly to ``done`` with *result*.
-
-        The fleet coordinator uses this for cluster-wide dedup: a request
-        whose signature already has a completed result in the shared
-        artifact store finishes instantly, without ever reaching a worker.
-        Returns ``False`` if the job already left the queued state.
-        """
-        with self._ready:
-            job = self._jobs.get(job_id)
-            if job is None or job.state is not JobState.QUEUED:
-                return False
-            job.state = JobState.DONE
-            job.started_at = time.time()
-            job.result = result
-            self._retire(job)
-            return True
+            self._retire(job, JobState.FAILED if error else JobState.DONE)
 
     def shed_lowest_below(self, priority: int) -> Optional[Job]:
         """Cancel the lowest-priority queued job strictly below *priority*.
@@ -249,12 +245,11 @@ class JobQueue:
                     victim = job
             if victim is None:
                 return None
-            victim.state = JobState.CANCELLED
             victim.error = (
                 f"shed: displaced by a priority-{priority} submission "
                 f"while the queue was full"
             )
-            self._retire(victim)
+            self._retire(victim, JobState.CANCELLED)
             return victim
 
     # ------------------------------------------------------------- clients --
@@ -281,13 +276,18 @@ class JobQueue:
                 return "detached"
             if job.state is not JobState.QUEUED:
                 return ""
-            job.state = JobState.CANCELLED
-            self._retire(job)
+            self._retire(job, JobState.CANCELLED)
             return "cancelled"
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def status(self, job: Job) -> Dict[str, Any]:
+        """*job*'s status document, read under the queue lock: a terminal
+        state it shows has had its ``on_retire`` hook run."""
+        with self._lock:
+            return job.status_payload()
 
     def list_jobs(self) -> List[Job]:
         """Every tracked job, oldest submission first."""
@@ -333,16 +333,16 @@ class JobQueue:
 
     # ----------------------------------------------------------- internals --
 
-    def _retire(self, job: Job) -> None:
-        """Terminal bookkeeping; caller holds the lock."""
+    def _retire(self, job: Job, state: JobState) -> None:
+        """Move *job* to terminal *state*; caller holds the lock."""
+        job.state = state
         job.finished_at = time.time()
         if self._inflight.get(job.key) == job.id:
             del self._inflight[job.key]
-        job.done_event.set()
         if self.on_retire is not None:
             self.on_retire(job)
+        job.done_event.set()
         self._terminal_order.append(job.id)
         while len(self._terminal_order) > self.history:
             forgotten = self._terminal_order.pop(0)
             self._jobs.pop(forgotten, None)
-

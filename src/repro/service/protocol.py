@@ -100,11 +100,11 @@ FIGURES = ("figure2", "figure3", "figure4", "figure5", "figure6",
 class JobRequest:
     """One validated job submission.
 
-    ``shards``/``checkpoint_every`` apply to simulate jobs only: they route
-    the simulation through the fault-tolerant sharded execution path
+    ``shards`` applies to simulate jobs only: it routes the simulation
+    through the sharded execution path
     (:meth:`repro.engine.runner.EngineRunner.run_sharded`) — the result is
-    bit-identical to an unsharded run, so they *are* part of the work
-    signature only insofar as they change the execution request itself.
+    bit-identical to an unsharded run, so it *is* part of the work
+    signature only insofar as it changes the execution request itself.
 
     ``backend`` (sweep/simulate only) names the execution backend the
     engine runs the simulations on; ``""`` defers to the server's default.
@@ -120,15 +120,13 @@ class JobRequest:
     workloads: Tuple[str, ...] = ()
     priority: int = 0
     shards: int = 1
-    checkpoint_every: int = 0
     backend: str = ""
 
     def signature(self) -> str:
         """Content hash identifying the *work* (priority excluded)."""
         return content_key(
             "service-job", self.kind, self.sweep, self.job, self.tune,
-            self.figure, self.workloads, self.shards, self.checkpoint_every,
-            self.backend,
+            self.figure, self.workloads, self.shards, self.backend,
         )
 
     def describe(self) -> str:
@@ -357,6 +355,15 @@ def _parse_figure(payload: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
     return figure, _workloads(workloads_raw, "'workloads'")
 
 
+#: Every top-level field a submission may carry.  Anything else is a 400,
+#: so a field that has no meaning (a typo, or one an older protocol
+#: version had) is never silently ignored.
+_REQUEST_FIELDS = frozenset({
+    "v", "kind", "priority", "backend", "sweep", "job", "tune", "figure",
+    "workloads", "shards",
+})
+
+
 def parse_job_request(payload: Any) -> JobRequest:
     """Validate one raw submission body into a :class:`JobRequest`."""
     _require(isinstance(payload, dict), "request body must be a JSON object")
@@ -365,6 +372,12 @@ def parse_job_request(payload: Any) -> JobRequest:
         version == PROTOCOL_VERSION,
         f"unsupported protocol version {version!r}; "
         f"this server speaks v{PROTOCOL_VERSION}",
+    )
+    unknown = sorted(set(payload) - _REQUEST_FIELDS)
+    _require(
+        not unknown,
+        f"unknown request field(s) {unknown}; "
+        f"expected a subset of {sorted(_REQUEST_FIELDS)}",
     )
     kind = payload.get("kind")
     _require(
@@ -389,21 +402,13 @@ def parse_job_request(payload: Any) -> JobRequest:
             and shards >= 1,
             "'shards' must be a positive integer",
         )
-        checkpoint_every = payload.get("checkpoint_every", 0)
-        _require(
-            isinstance(checkpoint_every, int)
-            and not isinstance(checkpoint_every, bool)
-            and checkpoint_every >= 0,
-            "'checkpoint_every' must be a non-negative integer",
-        )
         job = _parse_simulate(payload)
         _require(
-            job.contexts == 1 or (shards == 1 and checkpoint_every == 0),
-            "multi-context (SMT) jobs cannot be sharded or checkpointed",
+            job.contexts == 1 or shards == 1,
+            "multi-context (SMT) jobs cannot be sharded",
         )
         return JobRequest(
-            kind=kind, job=job, priority=priority,
-            shards=shards, checkpoint_every=checkpoint_every,
+            kind=kind, job=job, priority=priority, shards=shards,
             backend=backend,
         )
     if kind == "estimate":

@@ -1,4 +1,4 @@
-"""Shardable, checkpointable simulation execution.
+"""Shardable simulation execution.
 
 The epoch MLP model is an additive accounting over a linear instruction
 stream, so a long MLPsim run can be cut into segments and merged exactly —
@@ -11,18 +11,15 @@ This package supplies the three pieces:
   cursor); :func:`~repro.shard.plan.build_plan` picks cuts nearest the
   requested even split.  Probes are cached by (configuration, trace
   fingerprint) in the artifact cache.
-- :mod:`repro.shard.checkpoint` — digest-verified persistence of
-  :class:`~repro.core.snapshot.SimulatorSnapshot` records in the
-  :class:`~repro.engine.cache.ArtifactCache`, plus the fault-injection
-  hooks (``kill@M``, ``corrupt@M``) the recovery tests drive.
 - :mod:`repro.shard.merge` — exact whole-run reconstruction from per-shard
   :class:`~repro.core.results.SimulationResult` parts.
-- :mod:`repro.shard.execute` — one shard as an engine job: slice, resume
-  from the latest checkpoint if one exists, run to the planned boundary,
-  checkpoint every K instructions along the way.
+- :mod:`repro.shard.execute` — one shard as an engine job: run the trace
+  suffix from the shard's start to its planned boundary, plus the
+  ``kill@M`` fault the recovery tests drive.  A failed shard is recomputed
+  from its start.
 
-Reachable through the facade as :func:`repro.api.shard_plan`,
-``api.run(..., shards=N, checkpoint_every=K)`` and :func:`repro.api.resume`.
+Reachable through the facade as :func:`repro.api.shard_plan` and
+``api.run(..., shards=N)``.
 
 Unlike the other packages, this one binds its names eagerly: ``repro.api``
 imports :func:`shard_plan_for`, which loads every submodule here anyway,
@@ -32,16 +29,11 @@ module attribute allows.  None of the submodules imports the service, the
 pool runner or ``repro.obs``.
 """
 
-from .checkpoint import CheckpointRecord, CheckpointStore, FaultInjector
 from .merge import merge_results
 from .plan import ShardPlan, build_plan, probe_quiescent_points, trace_fingerprint
-from .execute import ShardOutcome, run_shard_job, shard_plan_for
+from .execute import run_shard_job, shard_plan_for
 
 __all__ = [
-    "CheckpointRecord",
-    "CheckpointStore",
-    "FaultInjector",
-    "ShardOutcome",
     "ShardPlan",
     "build_plan",
     "merge_results",

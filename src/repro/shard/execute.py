@@ -5,34 +5,32 @@ into a :class:`~repro.shard.plan.ShardPlan`: it resolves the job's effective
 configuration and annotated trace exactly the way the simulation path does,
 then probes (or cache-hits) the quiescent boundary log and picks cuts.
 
-:func:`run_shard_job` executes one shard (or a whole-trace checkpointed
-run — a "shard" spanning ``[0:n)``):
+:func:`run_shard_job` executes one shard: it runs a fresh simulator over
+the trace **suffix** ``annotated[start:]`` with an explicit stop, so
+lookahead near the boundary sees the same instructions the unsharded run
+saw, and stops exactly at the planned boundary (the simulator refuses a
+non-quiescent overshoot).  A shard that dies is recomputed from its start
+by whoever runs it next: the engine's retry round, or the fleet worker
+that leases it after the first one was evicted.
 
-1. slice nothing — the shard runs the trace **suffix** from its start
-   position with an explicit stop, so lookahead near the boundary sees the
-   same instructions the unsharded run saw;
-2. resume from the latest verified checkpoint when one exists (a corrupt
-   one is discarded and the shard restarts from its beginning);
-3. checkpoint every K instructions through the
-   :class:`~repro.shard.checkpoint.CheckpointStore`, firing any armed
-   fault injector at save time;
-4. stop exactly at the planned boundary (the simulator refuses a
-   non-quiescent overshoot) and return the result delta plus resume
-   metadata.
+``JobSpec.fault`` drives the recovery tests and the CI fault smoke.  The
+one fault, ``"kill@M"``, kills the attempt about to simulate the shard
+whose span holds trace position *M* (``os._exit`` in a pool worker, an
+exception on the serial path).  It fires once per job: a marker file under
+the cache records the firing, so it survives the worker's death and the
+retry demonstrates real recovery instead of dying again.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import os
 from typing import Optional, TYPE_CHECKING
 
 from ..core.backend import resolve_backend
 from ..core.results import SimulationResult
-from ..core.snapshot import SimulatorSnapshot
-from ..engine.cache import content_key
-from ..errors import CheckpointCorruptError, ShardBoundaryError
-from .checkpoint import CheckpointStore, FaultInjector
+from ..engine.cache import ArtifactCache, content_key
+from ..errors import FaultInjectedError, ShardBoundaryError
 from .plan import (
     ShardPlan,
     build_plan,
@@ -46,25 +44,8 @@ if TYPE_CHECKING:
     from ..engine.runner import JobSpec
     from ..harness.experiment import Workbench
     from ..obs.profile import PhaseProfiler
-    from ..obs.trace import Tracer
 
-__all__ = ["ShardOutcome", "run_shard_job", "shard_plan_for"]
-
-
-@dataclass
-class ShardOutcome:
-    """What one shard execution produced, beyond the result itself.
-
-    ``resumed_pos`` is the *absolute* trace position the run restarted
-    from (``-1`` when it started fresh) — the recovery tests assert on it
-    to prove completed work was not redone.  ``checkpoint_token`` is the
-    cache key a later ``mlpsim resume <token>`` can use.
-    """
-
-    result: SimulationResult
-    resumed_pos: int = -1
-    checkpoints_written: int = 0
-    checkpoint_token: str = ""
+__all__ = ["kill_position", "run_shard_job", "shard_plan_for"]
 
 
 def shard_plan_for(
@@ -98,9 +79,60 @@ def shard_plan_for(
     )
 
 
-def _in_pool_worker() -> bool:
+# ---------------------------------------------------------------- faults --
+
+#: Fired-marker fallback for cache-less (memory-only) runs.
+_FIRED_IN_PROCESS: set = set()
+
+
+def kill_position(fault: str) -> int:
+    """The trace position *M* of a ``"kill@M"`` fault spec."""
+    kind, sep, raw = fault.partition("@")
+    if kind != "kill" or not sep:
+        raise ValueError(f"unknown fault spec {fault!r}; expected 'kill@M'")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"fault position in {fault!r} must be an integer"
+        ) from None
+
+
+def _claim_firing(cache: ArtifactCache, token: str) -> bool:
+    """Atomically claim the job's one firing; False if it already fired."""
+    if cache.directory is None:
+        if token in _FIRED_IN_PROCESS:
+            return False
+        _FIRED_IN_PROCESS.add(token)
+        return True
+    marker = cache.directory / "faults" / f"kill-{token}.fired"
+    marker.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        marker.touch(exist_ok=False)
+    except FileExistsError:
+        return False
+    return True
+
+
+def _inject_fault(bench: "Workbench", spec: "JobSpec", start: int,
+                  stop: int) -> None:
+    """Kill this attempt if *spec*'s fault targets the span [start:stop)."""
+    at = kill_position(spec.fault)
+    if not start <= at < stop:
+        return
+    # Every shard of a sharded job carries the fault; keying the marker by
+    # the whole job makes it fire once per job, not once per shard.
+    whole_job = dataclasses.replace(
+        spec, shard_start=-1, shard_stop=-1, label="",
+    )
+    token = content_key("fault", whole_job, bench.settings)
+    if not _claim_firing(bench.artifacts, token):
+        return
     from ..engine import runner
-    return runner._WORKER_BENCH is not None
+
+    if runner._WORKER_BENCH is not None:
+        os._exit(17)  # a pool worker is disposable: die like a crash
+    raise FaultInjectedError(f"fault injection: {spec.fault} fired")
 
 
 def run_shard_job(
@@ -108,9 +140,8 @@ def run_shard_job(
     spec: "JobSpec",
     observer: Optional["WindowObserver"] = None,
     profiler: Optional["PhaseProfiler"] = None,
-    tracer: Optional["Tracer"] = None,
-) -> ShardOutcome:
-    """Execute one shard/checkpointed simulate job against *bench*."""
+) -> SimulationResult:
+    """Simulate the shard *spec* describes against *bench*."""
     annotated = bench.annotated(
         spec.workload, spec.variant, spec.memory_config, spec.sharing,
         spec.tag,
@@ -126,88 +157,18 @@ def run_shard_job(
             f"shard span [{start}:{stop}) is invalid for a trace of "
             f"{n} instructions"
         )
+    if spec.fault:
+        _inject_fault(bench, spec, start, stop)
     suffix = annotated[start:] if start else annotated
     stop_rel: Optional[int] = (stop - start) if stop < n else None
 
-    store = CheckpointStore(bench.artifacts)
-    token = store.token(spec, bench.settings)
-    checkpointing = spec.checkpoint_every > 0
-
-    resume: Optional[SimulatorSnapshot] = None
-    resumed_pos = -1
-    if checkpointing:
-        try:
-            resume = store.load(spec, bench.settings)
-        except CheckpointCorruptError:
-            if tracer is not None:
-                tracer.event(
-                    "checkpoint_corrupt", job=spec.describe(), token=token,
-                )
-            store.discard(spec, bench.settings)
-            resume = None
-        if resume is not None:
-            resumed_pos = start + resume.pos
-            if tracer is not None:
-                tracer.event(
-                    "shard_resume", job=spec.describe(),
-                    pos=resumed_pos, token=token,
-                )
-
-    injector = None
-    if spec.fault:
-        # The fault fires once per job, not once per shard: every shard of
-        # a sharded job carries it, and shards racing to it in one pool
-        # round would otherwise fire again, one by one, in later rounds.
-        whole_job = dataclasses.replace(
-            spec, shard_start=-1, shard_stop=-1, label="",
-        )
-        injector = FaultInjector(
-            spec.fault, bench.artifacts,
-            store.token(whole_job, bench.settings),
-        )
-    written = 0
-
-    def sink(snapshot: SimulatorSnapshot) -> None:
-        nonlocal written
-        key = store.save(spec, bench.settings, snapshot)
-        written += 1
-        if tracer is not None:
-            tracer.event(
-                "checkpoint", job=spec.describe(),
-                pos=start + snapshot.pos, token=key,
-            )
-        if injector is None:
-            return
-        if injector.corrupts_next_save(snapshot):
-            record = store.load_record(key)
-            assert record is not None
-            bench.artifacts.put(
-                CheckpointStore.KIND, key,
-                dataclasses.replace(record, digest="0" * 64),
-            )
-            injector.terminate(_in_pool_worker())
-        elif injector.should_kill(snapshot):
-            injector.terminate(_in_pool_worker())
-
-    # Every backend honours the shard hooks (resume/stop/checkpoint) and is
-    # bit-identical to the reference loop, so shard merging stays exact
-    # regardless of which one runs the segment.
+    # Every backend honours the shard stop and is bit-identical to the
+    # reference loop, so shard merging stays exact regardless of which one
+    # runs the segment.
     backend = resolve_backend(spec.backend or None)
-    kwargs = dict(
-        observer=observer,
-        resume=resume,
-        stop=stop_rel,
-        checkpoint_every=spec.checkpoint_every,
-        checkpoint_sink=sink if checkpointing else None,
-    )
     if profiler is not None:
         with profiler.phase("simulate"):
-            result = backend.simulate(config, suffix, **kwargs)
-    else:
-        result = backend.simulate(config, suffix, **kwargs)
-    return ShardOutcome(
-        result=result,
-        resumed_pos=resumed_pos,
-        checkpoints_written=written,
-        checkpoint_token=token if checkpointing else "",
-    )
+            return backend.simulate(
+                config, suffix, observer=observer, stop=stop_rel,
+            )
+    return backend.simulate(config, suffix, observer=observer, stop=stop_rel)

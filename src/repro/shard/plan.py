@@ -6,7 +6,7 @@ the suffix would diverge.  Statically such positions cannot be recognized
 (whether the store buffer is drained at position *p* depends on the whole
 dynamics up to *p*), so the segmenter runs one instrumented *probe*
 simulation that logs every quiescent epoch boundary (see
-:func:`repro.core.snapshot.is_quiescent`), and cuts are chosen from that
+:func:`repro.core.window.is_quiescent`), and cuts are chosen from that
 log.  The probe costs one serial run per (configuration, trace) pair and is
 cached as a ``shard-probe`` artifact, so a sweep of sharded runs — or a
 re-run after a crash — pays it once.  The probe runs on the job's

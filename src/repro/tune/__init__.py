@@ -21,7 +21,7 @@ Pieces (all importable from here):
 - :class:`TunePruner` — ECM-style analytical pruning shared with
   :mod:`repro.fleet.cost`;
 - :class:`TuneStateStore` — resumable population checkpoints under
-  PR 5-style content tokens;
+  content-hash tokens;
 - :func:`run_tune` / :class:`TuneSpec` / :class:`TuneResult` — the
   generation loop and its wire forms.
 

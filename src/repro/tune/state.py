@@ -1,19 +1,17 @@
-"""Resumable tuning state: the PR 5 token machinery applied to populations.
+"""Resumable tuning state: the evaluated population, persisted per generation.
 
 A tuning run persists its evaluated ``candidate -> EPI`` map to the shared
 :class:`~repro.engine.cache.ArtifactCache` after every generation, under a
-*state token* that is the content hash of (spec, settings) — exactly the
-checkpoint-token convention of :mod:`repro.shard.checkpoint`.  A killed
-run relaunched with the same spec/settings/cache finds the record and
-replays the (deterministic, seeded) strategy, serving already-measured
-candidates from the record instead of the engine — no completed candidate
-is re-evaluated.
+*state token* that is the content hash of (spec, settings).  A killed run
+relaunched with the same spec/settings/cache finds the record and replays
+the (deterministic, seeded) strategy, serving already-measured candidates
+from the record instead of the engine — no completed candidate is
+re-evaluated.
 
-Integrity mirrors :class:`~repro.shard.checkpoint.CheckpointRecord`: the
-record carries a SHA-256 digest of the canonical wire encoding of its
-evaluations.  A record that fails verification is discarded and tuning
-restarts clean — stale or tampered state is never resumed into a wrong
-winner.
+Integrity: the record carries a SHA-256 digest of the canonical wire
+encoding of its evaluations.  A record that fails verification is
+discarded and tuning restarts clean — stale or tampered state is never
+resumed into a wrong winner.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..engine import serialize
 from ..engine.cache import ArtifactCache, content_key, stable_token
-from ..errors import CheckpointCorruptError
+from ..errors import ArtifactCorruptError
 from .space import Candidate
 
 if TYPE_CHECKING:
@@ -61,12 +59,12 @@ class TuneState:
     def verify(self) -> Tuple[Tuple[Candidate, float], ...]:
         """The evaluations, after recomputing and checking the digest."""
         if self.version != TUNE_STATE_VERSION:
-            raise CheckpointCorruptError(
+            raise ArtifactCorruptError(
                 f"tune state version {self.version} != {TUNE_STATE_VERSION}"
             )
         actual = _evaluations_digest(self.evaluated)
         if actual != self.digest:
-            raise CheckpointCorruptError(
+            raise ArtifactCorruptError(
                 f"tune state digest mismatch (stored {self.digest[:12]}..., "
                 f"recomputed {actual[:12]}...); discarding state"
             )
@@ -114,7 +112,7 @@ class TuneStateStore:
         if state is None:
             return None
         if not isinstance(state, TuneState):
-            raise CheckpointCorruptError(
+            raise ArtifactCorruptError(
                 f"tune state entry {token[:12]}... holds a "
                 f"{type(state).__name__}, not a TuneState"
             )
@@ -131,14 +129,14 @@ class TuneStateStore:
         token = self.token(spec, settings)
         try:
             state = self.load_record(token)
-        except CheckpointCorruptError:
+        except ArtifactCorruptError:
             self.discard(spec, settings)
             return {}
         if state is None:
             return {}
         try:
             return dict(state.verify())
-        except CheckpointCorruptError:
+        except ArtifactCorruptError:
             self.discard(spec, settings)
             return {}
 

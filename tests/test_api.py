@@ -112,18 +112,6 @@ class TestSweep:
         assert [r.epi_per_1000 for r in sharded] == \
             [r.epi_per_1000 for r in plain]
 
-    def test_checkpointed_sweep_is_bit_identical(self, tmp_path):
-        spec = api.SweepSpec.build("database", store_queue=[16, 32])
-        plain = api.sweep(
-            spec, settings=SMALL, cache_dir=None, workers=1,
-        )
-        checkpointed = api.sweep(
-            spec, settings=SMALL, cache_dir=tmp_path / "ckpt",
-            workers=1, checkpoint_every=2000,
-        )
-        assert [r.epi_per_1000 for r in checkpointed] == \
-            [r.epi_per_1000 for r in plain]
-
 
 class TestTune:
     def test_facade_finds_the_cheap_corner(self, tmp_path):

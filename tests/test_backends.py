@@ -4,7 +4,7 @@ The contract under test is the strongest one the subsystem makes: every
 backend returns a :class:`~repro.core.results.SimulationResult` that is
 field-for-field equal to the reference tick loop — on curated workload
 variants, on seeded random configurations over seeded random traces, and
-under sharding and checkpoint/resume.
+under sharding.
 """
 
 from __future__ import annotations
@@ -237,10 +237,10 @@ def test_backends_bit_identical_on_random_traces(trial):
         )
 
 
-# --------------------------------------- sharding and checkpoint/resume --
+# -------------------------------------------------------------- sharding --
 
 
-class TestShardedAndCheckpointed:
+class TestSharded:
     @pytest.mark.parametrize("name", _alternative_backends())
     def test_sharded_run_matches_unsharded_reference(self, name):
         golden = api.run("database", settings=TINY, cache_dir=None,
@@ -250,24 +250,6 @@ class TestShardedAndCheckpointed:
             shards=3, workers=1, backend=name,
         )
         assert sharded == golden
-
-    @pytest.mark.parametrize("name", _alternative_backends())
-    def test_checkpoint_resume_matches_reference(self, bench, name):
-        trace = bench.annotated("database", "pc")
-        config = bench.resolved_config("database", "pc")
-        golden = MlpSimulator(config).run(trace)
-        backend = resolve_backend(name)
-
-        snapshots = []
-        checkpointed = backend.simulate(
-            config, trace,
-            checkpoint_every=700, checkpoint_sink=snapshots.append,
-        )
-        assert checkpointed == golden, "the sink must not perturb the run"
-        assert snapshots, "a 4000-instruction run crosses several 700-marks"
-        for snapshot in (snapshots[0], snapshots[-1]):
-            assert backend.simulate(config, trace,
-                                    resume=snapshot) == golden
 
 
 # ------------------------------------------------------- engine and facade --

@@ -183,8 +183,7 @@ def _write_fleet_trace(path):
         {"kind": "fleet_task_leased", "corr": "job-1", "ts": 12.0,
          "task": "T", "worker": "w1", "attempt": 1},
         {"kind": "fleet_task_complete", "corr": "job-1", "ts": 15.0,
-         "task": "T", "worker": "w1", "state": "done", "resumed_pos": -1,
-         "checkpoints": 0},
+         "task": "T", "worker": "w1", "state": "done"},
         {"kind": "span_end", "name": "fleet_job", "corr": "job-1",
          "span": "", "id": "root", "parent": "", "ts": 16.0, "dur": 6.0,
          "state": "done"},

@@ -13,7 +13,6 @@ import pytest
 from repro import errors
 from repro.errors import (
     BatchFailedError,
-    CheckpointCorruptError,
     EngineConfigError,
     EngineError,
     FaultInjectedError,
@@ -44,7 +43,6 @@ class TestHierarchy:
 
     def test_new_shard_codes(self):
         assert ShardBoundaryError.code == "shard-boundary"
-        assert CheckpointCorruptError.code == "checkpoint-corrupt"
         assert FaultInjectedError.code == "fault-injected"
         assert ProtocolError.code == "protocol-invalid"
 

@@ -42,7 +42,7 @@ SMALL = ExperimentSettings(warmup=1500, measure=4000, seed=11,
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory):
     # One shared artifact store for the whole module: traces, annotations,
-    # checkpoints and finished service results — exactly how a real fleet
+    # shard probes and finished service results — exactly how a real fleet
     # shares state.
     return tmp_path_factory.mktemp("fleet-cache")
 
@@ -173,16 +173,16 @@ class TestFleetExecution:
                   for job in report.jobs]
         assert queues == [8, 16]
 
-    def test_dead_worker_shard_resumes_from_checkpoint(
+    def test_dead_worker_shard_is_recomputed(
         self, fleet_factory, golden, cache_dir,
     ):
-        """A worker dies mid-shard; its shard is re-routed and *resumed*.
+        """A worker dies mid-shard; its shard is re-leased and recomputed.
 
         The zombie leases one shard over the real wire, executes it with a
-        kill fault (so verified checkpoints land in the shared store),
-        then goes silent.  After eviction the replacement worker must
-        finish from the zombie's checkpoint — and the merged result must
-        equal the straight-through golden bit for bit.
+        kill fault aimed at that shard, then goes silent.  After eviction
+        the replacement worker recomputes the shard from its start — and
+        the merged result must equal the straight-through golden bit for
+        bit.
         """
         fleet = fleet_factory(workers=0, lease_ttl=0.3)
         url = fleet.coord.url
@@ -193,7 +193,9 @@ class TestFleetExecution:
             "kind": "simulate",
             "job": {"workload": "database", "variant": "pc"},
             "shards": 2,
-            "checkpoint_every": 500,
+            # bit-identical to the default backend, but a request the
+            # module's shared result store has not answered yet
+            "backend": "reference",
         })
         job_id = receipt["id"]
 
@@ -204,38 +206,51 @@ class TestFleetExecution:
         )
         assert len(lease["tasks"]) == 1
         spec = serialize.from_jsonable(lease["tasks"][0]["spec"])
-        assert spec.sharded and spec.checkpoint_every == 500
+        assert spec.sharded
 
-        # Execute the leased shard with a kill fault: checkpoints are
-        # written to the shared cache, then the attempt dies.
+        # Execute the leased shard with a kill fault: the attempt dies ...
         runner = EngineRunner(
             settings=SMALL, cache_dir=str(cache_dir), workers=1, retries=0,
         )
-        doomed = dataclasses.replace(spec, fault="kill@600")
-        outcome = runner.run([doomed]).jobs[0]
-        assert not outcome.ok
-        # The kill fired at checkpoint-save time, so the failed attempt
-        # reports nothing — but its snapshot is in the shared store (the
-        # token excludes the fault field, so any worker can resume it).
-        from repro.engine.cache import ArtifactCache, resolve_cache_dir
-        from repro.shard.checkpoint import CheckpointStore
-
-        store = CheckpointStore(ArtifactCache(resolve_cache_dir(cache_dir)))
-        assert store.load(spec, SMALL) is not None
+        doomed = dataclasses.replace(spec, fault=f"kill@{spec.shard_start}")
+        assert not runner.run([doomed]).jobs[0].ok
         # ... and the zombie never reports back, never heartbeats again.
 
         fleet.add_worker("replacement")
         status = client.wait(job_id, timeout=180)
         assert status["state"] == "done"
 
-        sharded = status["result"]["sharded"]
-        assert sharded["rounds"] == 2          # the shard was re-leased
-        assert sharded["resumed_shards"] >= 1  # ... and resumed, not redone
+        assert status["result"]["sharded"]["rounds"] == 2  # re-leased
         report = ShardedReport.from_dict(status["result"]["report"])
         assert report.merged == golden
-        resumed = [job for job in report.jobs if job.resumed_pos >= 0]
-        assert resumed and all(job.ok for job in report.jobs)
+        assert all(job.ok for job in report.jobs)
+        recomputed = [
+            job for job in report.jobs
+            if job.spec.shard_start == spec.shard_start
+        ]
+        assert [job.attempts for job in recomputed] == [2]
         assert fleet.coord.registry.evicted_total == 1
+
+    def test_sharded_status_ships_each_epoch_once(
+        self, fleet_factory, golden,
+    ):
+        # Only the merge reads the per-shard results, so the finished
+        # status carries the epochs once: inside the merged result.
+        fleet = fleet_factory(workers=1)
+        client = fleet.client()
+        receipt = client.submit({
+            "kind": "simulate",
+            "job": {"workload": "database", "variant": "pc",
+                    "core_changes": {"store_buffer": 12}},
+            "shards": 2,
+        })
+        status = client.wait(receipt["id"], timeout=120)
+        assert status["state"] == "done"
+        report = ShardedReport.from_dict(status["result"]["report"])
+        assert len(report.jobs) == 2
+        assert all(job.ok and job.result is None for job in report.jobs)
+        merged = len(json.dumps(serialize.to_jsonable(report.merged)))
+        assert len(json.dumps(status)) < merged + 8192
 
     def test_cluster_wide_dedup_serves_from_result_store(
         self, fleet_factory, cache_dir,
@@ -333,7 +348,7 @@ class TestFleetExecution:
 class TestFleetObservability:
     """Cross-process trace propagation and metrics federation, end to end."""
 
-    def test_sigkill_resume_yields_one_connected_trace_tree(
+    def test_sigkill_re_lease_yields_one_trace_tree(
         self, fleet_factory, cache_dir, tmp_path,
     ):
         """One job, two workers, one SIGKILL: still a single span tree.
@@ -341,7 +356,7 @@ class TestFleetObservability:
         The zombie worker leases a shard over the real wire, restores the
         propagated trace context, executes with a kill fault (emitting its
         engine spans parented under the coordinator's job span), then goes
-        silent.  The replacement resumes from the zombie's checkpoint.
+        silent.  The replacement recomputes the re-leased shard.
         The merged trace must form ONE connected tree rooted at the
         coordinator's ``fleet_job`` span, with engine spans from both
         workers — and the result must stay bit-identical to a single-node
@@ -368,7 +383,6 @@ class TestFleetObservability:
             "kind": "simulate",
             "job": {"workload": "tpcw", "variant": "pc"},
             "shards": 2,
-            "checkpoint_every": 500,
         })
         job_id = receipt["id"]
 
@@ -385,9 +399,8 @@ class TestFleetObservability:
             settings=SMALL, cache_dir=str(cache_dir), workers=1, retries=0,
             obs=obs,
         )
-        doomed = dataclasses.replace(
-            serialize.from_jsonable(entry["spec"]), fault="kill@600",
-        )
+        spec = serialize.from_jsonable(entry["spec"])
+        doomed = dataclasses.replace(spec, fault=f"kill@{spec.shard_start}")
         with trace_context(entry["traceparent"]):
             outcome = runner.run([doomed]).jobs[0]
         assert not outcome.ok
@@ -417,7 +430,6 @@ class TestFleetObservability:
         timeline = job_timeline(events, job_id)
         assert timeline is not None and timeline.state == "done"
         assert len(timeline.workers) == 2
-        assert timeline.resumes >= 1
         assert timeline.phases["recovery"] > 0.0
         # The five phases tile the wall: reconcile within the 5% bound.
         assert timeline.phase_sum == pytest.approx(

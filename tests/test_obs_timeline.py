@@ -33,11 +33,11 @@ def _span(kind, name, corr, span_id, parent="", ts=0.0, **attrs):
 
 
 def fleet_trace():
-    """A two-task job where one shard's worker dies and the task resumes.
+    """A two-task job where one shard's worker dies and the task reruns.
 
     t=10 submit, t=11 expanded, task A runs 12..15 on w1; task B leased
-    at 12.5 on w2 which dies, is re-leased at 18 to w1, completes at 22
-    (from a checkpoint); the job assembles and finishes at 23.
+    at 12.5 on w2 which dies, is re-leased at 18 to w1, completes at 22;
+    the job assembles and finishes at 23.
     """
     j = "job-1"
     return [
@@ -48,15 +48,13 @@ def fleet_trace():
         {"kind": "fleet_task_leased", "corr": j, "ts": 12.5, "task": "B",
          "worker": "w2", "attempt": 1},
         {"kind": "fleet_task_complete", "corr": j, "ts": 15.0, "task": "A",
-         "worker": "w1", "state": "done", "resumed_pos": -1,
-         "checkpoints": 2},
+         "worker": "w1", "state": "done"},
         {"kind": "fleet_worker_evicted", "corr": j, "ts": 17.0,
          "worker": "w2"},
         {"kind": "fleet_task_leased", "corr": j, "ts": 18.0, "task": "B",
          "worker": "w1", "attempt": 2},
         {"kind": "fleet_task_complete", "corr": j, "ts": 22.0, "task": "B",
-         "worker": "w1", "state": "done", "resumed_pos": 4000,
-         "checkpoints": 1},
+         "worker": "w1", "state": "done"},
         _span("span_end", "fleet_job", j, "root", ts=23.0, dur=13.0,
               state="done"),
     ]
@@ -129,8 +127,6 @@ class TestJobTimeline:
         assert timeline.state == "done"
         assert timeline.task_count == 2
         assert timeline.workers == ["w1", "w2"]
-        assert timeline.resumes == 1
-        assert timeline.checkpoints == 3
         recovery = [s for s in timeline.segments if s.phase == "recovery"]
         assert len(recovery) == 1
         assert "w2" in recovery[0].detail and "w1" in recovery[0].detail
@@ -143,8 +139,7 @@ class TestJobTimeline:
             {"kind": "fleet_task_leased", "corr": j, "ts": 2.0, "task": "T",
              "worker": "w1", "attempt": 1},
             {"kind": "fleet_task_complete", "corr": j, "ts": 5.0, "task": "T",
-             "worker": "w1", "state": "done", "resumed_pos": -1,
-             "checkpoints": 0},
+             "worker": "w1", "state": "done"},
             _span("span_end", "fleet_job", j, "root", ts=5.5, dur=5.5,
                   state="done"),
         ]

@@ -194,6 +194,18 @@ class TestParseJobRequest:
         assert "protocol version" in message
         assert f"v{PROTOCOL_VERSION}" in message
 
+    @pytest.mark.parametrize("field", ["shard", "fault", "priorty"])
+    def test_unknown_top_level_field_is_structured_400(self, field):
+        # A field the protocol does not define (a typo, or one an older
+        # version had) is refused, never silently ignored.
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_job_request(wire({
+                "kind": "simulate", "job": {"workload": "database"},
+                field: 1,
+            }))
+        assert excinfo.value.status == 400
+        assert repr(field) in str(excinfo.value)
+
     def test_priority_excluded_from_signature(self):
         body = {
             "kind": "sweep",
@@ -514,7 +526,7 @@ class TestSmtRequests:
             })
         assert "valid schedulers" in str(err.value)
 
-    def test_smt_jobs_cannot_shard_or_checkpoint(self):
+    def test_smt_jobs_cannot_shard(self):
         with pytest.raises(ProtocolError) as err:
             parse_job_request({
                 "kind": "simulate",

@@ -129,6 +129,39 @@ class TestJobQueue:
         assert sum(deduped) == 7
         assert queue.depth() == 1
 
+    def test_submit_with_result_is_done_and_never_claimed(self):
+        # An answer known at submit (an estimate, a result-store hit) makes
+        # the job terminal under the submit's own lock acquisition: no
+        # dispatcher can claim it and lease it out in between.
+        queue = JobQueue()
+        job, deduped = queue.submit(sweep_request(), result={"answer": 42})
+        assert not deduped
+        assert job.state is JobState.DONE and job.done_event.is_set()
+        assert job.status_payload()["result"] == {"answer": 42}
+        assert job.started_at is not None and job.finished_at is not None
+        assert queue.next_job(timeout=0) is None
+        assert queue.depth() == 0
+        # done on arrival: a resubmission is new work, not a dedup
+        again, deduped = queue.submit(sweep_request())
+        assert not deduped and again is not job
+
+    def test_submit_with_result_takes_no_queue_slot(self):
+        queue = JobQueue(capacity=1)
+        queue.submit(sweep_request(queues=(8,)))
+        job, _ = queue.submit(sweep_request(queues=(16,)), result={})
+        assert job.state is JobState.DONE
+
+    def test_retire_hook_runs_before_waiters_wake(self):
+        queue = JobQueue()
+        seen = []
+        queue.on_retire = lambda job: seen.append(
+            (job.state, job.done_event.is_set()),
+        )
+        job, _ = queue.submit(sweep_request())
+        queue.next_job(timeout=1.0)
+        queue.finish(job, result={})
+        assert seen == [(JobState.DONE, False)]
+
     def test_closed_once_close_is_called(self):
         queue = JobQueue()
         assert not queue.closed

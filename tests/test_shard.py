@@ -9,16 +9,20 @@ that agree, the identical epoch list and counters.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
 from repro import api
+from repro.core import MlpSimulator
 from repro.core.epoch import (
     EpochRecord,
     TerminationCondition,
     TriggerKind,
 )
 from repro.core.results import SimulationResult
+from repro.core.window import is_quiescent
+from repro.engine import serialize
 from repro.engine.runner import EngineRunner, JobSpec
 from repro.errors import ShardBoundaryError
 from repro.harness import ExperimentSettings
@@ -47,6 +51,57 @@ def _runner(tmp_path, **kwargs):
     kwargs.setdefault("cache_dir", tmp_path / "cache")
     kwargs.setdefault("workers", 1)
     return EngineRunner(**kwargs)
+
+
+def _boundaries(config, trace):
+    """``(pos, cur, state)`` at every epoch boundary of a straight-through
+    run, the state being live (inspect it before stepping on)."""
+    simulator = MlpSimulator(config)
+    state, accountant = simulator.new_state(trace)
+    while not simulator.step_epoch(trace, state, accountant)[0]:
+        yield state.pos, state.cur, state
+
+
+class TestQuiescence:
+    @pytest.fixture(scope="class")
+    def trace(self, bench):
+        return bench.annotated("database", "pc")
+
+    @pytest.fixture(scope="class")
+    def config(self, bench):
+        return bench.resolved_config("database", "pc")
+
+    def test_probe_finds_quiescent_boundaries(self, config, trace, goldens):
+        log = []
+        result = MlpSimulator(config).run(trace, quiescent_log=log)
+        assert result == goldens["pc"]  # probing does not perturb either
+        assert log, "a multi-thousand-instruction run passes quiescence"
+        positions = [pos for pos, _ in log]
+        assert positions == sorted(positions)
+        assert all(0 < pos < len(trace) for pos, _ in log)
+
+    def test_quiescent_state_carries_nothing_forward(self, config, trace):
+        # step the simulation by hand and check the predicate against a
+        # direct inspection of the machine state at every boundary
+        log = []
+        MlpSimulator(config).run(trace, quiescent_log=log)
+        seen = []
+        for pos, cur, state in _boundaries(config, trace):
+            if is_quiescent(state):
+                unit = state.store_unit
+                assert not unit.sb and not unit.sq
+                assert all(ready <= cur for ready in state.scoreboard._ready)
+                if 0 < pos < len(trace):
+                    seen.append((pos, cur))
+        assert seen == log
+
+    def test_nonquiescent_when_stores_in_flight(self, config, trace):
+        busy = 0
+        for _, _, state in _boundaries(config, trace):
+            if state.store_unit.sb or state.store_unit.sq:
+                busy += 1
+                assert not is_quiescent(state)
+        assert busy, "the run has boundaries with stores in flight"
 
 
 class TestShardPlan:
@@ -92,13 +147,26 @@ class TestShardedBitIdentity:
         report.raise_on_failure()
         assert report.merged == goldens[variant]
 
-    def test_single_shard_with_checkpoints(self, tmp_path, goldens):
+    def test_single_shard_matches_golden(self, tmp_path, goldens):
         runner = _runner(tmp_path)
         spec = JobSpec(workload="database")
-        report = runner.run_sharded(spec, 1, checkpoint_every=1000)
+        report = runner.run_sharded(spec, 1)
         report.raise_on_failure()
         assert report.merged == goldens["pc"]
-        assert report.checkpoints_written > 0
+        assert [job.attempts for job in report.jobs] == [1]
+
+    def test_report_ships_each_epoch_once(self, tmp_path, goldens):
+        # The merge is the only reader of the per-shard results, so a
+        # finished report drops them: its encoding is the merged result
+        # plus a small per-shard envelope, not every epoch twice.
+        runner = _runner(tmp_path)
+        report = runner.run_sharded(JobSpec(workload="database"), 2)
+        report.raise_on_failure()
+        assert len(report.jobs) == 2
+        assert all(job.ok and job.result is None for job in report.jobs)
+        encoded = len(json.dumps(report.to_dict()))
+        merged = len(json.dumps(serialize.to_jsonable(report.merged)))
+        assert encoded < merged + 4096
 
     def test_run_shard_job_rejects_bad_bounds(self, bench):
         trace_len = len(bench.annotated("database", "pc"))
@@ -142,7 +210,7 @@ class TestApiRunSharded:
     ):
         result = api.run(
             "database", settings=SMALL, cache_dir=tmp_path / "cache",
-            shards=4, checkpoint_every=2000, workers=1,
+            shards=4, workers=1,
         )
         assert result == goldens["pc"]
 

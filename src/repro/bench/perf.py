@@ -192,9 +192,9 @@ def _backend_runner(backend: str, config, annotated):
 
     The empty name and ``"reference"`` keep the pre-backend measurement
     loop byte-identical (one reused :class:`MlpSimulator`); other names go
-    through :func:`repro.core.backend.resolve_backend`, whose built-ins
-    cache per-trace skip tables so warmup repetitions absorb the one-time
-    table build exactly like a long-lived sweep does.
+    through :func:`repro.core.backend.resolve_backend`; the ``event``
+    backend keeps its skip tables on the trace, so warmup repetitions
+    absorb the one-time table build exactly like a long-lived sweep does.
     """
     if not backend or backend == "reference":
         simulator = MlpSimulator(config)

@@ -139,35 +139,14 @@ class EventSimulator(MlpSimulator):
     """A :class:`MlpSimulator` whose window scan skips quiescent spans.
 
     Everything outside :meth:`_scan_window` — the epoch loop, the shard
-    stop and quiescence probe, scout episodes, the class handlers —
+    start, stop and quiescence probe, scout episodes, the class handlers —
     is inherited unchanged; only the hot per-instruction walk is replaced
-    by the armed-skip variant described in the module docstring.
+    by the armed-skip variant described in the module docstring.  The
+    skip tables live on the trace (:class:`AnnotatedTrace`), built by the
+    first scan that needs them.
     """
 
-    __slots__ = ("_skip_tables", "_skip_trace")
-
-    def __init__(self, config, observer=None) -> None:
-        super().__init__(config, observer)
-        self._skip_tables: SkipTables | None = None
-        self._skip_trace: AnnotatedTrace | None = None
-
-    def install_tables(
-        self, trace: AnnotatedTrace, tables: SkipTables
-    ) -> None:
-        """Adopt precomputed tables for *trace* (the backend shares one
-        build across every configuration replaying the same trace)."""
-        if tables.n != len(trace):
-            raise ValueError(
-                f"skip tables cover {tables.n} instructions, "
-                f"trace has {len(trace)}"
-            )
-        self._skip_tables = tables
-        self._skip_trace = trace
-
-    def _tables_for(self, trace: AnnotatedTrace) -> SkipTables:
-        if self._skip_trace is not trace:
-            self.install_tables(trace, build_skip_tables(trace))
-        return self._skip_tables  # type: ignore[return-value]
+    __slots__ = ()
 
     # The body below is the reference `MlpSimulator._scan_window` with the
     # armed-skip block added at the top of the loop; every other line is
@@ -178,7 +157,9 @@ class EventSimulator(MlpSimulator):
         state: WindowState,
         accountant: EpochAccountant,
     ) -> None:
-        tables = self._tables_for(trace)
+        tables = trace.skip_tables
+        if tables is None:
+            tables = trace.skip_tables = build_skip_tables(trace)
         next_plain = tables.next_plain
         next_barrier = tables.next_barrier
         store_prefix = tables.store_prefix
@@ -404,31 +385,16 @@ class EventSimulator(MlpSimulator):
 class EventBackend(Backend):
     """Event-driven scanning behind the standard backend interface.
 
-    The backend keeps the skip tables of the most recent trace (they are
-    config-independent), so a sweep running many configurations over one
-    annotated trace builds them once instead of once per job.  The cache
-    is a single-slot ``(trace, tables)`` tuple assigned atomically, which
-    keeps concurrent use merely wasteful, never wrong.
+    The skip tables are config-independent and live on the annotated
+    trace, so a sweep running many configurations over one trace builds
+    them once, and they are freed with the trace.  Any other sequence of
+    ``(Instruction, AccessInfo)`` pairs (a slice, a hand-built list) is
+    wrapped in a fresh :class:`AnnotatedTrace` for the one simulation.
     """
 
     name = "event"
 
-    def __init__(self) -> None:
-        self._cache = (None, None)
-
-    def _tables_for(self, trace):
-        cached_trace, cached_tables = self._cache
-        if cached_trace is not trace:
-            cached_tables = build_skip_tables(trace)
-            # Holding the trace reference keeps its id() stable for as
-            # long as the cache entry can match it.
-            self._cache = (trace, cached_tables)
-        return cached_tables
-
-    def _simulator(self, config, trace) -> EventSimulator:
-        simulator = EventSimulator(config)
-        simulator.install_tables(trace, self._tables_for(trace))
-        return simulator
-
     def simulate(self, config, trace, observer=None, **kwargs):
-        return self._simulator(config, trace).run(trace, observer, **kwargs)
+        if not isinstance(trace, AnnotatedTrace):
+            trace = AnnotatedTrace(trace)
+        return EventSimulator(config).run(trace, observer, **kwargs)

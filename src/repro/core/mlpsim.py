@@ -140,6 +140,7 @@ class MlpSimulator:
         trace: AnnotatedTrace,
         observer: WindowObserver | None = None,
         *,
+        start: int = 0,
         stop: int | None = None,
         quiescent_log: Optional[List[Tuple[int, int]]] = None,
     ) -> SimulationResult:
@@ -147,16 +148,31 @@ class MlpSimulator:
 
         The keyword-only parameters drive :mod:`repro.shard`:
 
-        - *stop* ends the run at a planned shard boundary: the first
-          epoch-loop bottom where the cursor is at *stop* and the machine
-          is quiescent.  The boundary must be one this simulation actually
-          passes through quiescently (a position from a shard plan); a
-          cursor that moves past it raises :class:`ShardBoundaryError`.
+        - *start* starts a fresh machine with the cursor at this position
+          (a planned shard boundary); the instructions before it are never
+          visited.  It must lie in ``[0, len(trace))``.
+        - *stop* ends the run at a planned shard boundary, an absolute
+          position after *start*: the first epoch-loop bottom where the
+          cursor is at *stop* and the machine is quiescent.  The boundary
+          must be one this simulation actually passes through quiescently
+          (a position from a shard plan); a cursor that moves past it
+          raises :class:`ShardBoundaryError`.
         - *quiescent_log* collects ``(pos, cur)`` at every quiescent epoch
           boundary — the probe behind shard planning.
+
+        The result counts the instructions from *start* to *stop* (or to
+        the end of the trace).
         """
-        state, accountant = self.new_state(trace, observer)
         n = len(trace)
+        if start and not 0 < start < n:
+            raise ShardBoundaryError(
+                f"shard start {start} is outside a trace of {n} instructions"
+            )
+        if stop is not None and stop <= start:
+            raise ShardBoundaryError(
+                f"shard stop {stop} does not follow its start {start}"
+            )
+        state, accountant = self.new_state(trace, observer, start=start)
         # Epoch-boundary instrumentation is cold (once per epoch, not per
         # instruction); a single flag keeps the plain path to one check.
         instrumented = stop is not None or quiescent_log is not None
@@ -179,7 +195,7 @@ class MlpSimulator:
                 if is_quiescent(state):
                     # The unit is drained at a quiescent boundary, so
                     # finalize only copies the accumulated store statistics.
-                    accountant.result.instructions = stop
+                    accountant.result.instructions = stop - start
                     return accountant.finalize(state.store_unit)
             if (
                 quiescent_log is not None
@@ -199,9 +215,11 @@ class MlpSimulator:
         self,
         trace: AnnotatedTrace,
         observer: WindowObserver | None = None,
+        *,
+        start: int = 0,
     ) -> Tuple[WindowState, EpochAccountant]:
         """The fresh ``(state, accountant)`` pair a simulation of *trace*
-        starts from.
+        starts from, with the cursor at *start*.
 
         :meth:`run` and externally driven simulations (:mod:`repro.smt`,
         which interleaves epochs from several contexts) both start here
@@ -213,8 +231,9 @@ class MlpSimulator:
             store_unit=StoreUnit(core),
             stagnation_limit=core.store_queue + core.store_buffer + 8,
             observer=observer if observer is not None else self.observer,
+            pos=start,
         )
-        return state, EpochAccountant(instructions=len(trace))
+        return state, EpochAccountant(instructions=len(trace) - start)
 
     def step_epoch(
         self,

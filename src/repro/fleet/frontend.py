@@ -238,6 +238,12 @@ class FleetCoordinator:
         self._frontend.stop()
         self._dispatcher.join(timeout=5.0)
         self._evictor.join(timeout=5.0)
+        # A stopped coordinator is cyclic garbage (the router, the queue
+        # and the front end point back at it), so what it holds lives
+        # until a full collection: drop the traces now.
+        with self._bench_lock:
+            self._bench = None
+        self.artifacts.clear_memory()
 
     def begin_drain(self) -> None:
         """Stop accepting new submissions (503 + Retry-After)."""

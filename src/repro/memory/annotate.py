@@ -14,7 +14,7 @@ microarchitecture parameters, with cache behaviour resolved up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Protocol, Tuple
+from typing import Iterable, Protocol, Tuple
 
 from ..frontend import BranchPredictor
 from ..isa import Instruction
@@ -53,8 +53,34 @@ class AccessInfo:
     mispredicted: bool = False
 
 
-#: The simulator's input form: measured instructions with their classification.
-AnnotatedTrace = List[Tuple[Instruction, AccessInfo]]
+class AnnotatedTrace(list):
+    """The simulator's input form: measured instructions with their
+    classification, as ``(Instruction, AccessInfo)`` pairs.
+
+    A list that also owns the configuration-free data derived from it, so
+    each is computed once per trace and freed with the trace:
+
+    ``skip_tables``  the ``event`` backend's wakeup tables
+                     (:func:`repro.core.backends.events.build_skip_tables`);
+    ``fingerprint``  the shard planner's identity
+                     (:func:`repro.shard.plan.trace_fingerprint`).
+
+    Both start as ``None`` and are filled by their first user.  An
+    annotated trace is not mutated after annotation.  Derived data never
+    travels: a pickle carries only the pairs, and a slice is a plain list.
+    A trace can be weakly referenced, so a test can tell that it was freed.
+    """
+
+    __slots__ = ("skip_tables", "fingerprint", "__weakref__")
+
+    def __init__(self, pairs: Iterable[Tuple[Instruction, AccessInfo]] = ()):
+        super().__init__(pairs)
+        self.skip_tables = None
+        self.fingerprint = None
+
+    def __reduce__(self):
+        return (AnnotatedTrace, (), None, iter(self))
+
 
 #: The shared :class:`AccessInfo` for each 5-bit flag mask: bit 0
 #: ``inst_miss``, 1 ``data_miss``, 2 ``smac_hit``, 3 ``upgrade``, 4
@@ -106,7 +132,7 @@ def annotate_trace(
     if system is not None and system.memory is not memory:
         raise ValueError("system must wrap the same MemorySystem being annotated")
 
-    annotated: AnnotatedTrace = []
+    annotated = AnnotatedTrace()
     append = annotated.append
     fetch, load, store = memory.fetch, memory.load, memory.store
     observe = predictor.observe if predictor is not None else None

@@ -13,8 +13,8 @@ This package supplies the three pieces:
   fingerprint) in the artifact cache.
 - :mod:`repro.shard.merge` — exact whole-run reconstruction from per-shard
   :class:`~repro.core.results.SimulationResult` parts.
-- :mod:`repro.shard.execute` — one shard as an engine job: run the trace
-  suffix from the shard's start to its planned boundary, plus the
+- :mod:`repro.shard.execute` — one shard as an engine job: run the whole
+  trace from the shard's start to its planned boundary, plus the
   ``kill@M`` fault the recovery tests drive.  A failed shard is recomputed
   from its start.
 

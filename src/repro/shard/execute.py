@@ -6,12 +6,14 @@ configuration and annotated trace exactly the way the simulation path does,
 then probes (or cache-hits) the quiescent boundary log and picks cuts.
 
 :func:`run_shard_job` executes one shard: it runs a fresh simulator over
-the trace **suffix** ``annotated[start:]`` with an explicit stop, so
-lookahead near the boundary sees the same instructions the unsharded run
-saw, and stops exactly at the planned boundary (the simulator refuses a
-non-quiescent overshoot).  A shard that dies is recomputed from its start
-by whoever runs it next: the engine's retry round, or the fleet worker
-that leases it after the first one was evicted.
+the **whole** annotated trace from the shard's start to its planned stop
+(``MlpSimulator.run(start=, stop=)``), so lookahead near the boundary sees
+the same instructions the unsharded run saw, the trace's skip tables are
+the ones every other job over it uses, and the run stops exactly at the
+planned boundary (the simulator refuses a non-quiescent overshoot).  A
+shard that dies is recomputed from its start by whoever runs it next: the
+engine's retry round, or the fleet worker that leases it after the first
+one was evicted.
 
 ``JobSpec.fault`` drives the recovery tests and the CI fault smoke.  The
 one fault, ``"kill@M"``, kills the attempt about to simulate the shard
@@ -159,16 +161,20 @@ def run_shard_job(
         )
     if spec.fault:
         _inject_fault(bench, spec, start, stop)
-    suffix = annotated[start:] if start else annotated
-    stop_rel: Optional[int] = (stop - start) if stop < n else None
+    # The last shard runs to the end of the trace, where the final drain
+    # commits what is still in flight.
+    stop_at: Optional[int] = stop if stop < n else None
 
-    # Every backend honours the shard stop and is bit-identical to the
+    # Every backend honours the shard span and is bit-identical to the
     # reference loop, so shard merging stays exact regardless of which one
     # runs the segment.
     backend = resolve_backend(spec.backend or None)
     if profiler is not None:
         with profiler.phase("simulate"):
             return backend.simulate(
-                config, suffix, observer=observer, stop=stop_rel,
+                config, annotated, observer=observer,
+                start=start, stop=stop_at,
             )
-    return backend.simulate(config, suffix, observer=observer, stop=stop_rel)
+    return backend.simulate(
+        config, annotated, observer=observer, start=start, stop=stop_at,
+    )

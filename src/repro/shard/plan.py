@@ -18,11 +18,12 @@ Exactness argument: at a quiescent boundary every comparison the simulator
 will make from then on is either positional (and all recorded state is
 strictly behind the cursor) or epoch-relative (and every register is usable
 *now*, exactly like a fresh scoreboard).  A shard therefore runs a fresh
-simulator over the **suffix** of the trace starting at its boundary — not a
-truncated slice, so window-termination checks and scout lookahead near the
-next boundary see the same instructions the unsharded run saw — and stops
-at the next planned boundary.  Per-shard epoch records then equal the
-unsharded run's records over the same span, field for field.
+simulator over the **whole** trace with its cursor starting at the shard's
+boundary — not a truncated slice, so window-termination checks and scout
+lookahead near the next boundary see the same instructions the unsharded
+run saw — and stops at the next planned boundary.  Epoch records carry no
+absolute positions, so per-shard records equal the unsharded run's records
+over the same span, field for field.
 """
 
 from __future__ import annotations
@@ -155,15 +156,23 @@ def trace_fingerprint(trace: AnnotatedTrace) -> str:
 
     Hashes the length plus a deterministic sample of (instruction,
     annotation) pairs — enough to tell traces apart without tokenizing
-    hundreds of thousands of entries.
+    hundreds of thousands of entries.  An :class:`AnnotatedTrace` keeps
+    its fingerprint, so planning many jobs over one trace hashes it once.
     """
+    fingerprint = getattr(trace, "fingerprint", None)
+    if fingerprint is not None:
+        return fingerprint
     n = len(trace)
     if n == 0:
-        return content_key("trace-fp", 0)
-    step = max(1, n // 64)
-    sample = [trace[i] for i in range(0, n, step)]
-    sample.append(trace[-1])
-    return content_key("trace-fp", n, stable_token(sample))
+        fingerprint = content_key("trace-fp", 0)
+    else:
+        step = max(1, n // 64)
+        sample = [trace[i] for i in range(0, n, step)]
+        sample.append(trace[-1])
+        fingerprint = content_key("trace-fp", n, stable_token(sample))
+    if isinstance(trace, AnnotatedTrace):
+        trace.fingerprint = fingerprint
+    return fingerprint
 
 
 def plan_cache_key(

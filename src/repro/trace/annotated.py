@@ -229,7 +229,7 @@ def _decode(data: memoryview) -> Annotation:
         infos[position] = ACCESS_BY_MASK[mask]
     smac = counters["smac"]
     return Annotation(
-        list(zip(insts, infos)),
+        AnnotatedTrace(zip(insts, infos)),
         MemoryCounters(
             stats=HierarchyStats(**counters["stats"]),
             l1d=CacheStats(**counters["l1d"]),

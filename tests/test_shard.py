@@ -15,6 +15,7 @@ import pytest
 
 from repro import api
 from repro.core import MlpSimulator
+from repro.core.backend import resolve_backend
 from repro.core.epoch import (
     EpochRecord,
     TerminationCondition,
@@ -175,6 +176,45 @@ class TestShardedBitIdentity:
         )
         with pytest.raises(ShardBoundaryError):
             run_shard_job(bench, bad)
+
+
+class TestShardStart:
+    """A shard runs the whole trace from its start (``run(start=)``); the
+    result equals the former run over the suffix copy ``trace[lo:]``."""
+
+    @pytest.mark.parametrize("backend", ["reference", "event"])
+    @pytest.mark.parametrize("variant", ["pc", "wc"])
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_start_stop_equals_suffix_run(
+        self, bench, backend, variant, shards,
+    ):
+        trace = bench.annotated("database", variant)
+        config = bench.resolved_config("database", variant)
+        plan = shard_plan_for(
+            bench, JobSpec(workload="database", variant=variant), shards,
+        )
+        simulate = resolve_backend(backend).simulate
+        n = len(trace)
+        assert plan.shard_count > 1
+        for lo, hi in plan.shards:
+            stop = hi if hi < n else None
+            whole = simulate(config, trace, start=lo, stop=stop)
+            suffix = simulate(
+                config, trace[lo:], stop=None if stop is None else hi - lo,
+            )
+            assert whole == suffix
+            assert whole.instructions == hi - lo
+
+    @pytest.mark.parametrize("backend", ["reference", "event"])
+    def test_start_outside_trace_rejected(self, bench, backend):
+        trace = bench.annotated("database", "pc")
+        config = bench.resolved_config("database", "pc")
+        simulate = resolve_backend(backend).simulate
+        for start in (-1, len(trace), len(trace) + 10):
+            with pytest.raises(ShardBoundaryError):
+                simulate(config, trace, start=start)
+        with pytest.raises(ShardBoundaryError):
+            simulate(config, trace, start=100, stop=100)
 
 
 class TestBoundaryReachedAfterStall:

@@ -24,16 +24,6 @@ all three:
       records = api.sweep(spec)
       best = min(records, key=lambda r: r.epi_per_1000)
 
-- :func:`tune` — search the design space instead of sweeping it: three
-  seeded strategies (grid/random/genetic) with analytical pruning,
-  cached deduplication and resumable state::
-
-      result = api.tune(
-          {"store_queue": [16, 32, 64], "scout": ["none", "hws2"]},
-          profile="database", strategy="genetic", budget=12, seed=7,
-      )
-      print(result.best_knobs, result.best_epi_per_1000)
-
 - :func:`estimate` — the analytical EPI prediction behind ``mlpsim
   estimate``: no trace read, no simulation run, sub-millisecond::
 
@@ -46,8 +36,8 @@ all three:
       receipt = client.submit_sweep("database", store_queue=[16, 32])
       report = client.result(receipt["id"])
 
-:func:`run`, :func:`sweep` (via the ``contexts``/``scheduler`` axes),
-:func:`tune` and :func:`estimate` all accept the SMT axis: ``contexts=N``
+:func:`run`, :func:`sweep` (via the ``contexts``/``scheduler`` axes)
+and :func:`estimate` all accept the SMT axis: ``contexts=N``
 runs N hardware contexts over one shared memory system and returns a
 :class:`~repro.smt.results.SmtResult` with per-context breakdowns plus
 STP/ANTT/fairness aggregates; ``scheduler=`` picks the thread-scheduling
@@ -92,10 +82,9 @@ if TYPE_CHECKING:
     from .obs.options import ObsOptions
     from .service.client import ServiceClient
     from .smt import SmtResult
-    from .tune import SearchSpace, TuneResult, TuneSpec
 
 # A single run needs only the imports above.  The pool runner, the
-# estimator, SMT, tuning, tracing and the service client load when a
+# estimator, SMT, tracing and the service client load when a
 # function below first uses them, or when one of these names is read.
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".engine.runner": (
@@ -105,7 +94,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".obs.options": ("ObsOptions",),
     ".service.client": ("ServiceClient",),
     ".smt": ("SmtResult", "valid_schedulers"),
-    ".tune": ("SearchSpace", "TuneResult", "TuneSpec"),
 })
 
 __all__ = [
@@ -116,7 +104,6 @@ __all__ = [
     "JobSpec",
     "ObsOptions",
     "RunReport",
-    "SearchSpace",
     "ServiceClient",
     "ShardPlan",
     "ShardedReport",
@@ -125,15 +112,12 @@ __all__ = [
     "SmtResult",
     "SweepRecord",
     "SweepSpec",
-    "TuneResult",
-    "TuneSpec",
     "Workbench",
     "connect",
     "estimate",
     "run",
     "shard_plan",
     "sweep",
-    "tune",
     "valid_axes",
     "valid_schedulers",
     "workbench",
@@ -415,86 +399,6 @@ def sweep(
     else:
         report = runner.run(jobs)
     return spec.records(report)
-
-
-def tune(
-    space: Union[TuneSpec, SearchSpace, Mapping[str, Any]],
-    *,
-    profile: str = "database",
-    variant: str = "pc",
-    strategy: str = "genetic",
-    budget: int = 16,
-    seed: int = 0,
-    settings: Optional[ExperimentSettings] = None,
-    cache_dir: Any = "auto",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    trace: Union[str, Path, None] = None,
-    obs: Optional[ObsOptions] = None,
-    margin: float = 0.30,
-    resume: bool = True,
-    contexts: int = 1,
-    scheduler: str = "",
-) -> TuneResult:
-    """Search the design space for the lowest-EPI configuration.
-
-    *space* is a mapping of axis values (coerced like sweep axes:
-    ``{"store_queue": [16, 32, 64], "scout": ["none", "hws2"]}``), a
-    built :class:`SearchSpace`, or a whole :class:`TuneSpec` (in which
-    case *profile*/*variant*/*strategy*/*budget*/*seed*/*backend* are
-    already part of the spec and must be left at their defaults).
-
-    *contexts* > 1 evaluates every candidate as an SMT run (aggregate
-    EPI is the optimized metric) under *scheduler* — the analytical
-    pruner disengages for mix workloads, so every candidate is measured.
-
-    *strategy* is ``"grid"`` (exhaustive, sweep order), ``"random"``
-    (uniform without replacement) or ``"genetic"`` (seeded tournament
-    selection + crossover + per-knob mutation); *budget* caps *measured*
-    evaluations — candidates served from the artifact cache, skipped by
-    the analytical pruner (within *margin* of predicted-worse), or
-    replayed from a previous interrupted run are free.  Identical
-    (workload, variant, candidate, settings) evaluations are measured
-    exactly once across runs and strategies.
-
-    Tuning state persists under the artifact cache after every
-    generation, so a killed run re-run with the same arguments resumes
-    where it stopped (``resume=False`` ignores — but still rewrites —
-    that state).  *trace*/*obs* record a ``tune_generation`` span per
-    batch in the usual JSONL trace.
-
-    Returns a :class:`TuneResult`; see ``result.best_knobs``,
-    ``result.best_epi_per_1000`` and ``result.summary()``.
-    """
-    from .tune import TuneSpec, run_tune
-
-    options = _resolve_obs(trace, obs)
-    if isinstance(space, TuneSpec):
-        spec = space
-        if backend or contexts > 1 or scheduler:
-            from dataclasses import replace
-
-            spec = replace(
-                spec,
-                backend=backend or spec.backend,
-                contexts=contexts if contexts > 1 else spec.contexts,
-                scheduler=scheduler or spec.scheduler,
-            )
-    else:
-        spec = TuneSpec.build(
-            profile, space, variant=variant, strategy=strategy,
-            budget=budget, seed=seed, backend=backend or "",
-            contexts=contexts, scheduler=scheduler,
-        )
-    return run_tune(
-        spec,
-        settings=settings,
-        cache_dir=cache_dir,
-        workers=workers,
-        obs=options,
-        margin=margin,
-        resume=resume,
-    )
 
 
 def shard_plan(

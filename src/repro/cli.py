@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 # (DESIGN.md, "Import layering"), so ``mlpsim run`` never loads the pool
 # runner, the service client or the figure drivers.
 from .config import ConsistencyModel, ScoutMode, StorePrefetchMode
-from .names import ALL_WORKLOADS, BACKENDS, STRATEGIES
+from .names import ALL_WORKLOADS, BACKENDS
 
 if TYPE_CHECKING:
     from .harness.experiment import ExperimentSettings, Workbench
@@ -209,69 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", default=None, choices=list(BACKENDS),
         help="execution backend for every grid point (default: "
              "$REPRO_BACKEND or 'event'); results are bit-identical",
-    )
-
-    tn = sub.add_parser(
-        "tune",
-        help="search the design space for the lowest-EPI configuration "
-             "(grid / random / genetic, with analytical pruning)",
-    )
-    tn.add_argument(
-        "--workload", default="database",
-        help="workload profile; with --contexts > 1 also a '+'-joined "
-             "or named mix",
-    )
-    tn.add_argument("--variant", default="pc")
-    tn.add_argument(
-        "--param", action="append", default=[], metavar="NAME=V1,V2",
-        help="one search dimension, e.g. store_queue=16,32,64 "
-             "(repeatable; same axes as 'mlpsim sweep')",
-    )
-    tn.add_argument(
-        "--contexts", type=int, default=1, metavar="N",
-        help="evaluate every candidate as an N-context SMT run "
-             "(aggregate EPI is the optimized metric)",
-    )
-    tn.add_argument(
-        "--scheduler", default="",
-        help="SMT scheduling policy for --contexts > 1",
-    )
-    tn.add_argument(
-        "--strategy", default="genetic", choices=list(STRATEGIES),
-    )
-    tn.add_argument(
-        "--budget", type=int, default=16,
-        help="max measured evaluations (cached/pruned/resumed candidates "
-             "are free)",
-    )
-    tn.add_argument(
-        "--search-seed", type=int, default=0,
-        help="strategy RNG seed (distinct from --seed, the workload "
-             "generator seed)",
-    )
-    tn.add_argument(
-        "--margin", type=float, default=0.30,
-        help="prune candidates predicted this fraction worse than the "
-             "incumbent (default 0.30)",
-    )
-    tn.add_argument(
-        "--no-resume", action="store_true",
-        help="ignore persisted tuning state (state is still rewritten)",
-    )
-    tn.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: min(4, cpus))")
-    tn.add_argument(
-        "--backend", default=None, choices=list(BACKENDS),
-        help="execution backend for every evaluation",
-    )
-    tn.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="write JSONL tune_generation spans into this directory",
-    )
-    tn.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the winning configuration as JSON "
-             "(the benchmarks/best_configs.json shape)",
     )
 
     figs = sub.add_parser(
@@ -544,14 +481,14 @@ def _cache_dir(args: argparse.Namespace) -> Any:
     return None if args.cache_dir == "none" else args.cache_dir
 
 
-def _parse_axis(spec: str, flag: str = "--axis") -> Tuple[str, List[Any]]:
+def _parse_axis(spec: str) -> Tuple[str, List[Any]]:
     """``store_queue=16,32`` -> ("store_queue", [16, 32])."""
     from .harness.sweeps import coerce_axis_value
 
     name, _, raw = spec.partition("=")
     name = name.strip()
     if not name or not raw:
-        raise SystemExit(f"bad {flag} {spec!r}: expected NAME=V1,V2,...")
+        raise SystemExit(f"bad --axis {spec!r}: expected NAME=V1,V2,...")
     try:
         values = [
             coerce_axis_value(name, token.strip())
@@ -564,20 +501,18 @@ def _parse_axis(spec: str, flag: str = "--axis") -> Tuple[str, List[Any]]:
     return name, values
 
 
-def _parse_axes(specs: Sequence[str], flag: str) -> Dict[str, List[Any]]:
-    """Parse repeated ``NAME=V1,V2`` options, rejecting duplicate names.
-
-    A repeated knob name used to silently keep the last spelling; now it
-    is an explicit error so ``--param store_queue=16 --param
-    store_queue=32`` cannot masquerade as a two-value dimension.
+def _parse_axes(specs: Sequence[str]) -> Dict[str, List[Any]]:
+    """Parse repeated ``--axis NAME=V1,V2`` options, rejecting duplicate
+    names, so ``--axis store_queue=16 --axis store_queue=32`` cannot
+    masquerade as a two-value dimension.
     """
     axes: Dict[str, List[Any]] = {}
     for spec in specs:
-        name, values = _parse_axis(spec, flag)
+        name, values = _parse_axis(spec)
         if name in axes:
             raise SystemExit(
-                f"duplicate {flag} name {name!r}: merge the values into "
-                f"one option ({flag} {name}=V1,V2,...)"
+                f"duplicate --axis name {name!r}: merge the values into "
+                f"one option (--axis {name}=V1,V2,...)"
             )
         axes[name] = values
     return axes
@@ -710,7 +645,7 @@ def _cmd_sweep(args, settings: ExperimentSettings, workloads) -> int:
     from .harness.formatting import format_table
     from .harness.sweeps import SweepSpec
 
-    axes = _parse_axes(args.axis, "--axis")
+    axes = _parse_axes(args.axis)
     if not axes:
         print("sweep needs at least one --axis", file=sys.stderr)
         return 2
@@ -739,92 +674,6 @@ def _cmd_sweep(args, settings: ExperimentSettings, workloads) -> int:
     ))
     best = min(records, key=lambda r: r.epi_per_1000)
     print(f"best point: {best.label()} (EPI/1000={best.epi_per_1000:.3f})")
-    return 0
-
-
-def _best_config_payload(result) -> Dict[str, Any]:
-    """The JSON shape committed under benchmarks/best_configs.json."""
-    return {
-        "workload": result.spec.workload,
-        "variant": result.spec.variant,
-        "strategy": result.spec.strategy,
-        "budget": result.spec.budget,
-        "seed": result.spec.seed,
-        "settings": {
-            "warmup": result.settings.warmup,
-            "measure": result.settings.measure,
-            "seed": result.settings.seed,
-            "calibrate": result.settings.calibrate,
-        },
-        "space": result.spec.space.describe(),
-        "best_epi_per_1000": result.best_epi_per_1000,
-        "best_knobs": {
-            name: getattr(value, "value", value)
-            for name, value in result.best
-        },
-        "evaluations": result.evaluations,
-        "deduped": result.deduped,
-        "pruned": result.pruned,
-        "resumed": result.resumed,
-        "generations": result.generations,
-    }
-
-
-def _cmd_tune(args, settings: ExperimentSettings, workloads) -> int:
-    from . import api
-    from .harness.formatting import format_table
-
-    space = _parse_axes(args.param, "--param")
-    if not space:
-        print("tune needs at least one --param", file=sys.stderr)
-        return 2
-    _check_workload(args.workload, args.contexts)
-    try:
-        result = api.tune(
-            space,
-            profile=args.workload,
-            variant=args.variant,
-            strategy=args.strategy,
-            budget=args.budget,
-            seed=args.search_seed,
-            settings=settings,
-            cache_dir=_cache_dir(args),
-            workers=args.workers,
-            backend=args.backend,
-            trace=args.trace_dir,
-            margin=args.margin,
-            resume=not args.no_resume,
-            contexts=args.contexts,
-            scheduler=args.scheduler,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    rows = [
-        [
-            obs.generation,
-            obs.source,
-            obs.epi_per_1000,
-            " ".join(
-                f"{name}={getattr(value, 'value', value)}"
-                for name, value in obs.candidate
-            ),
-        ]
-        for obs in result.history
-    ]
-    print(format_table(
-        ["gen", "source", "EPI/1000", "candidate"],
-        rows,
-        title=f"{args.workload}/{args.variant} tune ({args.strategy})",
-    ))
-    print(result.summary())
-    if result.token:
-        print(f"resume state token: {result.token[:16]}...")
-    if args.out:
-        payload = _best_config_payload(result)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote best configuration to {args.out}")
     return 0
 
 
@@ -1332,7 +1181,7 @@ def _cmd_submit(args) -> int:
     from . import api
     from .service.client import ServiceError
 
-    axes = _parse_axes(args.axis, "--axis")
+    axes = _parse_axes(args.axis)
     if not axes:
         print("submit needs at least one --axis", file=sys.stderr)
         return 2
@@ -1449,8 +1298,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_obs(args)
     if args.command == "sweep":
         return _cmd_sweep(args, _settings(args), workloads)
-    if args.command == "tune":
-        return _cmd_tune(args, _settings(args), workloads)
     if args.command == "figures":
         return _cmd_figures(args, _settings(args), workloads)
     if args.command == "bench":

@@ -61,6 +61,22 @@ SALT_SOURCES = (
     "multiproc", "trace", "core", "harness/experiment.py",
 )
 
+#: The further sources that decide what a stored *result* holds: the
+#: figure and table drivers, shard merging, SMT, the estimate model, the
+#: runner that assembles reports, the wire codec a stored payload is
+#: encoded with (``PROTOCOL_VERSION`` lives there) and the service modules
+#: that shape every stored payload (figure, sweep, simulate, estimate).  Only the fleet's result store
+#: hashes them (:func:`result_salt`), so an edit to a figure driver leaves
+#: annotation and profile keys where they are.
+RESULT_SALT_SOURCES = (
+    "harness", "shard", "smt", "analysis", "estimate.py",
+    "engine/serialize.py", "engine/runner.py",
+    "service/executor.py", "service/protocol.py",
+)
+
+#: The ``repro`` package directory, the root the salts hash under.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
 #: Frame header of every disk entry: magic, frame version, payload format,
 #: payload length and the CRC-32 of the other header fields and the payload.
 FRAME = struct.Struct("<4sH4sQI")
@@ -117,14 +133,14 @@ def stable_token(obj: Any) -> str:
     )
 
 
-def source_salt(root: Path) -> str:
-    """SHA-256 over the ``*.py`` files of :data:`SALT_SOURCES` under *root*.
+def source_salt(root: Path, sources: Tuple[str, ...] = SALT_SOURCES) -> str:
+    """SHA-256 over the ``*.py`` files of *sources* under *root*.
 
     Each file contributes its path relative to *root* and its bytes, in
     sorted order; sources missing under *root* contribute nothing.
     """
     digest = hashlib.sha256()
-    for source in SALT_SOURCES:
+    for source in sources:
         path = root / source
         files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
         for file in files:
@@ -143,7 +159,17 @@ def schema_salt() -> str:
 
     Computed on first use, once per process.
     """
-    return source_salt(Path(__file__).resolve().parent.parent)
+    return source_salt(_PACKAGE_ROOT)
+
+
+@functools.lru_cache(maxsize=None)
+def result_salt() -> str:
+    """:func:`source_salt` of :data:`RESULT_SALT_SOURCES`, once per process.
+
+    A stored result's key hashes it next to :func:`schema_salt` (which
+    every :func:`content_key` carries).
+    """
+    return source_salt(_PACKAGE_ROOT, RESULT_SALT_SOURCES)
 
 
 def content_key(kind: str, *parts: Any) -> str:

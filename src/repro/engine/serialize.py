@@ -54,10 +54,12 @@ __all__ = [
 #: 2 encodes epoch record lists column-wise (``$cols``, below), which a
 #: version-1 client cannot decode; the request format is unchanged, so a
 #: request without ``"v"`` (curl, the pre-versioning form) is accepted.
-#: Version 3 dropped the checkpoint fields of job specs and results.  It
+#: Version 3 dropped the checkpoint fields of job specs and results;
+#: version 4 dropped the design-space search job kind and its request
+#: field (an exhaustive ``sweep`` covers that space).  It
 #: lives with the encoding it versions (:mod:`repro.service.protocol`
 #: re-exports it).
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 class SerializeError(TypeError):
@@ -84,9 +86,6 @@ _WIRE_MODULES = (
     "..service.protocol",
     "..shard.plan",
     "..smt.results",
-    "..tune.driver",
-    "..tune.space",
-    "..tune.state",
 )
 _wire_modules_loaded = False
 

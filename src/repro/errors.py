@@ -77,8 +77,7 @@ class ArtifactCorruptError(ReproError):
     """A persisted cache entry failed its frame, checksum or digest check.
 
     The reader treats the entry as absent: the artifact cache deletes it
-    and recomputes the artifact; the tuner discards its saved population
-    and tunes from scratch.
+    and recomputes the artifact.
     """
 
     code = "artifact-corrupt"

@@ -1,17 +1,14 @@
 """The canonical ECM-style analytical EPI model — the ``estimate`` verb.
 
-One model, three consumers, zero simulation:
+One model, two consumers, zero simulation:
 
 - :func:`epochs_per_inst` — the base epochs-per-instruction prediction
   from published workload statistics.  The fleet's routing cost model
-  (:mod:`repro.fleet.cost`) charges jobs by it and the tuner's pruner
-  builds on it; both now import it from here, so the model can never
-  fork between the router and the pruner again.
+  (:mod:`repro.fleet.cost`) charges jobs by it.
 - :func:`predicted_epi_per_1000` — the base model extended with
   per-knob sensitivity scales (store prefetch, SB/SQ sizing, coalescing,
-  consistency, SLE, scouting, window sizing).  Only candidate *ordering*
-  matters to the pruner, so the scales are calibrated gentle (see the
-  margin argument in the docstring below).
+  consistency, SLE, scouting, window sizing), calibrated gentle (see the
+  docstring below).
 - :func:`estimate` — the user-facing verb behind ``api.estimate``,
   ``mlpsim estimate`` and the service ``estimate`` job kind.  It anchors
   the model's arbitrary unit to measured EPI with per-workload
@@ -83,10 +80,10 @@ def epochs_per_inst(profile: WorkloadProfile) -> float:
 
 #: Scale on the whole epoch estimate per scout mode (hws2 also covers
 #: SQ-full stalls, the paper's novel trigger — the largest discount).
-#: Scouting on/off is the one knob whose measured effect (~30-40% on the
-#: commercial profiles) exceeds the tuner's pruning margin; the spread
-#: *between* scout modes is kept small because measurement ranks them
-#: within a few percent of each other.
+#: Scouting on/off is the one knob whose measured effect is large (~30-40%
+#: on the commercial profiles); the spread *between* scout modes is kept
+#: small because measurement ranks them within a few percent of each
+#: other.
 _SCOUT_SCALE = {
     ScoutMode.NONE: 1.0,
     ScoutMode.HWS0: 0.76,
@@ -113,9 +110,8 @@ def predicted_epi_per_1000(
 
     Exponents and caps are deliberately gentle: measurement puts each
     sizing knob at a few percent of total EPI, so its predicted spread
-    must stay well inside the tuner's pruning margin — that is what
-    guarantees the true optimum is never pruned (pinned by a
-    driver-level exhaustive-space property test in the tune suite).
+    is kept to a few percent too (:func:`estimate` checks single-knob
+    excursions against :data:`VALIDATION_MARGIN`).
     """
     defaults = CoreConfig()
 

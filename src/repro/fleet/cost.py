@@ -27,8 +27,7 @@ loop (:data:`BACKEND_SPEEDUP`: ``event`` runs the core loop 2.15x faster,
 the committed geomean of ``BENCH_backends.json``); shard spans scale it by
 the fraction of the trace they cover.  A backend not in the table gets
 the reference charge of 1.0 — overestimating is the safe direction for
-both admission control and the tuner's pruning, which also builds on
-this module's epoch model (:func:`epochs_per_inst`).
+admission control.
 """
 
 from __future__ import annotations

@@ -17,15 +17,16 @@ one in-process :class:`~repro.fleet.worker.FleetWorker` thread (``--workers
   LPT placement, bounded per-worker in-flight),
 - the content-addressed :class:`~repro.engine.cache.ArtifactCache` as the
   cluster-wide shared result store: completed job payloads are published
-  under the request signature and the coordinator's experiment settings,
-  so dedup-by-request-hash extends across nodes and across coordinator
-  restarts, but never across settings.
+  under the request signature, the coordinator's experiment settings and
+  the hash of the code that computes them, so dedup-by-request-hash
+  extends across nodes and across coordinator restarts, but never across
+  settings or code.
 
 The coordinator runs **no simulations itself** (``estimate`` is pure
 arithmetic and is answered on submit).  A dispatcher thread expands each
 claimed job into tasks: sweep grid points, :class:`ShardPlan` shards for
-sharded simulates, or — for figure and tune jobs, whose drivers cannot be
-split — one task carrying the whole request.  Claiming is gated on the
+sharded simulates, or — for a figure job, whose driver cannot be split —
+one task carrying the whole request.  Claiming is gated on the
 *pending* backlog only, so the dispatcher plans the next job while the
 current one's tasks execute.  Workers long-poll
 ``/v1/fleet/lease``, execute specs through their own
@@ -59,7 +60,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.backend import backend_names
 from ..engine import serialize
-from ..engine.cache import ArtifactCache, content_key, resolve_cache_dir
+from ..engine.cache import (
+    ArtifactCache,
+    content_key,
+    resolve_cache_dir,
+    result_salt,
+)
 from ..engine.runner import JobResult, JobSpec, RunReport, ShardedReport
 from ..errors import ProtocolError, SaturatedError, UnknownWorkerError
 from ..harness.experiment import ExperimentSettings, Workbench
@@ -69,7 +75,12 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.options import ObsOptions
 from ..obs.trace import Tracer
 from ..service.jobqueue import Job, JobQueue, JobState, QueueFullError
-from ..service.executor import estimate_payload
+from ..service.executor import (
+    estimate_payload,
+    sharded_payload,
+    simulate_payload,
+    sweep_payload,
+)
 from ..service.protocol import PROTOCOL_VERSION, JobRequest, parse_job_request
 from .cost import CostEstimate, estimate_job_cost
 from .federation import MetricsFederation
@@ -393,12 +404,14 @@ class FleetCoordinator:
 
         The request signature alone would let a coordinator running other
         warmup/measure/seed/calibrate settings on the same cache directory
-        answer with a result measured under the wrong settings.  The wire
-        version is part of the key because the stored payload is wire
-        encoded: a coordinator never serves one its clients cannot decode.
+        answer with a result measured under the wrong settings.  The
+        result salt hashes the code that computes and encodes a payload
+        beyond its artifacts (figure drivers, shard merging, SMT, the wire
+        codec and its version), so an edit there is a miss, never a stale
+        answer.
         """
         return content_key(
-            RESULT_KIND, PROTOCOL_VERSION, self.settings, request.signature(),
+            RESULT_KIND, result_salt(), self.settings, request.signature(),
         )
 
     def _begin_job_trace(self, job: Job) -> None:
@@ -442,7 +455,7 @@ class FleetCoordinator:
         """Expand one claimed job into leasable engine tasks."""
         request = job.request
         backend = request.backend or self.default_backend
-        if request.kind in ("figure", "tune"):
+        if request.kind == "figure":
             return [
                 TaskRecord(
                     id=f"{job.id}.0",
@@ -496,14 +509,11 @@ class FleetCoordinator:
 
     def _request_cost(self, request: JobRequest) -> CostEstimate:
         """A rough cost for a whole-request task: one plain simulate per
-        figure workload, or per tune evaluation."""
-        if request.kind == "tune":
-            assert request.tune is not None
-            workload, count = request.tune.workload, request.tune.budget
-        else:
-            workload, count = request.workloads[0], len(request.workloads)
-        spec = JobSpec(workload=workload)
-        return estimate_job_cost(spec, self.settings).scaled(max(1, count))
+        figure workload."""
+        spec = JobSpec(workload=request.workloads[0])
+        return estimate_job_cost(spec, self.settings).scaled(
+            len(request.workloads)
+        )
 
     def _plan_shards(self, spec: JobSpec, shards: int) -> Any:
         from ..shard.execute import shard_plan_for
@@ -673,12 +683,7 @@ class FleetCoordinator:
                 self._plans.pop(job_id, None)
                 self._record_finish(job)
                 return
-            # Tunes are not published: their per-generation state is in
-            # the cache already, and a resubmission resumes from it.
-            if (
-                self.artifacts.directory is not None
-                and job.request.kind != "tune"
-            ):
+            if self.artifacts.directory is not None:
                 self.artifacts.put(
                     RESULT_KIND, self._result_key(job.request), payload,
                 )
@@ -698,10 +703,10 @@ class FleetCoordinator:
 
         A sweep or simulate decodes to the same report however many
         workers ran its tasks (tests assert it is bit-identical to a
-        direct run); a figure or tune task already carries its payload.
+        direct run); a figure task already carries its payload.
         """
         request = job.request
-        if request.kind in ("figure", "tune"):
+        if request.kind == "figure":
             (outcome,) = (t.result for t in tasks)
             if not isinstance(outcome, RequestOutcome):
                 raise ProtocolError(
@@ -716,40 +721,12 @@ class FleetCoordinator:
 
         if request.kind == "sweep":
             assert request.sweep is not None
-            payload: Dict[str, Any] = {
-                "kind": "sweep",
-                "spec": request.sweep.to_dict(),
-                "report": report.to_dict(),
-                "summary": report.summary(),
-            }
-            if not report.failed:
-                records = request.sweep.records(report)
-                payload["records"] = [
-                    {
-                        "workload": record.workload,
-                        "point": record.label(),
-                        "epi_per_1000": record.epi_per_1000,
-                        "mlp": record.mlp,
-                        "store_mlp": record.store_mlp,
-                        "store_bandwidth_overhead":
-                            record.store_bandwidth_overhead,
-                    }
-                    for record in records
-                ]
-            return payload
+            return sweep_payload(request.sweep, report)
 
         assert request.kind == "simulate" and request.job is not None
         planned = self._plans.get(job.id)
         if planned is None:
-            payload = {
-                "kind": "simulate",
-                "report": report.to_dict(),
-                "summary": report.summary(),
-            }
-            first = report.jobs[0]
-            if first.ok and first.result is not None:
-                payload["summary"] = first.result.summary()
-            return payload
+            return simulate_payload(report)
 
         from ..shard.merge import merge_results
 
@@ -770,17 +747,7 @@ class FleetCoordinator:
             workers=workers,
             merged=merged,
         )
-        return {
-            "kind": "simulate",
-            "sharded": {
-                "requested": request.shards,
-                "shard_count": plan.shard_count,
-                "plan": plan.describe(),
-                "rounds": sharded.rounds,
-            },
-            "report": sharded.to_dict(),
-            "summary": merged.summary(),
-        }
+        return sharded_payload(request.shards, sharded)
 
     def _record_finish(self, job: Job) -> None:
         self.metrics.inc(f"jobs_{job.state.value}_total")
@@ -934,11 +901,11 @@ class FleetCoordinator:
             ):
                 raise ProtocolError(
                     f"results[{position}] needs 'task' and 'result' fields "
-                    f"('payload' or 'error' for a figure or tune task)"
+                    f"('payload' or 'error' for a figure task)"
                 )
             task_id = str(entry["task"])
             if "result" not in entry:
-                # A whole-request task (figure or tune) answers with its
+                # A whole-request task (a figure) answers with its
                 # payload, or the error and traceback of the attempt.
                 parsed.append((task_id, RequestOutcome(
                     payload=entry.get("payload"),
@@ -1555,15 +1522,17 @@ def local_worker(
     """Join an in-process worker to *coordinator* (what ``mlpsim serve``
     runs next to it) and return it; run its pull loop on a thread.
 
-    *workers* sizes its runner pool.  Its engine, simulation and tuning
-    counters also appear unprefixed on the coordinator's ``/metrics``.
+    *workers* sizes its runner pool.  Its engine and simulation counters
+    also appear unprefixed on the coordinator's ``/metrics``.
     """
     worker = FleetWorker(
         coordinator.url, name="local", runner_workers=workers,
         job_timeout=job_timeout, obs=obs,
     ).join()
-    assert worker.engine is not None
-    worker.engine.register_metrics(coordinator.metrics)
+    assert worker.runner is not None
+    worker.runner.telemetry.register_metrics(
+        coordinator.metrics, workers=worker.runner.workers,
+    )
     return worker
 
 

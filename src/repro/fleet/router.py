@@ -2,7 +2,7 @@
 
 One service *job* (a sweep, a sharded simulate) expands into one or more
 *tasks*, each a single :class:`~repro.engine.runner.JobSpec` — the unit a
-worker leases, executes and completes.  A figure or tune job is one task
+worker leases, executes and completes.  A figure job is one task
 that carries the whole :class:`~repro.service.protocol.JobRequest`
 instead, and its worker answers with a :class:`RequestOutcome`.  The
 router owns the task table and decides, when a worker asks for work,
@@ -73,7 +73,7 @@ class RequestOutcome:
 @dataclass
 class TaskRecord:
     """One leasable unit of work: a single engine JobSpec, or (``spec``
-    ``None``) a whole figure or tune ``request``."""
+    ``None``) a whole figure ``request``."""
 
     id: str
     job_id: str

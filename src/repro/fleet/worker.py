@@ -7,8 +7,8 @@ on the registration response — this is what guarantees bit-identical
 results), then loops:
 
     long-poll ``/v1/fleet/lease``  →  run the leased specs through the
-    local EngineRunner (figure and tune tasks, which carry a whole
-    request, through :class:`~repro.service.executor.ServiceEngine`)  →
+    local EngineRunner (figure tasks, which carry a whole request,
+    through :class:`~repro.service.executor.ServiceEngine`)  →
     POST the serialized results to ``/v1/fleet/complete``
 
 With more than one engine process the runner keeps one process pool for
@@ -259,7 +259,7 @@ class FleetWorker:
     def _run_request(
         self, entry: Dict[str, Any], traceparent: str,
     ) -> Dict[str, Any]:
-        """Run one whole-request task (a figure or tune job).
+        """Run one whole-request task (a figure job).
 
         The completion carries the job's result payload, or the error and
         traceback that the coordinator reports if no retry succeeds.

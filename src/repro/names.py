@@ -2,17 +2,13 @@
 
 This module imports nothing, so building the command-line parser loads
 none of the modules the names belong to.  Their owners re-export them:
-``repro.harness.figures.ALL_WORKLOADS`` and
-``repro.tune.strategies.STRATEGIES`` are these tuples, and
+``repro.harness.figures.ALL_WORKLOADS`` is that tuple, and
 ``repro.core.backend.backend_names()`` lists the same built-in backends
 (``tests/test_import_surface.py`` checks that it does).
 """
 
 #: The four calibrated workload profiles, in the paper's order.
 ALL_WORKLOADS = ("database", "tpcw", "specjbb", "specweb")
-
-#: Design-space search strategies of :mod:`repro.tune`.
-STRATEGIES = ("grid", "random", "genetic")
 
 #: Built-in execution backends, sorted, as ``backend_names()`` returns them.
 BACKENDS = ("event", "reference")

@@ -31,7 +31,7 @@ job span into one tree.
 Rotation: a file-backed tracer with ``max_bytes > 0`` rotates its output
 once the current segment would exceed the cap — ``trace-<pid>.jsonl``
 shifts to ``trace-<pid>.jsonl.1`` (older segments shift to ``.2``, ``.3``,
-...), so long fleet soaks and tune runs stay bounded per segment.  With
+...), so long fleet soaks stay bounded per segment.  With
 ``max_segments > 0`` the oldest segments beyond the cap are deleted.
 
 Readers: :func:`read_events` streams events back from a JSONL file, a

@@ -13,8 +13,8 @@ identical requests.  This package holds the pieces it is built from:
 - :mod:`repro.service.jobqueue` — bounded priority queue, the
   ``queued -> running -> done/failed/cancelled`` lifecycle, and in-flight
   dedup keyed by request content hash,
-- :mod:`repro.service.executor` — runs the figure and tune requests a
-  fleet worker leases whole, and answers the ``estimate`` verb,
+- :mod:`repro.service.executor` — runs the figure requests a fleet
+  worker leases whole, and answers the ``estimate`` verb,
 - :mod:`repro.service.client` — the blocking Python client used by the
   CLI (``mlpsim submit`` / ``mlpsim status``) and the tests.
 

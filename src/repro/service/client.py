@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from ..engine import serialize
 from ..engine.runner import JobSpec, RunReport, ShardedReport
 from ..harness.sweeps import SweepSpec
-from ..tune import SearchSpace, TuneResult, TuneSpec
 from .protocol import PROTOCOL_VERSION
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -289,64 +288,6 @@ class ServiceClient:
             payload["backend"] = backend
         return self.submit(payload)
 
-    def submit_tune(
-        self,
-        workload: Union[str, TuneSpec],
-        variant: str = "pc",
-        strategy: str = "genetic",
-        budget: int = 16,
-        seed: int = 0,
-        priority: int = 0,
-        backend: str = "",
-        **space: Sequence[Any],
-    ) -> Dict[str, Any]:
-        """Submit a design-space search (``api.tune`` over the wire).
-
-        *workload* is a workload name plus ``**space`` axis values, or a
-        whole :class:`TuneSpec`.
-        """
-        if isinstance(workload, TuneSpec):
-            if space:
-                raise TypeError(
-                    "pass the space inside the TuneSpec, not alongside it"
-                )
-            spec = workload
-            workload = spec.workload
-            variant = spec.variant
-            strategy = spec.strategy
-            budget = spec.budget
-            seed = spec.seed
-            backend = backend or spec.backend
-            space = {
-                name: list(values) for name, values in spec.space.params
-            }
-        elif isinstance(space.get("space"), SearchSpace):
-            built = space.pop("space")
-            if space:
-                raise TypeError(
-                    "pass axis values inside the SearchSpace, "
-                    "not alongside it"
-                )
-            space = {name: list(values) for name, values in built.params}
-        payload: Dict[str, Any] = {
-            "kind": "tune",
-            "priority": priority,
-            "tune": {
-                "workload": workload,
-                "variant": variant,
-                "strategy": strategy,
-                "budget": budget,
-                "seed": seed,
-                "space": {
-                    name: [getattr(v, "value", v) for v in values]
-                    for name, values in space.items()
-                },
-            },
-        }
-        if backend:
-            payload["backend"] = backend
-        return self.submit(payload)
-
     def submit_figure(
         self,
         figure: str,
@@ -383,8 +324,7 @@ class ServiceClient:
         Sweep and simulate jobs return the real
         :class:`~repro.engine.runner.RunReport` (a
         :class:`~repro.engine.runner.ShardedReport` for ``shards > 1``
-        simulate jobs); tune jobs the real
-        :class:`~repro.tune.TuneResult`; estimate jobs the real
+        simulate jobs); estimate jobs the real
         :class:`~repro.estimate.EpiEstimate`; figure jobs the figure's
         data dict.  A failed or cancelled job raises
         :class:`ServiceError` carrying the server's error text.
@@ -400,8 +340,6 @@ class ServiceClient:
         result = status.get("result") or {}
         if "report" in result:
             return serialize.from_jsonable(result["report"])
-        if result.get("kind") == "tune":
-            return TuneResult.from_dict(result["tune_result"])
         if result.get("kind") == "estimate":
             return serialize.from_jsonable(result["estimate"])
         if result.get("kind") == "figure":

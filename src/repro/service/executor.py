@@ -1,31 +1,33 @@
 """Executes the job requests a fleet worker runs whole.
 
-Sweeps and simulates never reach this module: the coordinator expands
+Sweeps and simulates are not executed here: the coordinator expands
 them into engine-level tasks (grid points, shards) that workers run
 through their :class:`~repro.engine.runner.EngineRunner`, and ``estimate``
 is pure arithmetic answered on the submit path (:func:`estimate_payload`).
-What is left are the requests that cannot be split into independent
-specs — a figure driver runs serially against one warm bench, a tune is a
-sequence of ask/tell generations — so the coordinator leases each as a
-single task carrying the parsed :class:`JobRequest`, and the worker that
-leases it calls :meth:`ServiceEngine.execute`.
+This module only shapes the payloads the coordinator stores for them
+(:func:`sweep_payload`, :func:`simulate_payload`, :func:`sharded_payload`),
+so the result store's salt covers every stored payload's layout.
+What is left is the figure request, which cannot be split into
+independent specs — a figure driver runs serially against one warm bench
+— so the coordinator leases each as a single task carrying the parsed
+:class:`JobRequest`, and the worker that leases it calls
+:meth:`ServiceEngine.execute`.
 
 One :class:`ServiceEngine` lives per worker.  It shares the worker's
 runner and owns one :class:`~repro.harness.experiment.Workbench` on the
 same cache directory, on which figure requests run their drivers against
 artifacts the runner pre-warmed in parallel.
 
-Results are plain-JSON payloads: figures carry a human-readable nested
-dict, tunes the serialized :class:`~repro.tune.TuneResult`.
+Results are plain-JSON payloads: a figure carries a human-readable nested
+dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict
 
 from ..engine.cache import ArtifactCache, resolve_cache_dir
-from ..engine.runner import EngineRunner, JobSpec
+from ..engine.runner import EngineRunner, JobSpec, RunReport, ShardedReport
 from ..harness.experiment import Workbench
 from ..harness.figures import (
     figure2,
@@ -36,11 +38,13 @@ from ..harness.figures import (
     figure7,
     figure8,
 )
-from ..obs.metrics import MetricsRegistry
-from ..tune import TuneTelemetry, run_tune
+from ..harness.sweeps import SweepSpec
 from .protocol import JobRequest, ProtocolError, jsonify
 
-__all__ = ["ServiceEngine", "estimate_payload"]
+__all__ = [
+    "ServiceEngine", "estimate_payload", "sharded_payload",
+    "simulate_payload", "sweep_payload",
+]
 
 
 def estimate_payload(request: JobRequest) -> Dict[str, Any]:
@@ -59,6 +63,61 @@ def estimate_payload(request: JobRequest) -> Dict[str, Any]:
         "predicted_epi_per_1000": guess.predicted_epi_per_1000,
     }
 
+
+def sweep_payload(spec: SweepSpec, report: RunReport) -> Dict[str, Any]:
+    """A finished sweep's result payload; ``records`` only when every
+    point ran."""
+    payload: Dict[str, Any] = {
+        "kind": "sweep",
+        "spec": spec.to_dict(),
+        "report": report.to_dict(),
+        "summary": report.summary(),
+    }
+    if not report.failed:
+        payload["records"] = [
+            {
+                "workload": record.workload,
+                "point": record.label(),
+                "epi_per_1000": record.epi_per_1000,
+                "mlp": record.mlp,
+                "store_mlp": record.store_mlp,
+                "store_bandwidth_overhead": record.store_bandwidth_overhead,
+            }
+            for record in spec.records(report)
+        ]
+    return payload
+
+
+def simulate_payload(report: RunReport) -> Dict[str, Any]:
+    """An unsharded simulate's result payload: the one job's report, and
+    its result's summary when it ran."""
+    payload: Dict[str, Any] = {
+        "kind": "simulate",
+        "report": report.to_dict(),
+        "summary": report.summary(),
+    }
+    first = report.jobs[0]
+    if first.ok and first.result is not None:
+        payload["summary"] = first.result.summary()
+    return payload
+
+
+def sharded_payload(requested: int, report: ShardedReport) -> Dict[str, Any]:
+    """A sharded simulate's result payload, summarised by its merged
+    result."""
+    assert report.merged is not None
+    return {
+        "kind": "simulate",
+        "sharded": {
+            "requested": requested,
+            "shard_count": report.plan.shard_count,
+            "plan": report.plan.describe(),
+            "rounds": report.rounds,
+        },
+        "report": report.to_dict(),
+        "summary": report.merged.summary(),
+    }
+
 _FIGURE_DRIVERS = {
     "figure2": figure2,
     "figure3": figure3,
@@ -74,75 +133,28 @@ _WC_FIGURES = frozenset({"figure7", "figure8"})
 
 
 class ServiceEngine:
-    """Runs figure and tune requests on one worker's runner and cache."""
+    """Runs figure requests on one worker's runner and cache."""
 
     def __init__(self, runner: EngineRunner) -> None:
         self.runner = runner
-        self.settings = runner.settings
-        self.artifacts = ArtifactCache(resolve_cache_dir(runner.cache_dir))
         # Figure drivers (and their in-process annotations) share one
         # artifact cache object, so a figure run right after another starts
         # from warm memory, not just warm disk.
-        self.bench = Workbench(self.settings, artifacts=self.artifacts)
-        # Tuning runs through the same runner/cache; its counters live for
-        # the worker's lifetime so /metrics sees totals across requests.
-        self.tune_telemetry = TuneTelemetry()
-
-    def register_metrics(self, registry: MetricsRegistry) -> None:
-        """Expose engine batch/job activity, simulation aggregates and
-        tuning counters on *registry*."""
-        self.runner.telemetry.register_metrics(
-            registry, workers=self.runner.workers,
+        self.bench = Workbench(
+            runner.settings,
+            artifacts=ArtifactCache(resolve_cache_dir(runner.cache_dir)),
         )
-        self.tune_telemetry.register_metrics(registry)
 
     # ------------------------------------------------------------ execute --
 
     def execute(self, request: JobRequest) -> Dict[str, Any]:
-        """Run one figure or tune request to completion, returning its
-        JSON payload."""
-        if request.kind == "figure":
-            return self._execute_figure(request)
-        if request.kind == "tune":
-            return self._execute_tune(request)
-        raise ProtocolError(
-            f"{request.kind!r} jobs run as engine tasks, not whole requests"
-        )
-
-    def _execute_tune(self, request: JobRequest) -> Dict[str, Any]:
-        """A design-space search through the worker's runner and cache.
-
-        The run shares the fleet's artifact cache, so identical
-        (workload, variant, candidate, settings) evaluations across tune
-        requests — or against earlier sweeps' tuning runs — are measured
-        once; tuning state persists in the same cache, so a cancelled
-        request resubmitted later resumes.
-        """
-        assert request.tune is not None
-        spec = request.tune
-        if request.backend:
-            spec = replace(spec, backend=request.backend)
-        result = run_tune(
-            spec,
-            runner=self.runner,
-            cache=self.artifacts,
-            telemetry=self.tune_telemetry,
-        )
-        return {
-            "kind": "tune",
-            "spec": spec.to_dict(),
-            "tune_result": result.to_dict(),
-            "summary": result.summary(),
-            "best": {
-                "epi_per_1000": result.best_epi_per_1000,
-                "knobs": {
-                    name: getattr(value, "value", value)
-                    for name, value in result.best
-                },
-            },
-        }
-
-    def _execute_figure(self, request: JobRequest) -> Dict[str, Any]:
+        """Run one figure request to completion, returning its JSON
+        payload."""
+        if request.kind != "figure":
+            raise ProtocolError(
+                f"{request.kind!r} jobs run as engine tasks, not whole "
+                f"requests"
+            )
         driver = _FIGURE_DRIVERS[request.figure]
         variants = ["pc"]
         if request.figure in _WC_FIGURES:

@@ -20,12 +20,6 @@ The wire protocol is plain JSON.  A job submission looks like::
 
     {"kind": "figure", "figure": "figure2", "workloads": ["database"]}
 
-    {"kind": "tune",
-     "tune": {"workload": "database", "strategy": "genetic", "budget": 12,
-              "seed": 7,
-              "space": {"store_queue": [16, 32, 64],
-                        "scout": ["none", "hws2"]}}}
-
 :func:`parse_job_request` validates such payloads into a frozen
 :class:`JobRequest`, coercing enum spellings (``"sp1"``, ``"wc"``, ...)
 through :func:`repro.harness.sweeps.coerce_axis_value` and raising
@@ -73,8 +67,7 @@ from ..engine.runner import JobSpec
 from ..engine.serialize import PROTOCOL_VERSION
 from ..errors import ProtocolError
 from ..harness.sweeps import SweepSpec, coerce_axis_value
-from ..names import ALL_WORKLOADS, STRATEGIES
-from ..tune import TuneSpec
+from ..names import ALL_WORKLOADS
 
 __all__ = [
     "FIGURES",
@@ -86,7 +79,7 @@ __all__ = [
     "parse_job_request",
 ]
 
-JOB_KINDS = ("sweep", "simulate", "figure", "tune", "estimate")
+JOB_KINDS = ("sweep", "simulate", "figure", "estimate")
 FIGURES = ("figure2", "figure3", "figure4", "figure5", "figure6",
            "figure7", "figure8")
 
@@ -115,7 +108,6 @@ class JobRequest:
     kind: str
     sweep: Optional[SweepSpec] = None
     job: Optional[JobSpec] = None
-    tune: Optional[TuneSpec] = None
     figure: str = ""
     workloads: Tuple[str, ...] = ()
     priority: int = 0
@@ -125,14 +117,11 @@ class JobRequest:
     def signature(self) -> str:
         """Content hash identifying the *work* (priority excluded)."""
         return content_key(
-            "service-job", self.kind, self.sweep, self.job, self.tune,
+            "service-job", self.kind, self.sweep, self.job,
             self.figure, self.workloads, self.shards, self.backend,
         )
 
     def describe(self) -> str:
-        if self.kind == "tune":
-            assert self.tune is not None
-            return self.tune.describe()
         if self.kind == "sweep":
             assert self.sweep is not None
             axes = " ".join(
@@ -271,53 +260,6 @@ def _parse_simulate(payload: Dict[str, Any], kind: str = "simulate") -> JobSpec:
     )
 
 
-#: Upper bound on a tuning request's measured-evaluation budget — a
-#: service should refuse unbounded search, not queue it.
-_MAX_TUNE_BUDGET = 4096
-
-
-def _parse_tune(payload: Dict[str, Any]) -> TuneSpec:
-    raw = payload.get("tune")
-    _require(isinstance(raw, dict), "tune jobs need a 'tune' object")
-    workload = raw.get("workload")
-    _require(
-        isinstance(workload, str) and workload in ALL_WORKLOADS,
-        f"'tune.workload' must be one of {list(ALL_WORKLOADS)}",
-    )
-    variant = raw.get("variant", "pc")
-    _require(isinstance(variant, str), "'tune.variant' must be a string")
-    strategy = raw.get("strategy", "genetic")
-    _require(
-        isinstance(strategy, str) and strategy in STRATEGIES,
-        f"'tune.strategy' must be one of {list(STRATEGIES)}",
-    )
-    budget = raw.get("budget", 16)
-    _require(
-        isinstance(budget, int) and not isinstance(budget, bool)
-        and 1 <= budget <= _MAX_TUNE_BUDGET,
-        f"'tune.budget' must be an integer in [1, {_MAX_TUNE_BUDGET}]",
-    )
-    seed = raw.get("seed", 0)
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        "'tune.seed' must be an integer",
-    )
-    space = raw.get("space")
-    _require(
-        isinstance(space, dict) and space,
-        "tune jobs need a non-empty 'tune.space' object of "
-        "axis -> values",
-    )
-    try:
-        spec = TuneSpec.build(
-            workload, space, variant=variant, strategy=strategy,
-            budget=budget, seed=seed,
-        )
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
-    return spec
-
-
 def _parse_backend(payload: Dict[str, Any], kind: str) -> str:
     """Validate the optional top-level ``backend`` field.
 
@@ -333,8 +275,8 @@ def _parse_backend(payload: Dict[str, Any], kind: str) -> str:
     if not raw:
         return ""
     _require(
-        kind in ("sweep", "simulate", "tune"),
-        "'backend' applies to sweep, simulate and tune jobs only",
+        kind in ("sweep", "simulate"),
+        "'backend' applies to sweep and simulate jobs only",
     )
     names = backend_names()
     _require(
@@ -359,7 +301,7 @@ def _parse_figure(payload: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
 #: so a field that has no meaning (a typo, or one an older protocol
 #: version had) is never silently ignored.
 _REQUEST_FIELDS = frozenset({
-    "v", "kind", "priority", "backend", "sweep", "job", "tune", "figure",
+    "v", "kind", "priority", "backend", "sweep", "job", "figure",
     "workloads", "shards",
 })
 
@@ -373,16 +315,18 @@ def parse_job_request(payload: Any) -> JobRequest:
         f"unsupported protocol version {version!r}; "
         f"this server speaks v{PROTOCOL_VERSION}",
     )
+    # The kind is checked first, so a submission of a kind this version
+    # does not run is told the valid kinds, whatever fields it carries.
+    kind = payload.get("kind")
+    _require(
+        isinstance(kind, str) and kind in JOB_KINDS,
+        f"'kind' must be one of {list(JOB_KINDS)}",
+    )
     unknown = sorted(set(payload) - _REQUEST_FIELDS)
     _require(
         not unknown,
         f"unknown request field(s) {unknown}; "
         f"expected a subset of {sorted(_REQUEST_FIELDS)}",
-    )
-    kind = payload.get("kind")
-    _require(
-        isinstance(kind, str) and kind in JOB_KINDS,
-        f"'kind' must be one of {list(JOB_KINDS)}",
     )
     priority = payload.get("priority", 0)
     _require(
@@ -415,11 +359,6 @@ def parse_job_request(payload: Any) -> JobRequest:
         return JobRequest(
             kind=kind, job=_parse_simulate(payload, kind="estimate"),
             priority=priority,
-        )
-    if kind == "tune":
-        return JobRequest(
-            kind=kind, tune=_parse_tune(payload), priority=priority,
-            backend=backend,
         )
     figure, workloads = _parse_figure(payload)
     return JobRequest(

@@ -4,8 +4,8 @@
 :class:`~repro.core.results.SimulationResult` already has: the headline
 aggregate properties (``epi_per_1000``, ``mlp``, ``store_mlp``,
 ``store_overlap_fraction``, ``store_bandwidth_overhead``) carry the same
-names and units, so sweep records, tune objectives and the CLI summary
-work unchanged on multi-context runs.  On top it adds the multiprogram
+names and units, so sweep records and the CLI summary work unchanged
+on multi-context runs.  On top it adds the multiprogram
 metrics the scheduling literature compares policies by:
 
 - **STP** (system throughput, a.k.a. weighted speedup):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import (
     CoreConfig,
     MemoryConfig,
@@ -58,6 +62,17 @@ def annotated(
             mispredicted=mispred,
         ),
     )
+
+
+@pytest.fixture
+def package_copy(tmp_path) -> Path:
+    """A copy of the ``repro`` sources to edit without touching the tree."""
+    root = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).resolve().parent, root,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return root
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro import api
@@ -113,21 +115,6 @@ class TestSweep:
             [r.epi_per_1000 for r in plain]
 
 
-class TestTune:
-    def test_facade_finds_the_cheap_corner(self, tmp_path):
-        result = api.tune(
-            {"scout": ["none", "hws2"]},
-            profile="database", strategy="grid", budget=2,
-            settings=SMALL, cache_dir=tmp_path / "tune",
-        )
-        assert result.evaluations == 2
-        # Scouting is worth ~30% on database at any trace size; the
-        # exhaustive two-point search must pick it up.
-        assert dict(result.best)["scout"].value != "none"
-        baseline = api.run("database", settings=SMALL, cache_dir=None)
-        assert result.best_epi_per_1000 < baseline.epi_per_1000
-
-
 class TestSurface:
     def test_connect_builds_a_client(self):
         client = api.connect(
@@ -152,6 +139,18 @@ class TestSurface:
         assert api.EngineRunner is EngineRunner
         assert api.Workbench is Workbench
         assert api.ServiceClient is ServiceClient
+
+    def test_no_design_space_search_surface(self):
+        # An exhaustive sweep is the design-space tool; the search
+        # package and its facade are gone.
+        from repro.service.client import ServiceClient
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.tune")
+        for name in ("tune", "SearchSpace", "TuneResult", "TuneSpec"):
+            assert not hasattr(api, name)
+            assert name not in api.__all__
+        assert not hasattr(ServiceClient, "submit_tune")
 
 
 class TestRunContexts:

@@ -12,6 +12,7 @@ import random
 import shutil
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +20,10 @@ from repro import cli
 from repro.engine.cache import (
     FRAME,
     FRAME_VERSION,
+    RESULT_SALT_SOURCES,
     SALT_SOURCES,
     ArtifactCache,
+    result_salt,
     schema_salt,
     source_salt,
 )
@@ -215,3 +218,37 @@ class TestSchemaSalt:
     def test_covers_the_codec_and_the_workbench(self):
         assert "trace" in SALT_SOURCES
         assert "harness/experiment.py" in SALT_SOURCES
+
+
+def _append_comment(text):
+    return text + "# an appended comment\n"
+
+
+def _bump_wire_version(text):
+    from repro.engine.serialize import PROTOCOL_VERSION
+
+    line = f"PROTOCOL_VERSION = {PROTOCOL_VERSION}\n"
+    assert line in text
+    return text.replace(
+        line, f"PROTOCOL_VERSION = {PROTOCOL_VERSION + 1}\n",
+    )
+
+
+class TestResultSalt:
+    @pytest.mark.parametrize("source, edit", [
+        ("harness/figures.py", _append_comment),
+        # Stored payloads are wire encoded: another wire version must
+        # miss them, not serve what its clients cannot decode.
+        ("engine/serialize.py", _bump_wire_version),
+    ], ids=["figure-driver", "wire-version"])
+    def test_an_edit_moves_only_the_result_salt(
+        self, package_copy, source, edit,
+    ):
+        artifacts = source_salt(package_copy, SALT_SOURCES)
+        results = source_salt(package_copy, RESULT_SALT_SOURCES)
+        assert artifacts == schema_salt()
+        assert results == result_salt()
+        path = package_copy / source
+        path.write_text(edit(path.read_text()))
+        assert source_salt(package_copy, SALT_SOURCES) == artifacts
+        assert source_salt(package_copy, RESULT_SALT_SOURCES) != results

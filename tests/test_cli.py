@@ -135,42 +135,6 @@ class TestCli:
         assert "valid axes" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_tune_writes_best_config(self, capsys, tmp_path):
-        out_path = tmp_path / "best.json"
-        code, out, _ = run_cli(
-            capsys, *SMALL, "--cache-dir", str(tmp_path / "cache"),
-            "tune", "--workload", "database",
-            "--param", "scout=none,hws2", "--strategy", "grid",
-            "--budget", "2", "--out", str(out_path),
-        )
-        assert code == 0
-        assert "tune:database" in out
-        assert "resume state token" in out
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["workload"] == "database"
-        assert payload["strategy"] == "grid"
-        assert payload["evaluations"] == 2
-        assert payload["best_knobs"]["scout"] == "hws2"
-        assert payload["best_epi_per_1000"] > 0
-
-    def test_tune_requires_a_param(self, capsys):
-        code, _, err = run_cli(
-            capsys, *SMALL, "tune", "--workload", "database",
-        )
-        assert code == 2
-        assert "--param" in err
-
-    def test_tune_reports_bad_axis_names(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(
-                capsys, *SMALL, "tune", "--workload", "database",
-                "--param", "warp_drive=1,2",
-            )
-        assert "valid axes" in str(excinfo.value)
-
-
 def _write_fleet_trace(path):
     """A minimal coordinator trace: one job, one task, clean run."""
     import json as _json
@@ -382,10 +346,30 @@ class TestCliDuplicateAxes:
         assert "duplicate --axis name 'store_queue'" in str(excinfo.value)
         assert "store_queue=V1,V2" in str(excinfo.value)
 
-    def test_tune_rejects_duplicate_params(self, capsys):
+
+class TestDesignSpaceSweep:
+    """An exhaustive ``sweep`` is the design-space tool: its best-point
+    line names the lowest-EPI configuration of the grid."""
+
+    def test_database_grid_best_point(self, capsys, tmp_path):
+        # scout x consistency x store_buffer on database: 24 points.
+        code, out, _ = run_cli(
+            capsys, "--seed", "11", "--warmup", "3000", "--measure", "9000",
+            "--no-calibrate", "--cache-dir", str(tmp_path),
+            "sweep", "--workload", "database",
+            "--axis", "scout=none,hws0,hws1,hws2",
+            "--axis", "consistency=pc,wc",
+            "--axis", "store_buffer=4,16,32",
+            "--workers", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "best point: scout=hws1 consistency=pc store_buffer=4 "
+            "(EPI/1000=16.000)"
+        )
+
+    def test_search_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli(
-                capsys, *SMALL, "tune", "--workload", "database",
-                "--param", "scout=none", "--param", "scout=hws2",
-            )
-        assert "duplicate --param name 'scout'" in str(excinfo.value)
+            run_cli(capsys, "tune", "--workload", "database")
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err

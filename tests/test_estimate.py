@@ -10,8 +10,8 @@ The estimate verb's contract, pinned here:
 - a call costs well under a millisecond — no trace read, no simulation;
 - the spec surface matches ``JobSpec.coerce`` (names, mappings, keyword
   knobs) and multi-context specs average their mix components;
-- the one model is the one the fleet's cost router and the tuner's
-  pruner import — it cannot fork.
+- the one model is the one the fleet's cost router imports — it cannot
+  fork.
 """
 
 from __future__ import annotations
@@ -149,12 +149,6 @@ class TestSharedModelConsumers:
         from repro.fleet import cost
 
         assert cost.epochs_per_inst is epochs_per_inst
-
-    def test_tune_pruner_imports_the_canonical_model(self):
-        from repro.tune import pruner
-
-        assert pruner.predicted_epi_per_1000 is predicted_epi_per_1000
-
 
 class TestSerialization:
     def test_round_trip_is_exact(self):

@@ -329,22 +329,6 @@ class TestFleetExecution:
         assert data == figure2(Workbench(SMALL, cache_dir=None), ["database"])
         assert sum(w.tasks_done for w in fleet.workers) == 1
 
-    def test_tune_job_over_two_workers(self, fleet_factory):
-        fleet = fleet_factory(workers=2)
-        client = fleet.client()
-        status = client.wait(
-            client.submit_tune(
-                "database", strategy="grid", budget=2,
-                scout=["none", "hws2"],
-            )["id"],
-            timeout=240,
-        )
-        assert status["state"] == "done"
-        best = status["result"]["best"]
-        assert best["knobs"]["scout"] == "hws2"
-        assert best["epi_per_1000"] > 0
-
-
 class TestFleetObservability:
     """Cross-process trace propagation and metrics federation, end to end."""
 
@@ -1040,11 +1024,64 @@ class TestFleetDrain:
         assert status["draining"] is False
 
 
+#: Runs a figure job, a ``shards=2`` simulate and a ``contexts=2``
+#: simulate through a coordinator and its serial in-process worker, then
+#: writes the loaded ``repro`` modules to ``argv[1]``.
+_RESULT_JOBS = """
+import json, sys, threading
+from repro.fleet import FleetCoordinator
+from repro.fleet.frontend import local_worker
+from repro.harness import ExperimentSettings
+from repro.service.client import ServiceClient
+
+settings = ExperimentSettings(warmup=1500, measure=8000, seed=11,
+                              calibrate=False)
+coord = FleetCoordinator(port=0, cache_dir=sys.argv[2],
+                         settings=settings).start()
+worker = local_worker(coord, workers=1)
+thread = threading.Thread(target=worker.run, daemon=True)
+thread.start()
+client = ServiceClient(coord.url)
+for body in (
+    {"kind": "figure", "figure": "figure2", "workloads": ["database"]},
+    {"kind": "simulate", "job": {"workload": "database"}, "shards": 2},
+    {"kind": "simulate",
+     "job": {"workload": "database+tpcw", "contexts": 2}},
+):
+    status = client.wait(client.submit(body)["id"], timeout=200)
+    assert status["state"] == "done", status
+with open(sys.argv[1], "w") as handle:
+    json.dump(sorted(m for m in sys.modules if m.startswith("repro")),
+              handle)
+coord.begin_drain()
+worker.request_stop()
+thread.join(timeout=15)
+coord.stop()
+"""
+
+#: The repro modules a stored result may load without being salted:
+#: package plumbing, the store itself, the fleet and service transport,
+#: and observability.  None of them computes a number in a payload or
+#: shapes one: the coordinator's ``_assemble`` builds its payloads with
+#: the salted ``service.executor`` functions.
+_UNSALTED_MODULES = (
+    "repro", "repro._lazy", "repro.errors", "repro.names",
+    "repro.engine", "repro.engine.cache",
+    "repro.fleet", "repro.fleet.cost", "repro.fleet.federation",
+    "repro.fleet.frontend", "repro.fleet.registry", "repro.fleet.router",
+    "repro.fleet.worker",
+    "repro.service", "repro.service.client", "repro.service.jobqueue",
+    "repro.obs", "repro.obs.context", "repro.obs.logging",
+    "repro.obs.metrics", "repro.obs.options", "repro.obs.profile",
+    "repro.obs.recorder", "repro.obs.trace",
+)
+
+
 class TestResultKey:
     def test_result_store_is_keyed_by_wire_version(self, monkeypatch):
-        # Stored payloads are wire encoded: a coordinator speaking another
-        # wire version must miss them, not serve what its clients cannot
-        # decode.
+        # The wire version lives in the wire codec, whose source the
+        # result salt hashes (test_artifact_store.TestResultSalt): the key
+        # must move with that salt.
         from repro.fleet import frontend
         from repro.service.protocol import parse_job_request
 
@@ -1054,5 +1091,42 @@ class TestResultKey:
         })
         current = coord._result_key(request)
         assert coord._result_key(request) == current
-        monkeypatch.setattr(frontend, "PROTOCOL_VERSION", 1)
+        monkeypatch.setattr(frontend, "result_salt", lambda: "another")
         assert coord._result_key(request) != current
+
+    def test_every_module_a_stored_result_loads_is_salted(self, tmp_path):
+        # A fresh interpreter runs each result-store job kind through a
+        # coordinator and its in-process worker.  Every repro module it
+        # loads is hashed into the result key, or is transport or
+        # observability code that cannot change a stored number.
+        import importlib.util
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.engine.cache import RESULT_SALT_SOURCES, SALT_SOURCES
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        dump = tmp_path / "modules.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _RESULT_JOBS, str(dump),
+             str(tmp_path / "cache")],
+            capture_output=True, text=True, timeout=240,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(dump.read_text())
+        assert {"repro.harness.figures", "repro.shard.merge",
+                "repro.smt.simulator"} <= set(loaded)
+        salted = SALT_SOURCES + RESULT_SALT_SOURCES
+        package = src / "repro"
+        unsalted = []
+        for name in loaded:
+            origin = importlib.util.find_spec(name).origin
+            source = Path(origin).resolve().relative_to(package).as_posix()
+            if not any(
+                source == s or source.startswith(s + "/") for s in salted
+            ):
+                unsalted.append(name)
+        assert sorted(set(unsalted) - set(_UNSALTED_MODULES)) == []

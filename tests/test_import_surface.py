@@ -50,7 +50,6 @@ FORBIDDEN = (
     "repro.service.client",
     "repro.service.jobqueue",
     "repro.fleet",
-    "repro.tune",
     "repro.smt",
     "repro.estimate",
     "repro.obs.timeline",
@@ -205,13 +204,11 @@ def test_parser_choice_lists_match_their_owners():
     from repro import names
     from repro.core.backend import backend_names
     from repro.harness.figures import ALL_WORKLOADS
-    from repro.tune import STRATEGIES
     from repro.workloads import WORKLOADS
 
     assert backend_names() == names.BACKENDS
     assert ALL_WORKLOADS is names.ALL_WORKLOADS
     assert set(ALL_WORKLOADS) == set(WORKLOADS)
-    assert STRATEGIES is names.STRATEGIES
 
 
 def test_wire_payloads_decode_before_their_modules_are_imported(tmp_path):

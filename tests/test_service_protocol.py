@@ -78,64 +78,6 @@ class TestParseJobRequest:
         assert request.figure == "figure2"
         assert len(request.workloads) == 4
 
-    def test_tune_request_coerces_space(self):
-        request = parse_job_request(wire({
-            "kind": "tune",
-            "tune": {"workload": "database", "strategy": "random",
-                     "budget": 8, "seed": 7,
-                     "space": {"scout": ["none", "hws2"],
-                               "store_buffer": [4, 16]}},
-        }))
-        assert request.kind == "tune"
-        spec = request.tune
-        assert spec.strategy == "random"
-        assert spec.budget == 8 and spec.seed == 7
-        assert spec.space.values("scout") == (
-            ScoutMode.NONE, ScoutMode.HWS2,
-        )
-        assert spec.space.values("store_buffer") == (4, 16)
-        assert "tune:database" in spec.describe()
-
-    def test_tune_priority_excluded_from_signature(self):
-        body = {
-            "kind": "tune",
-            "tune": {"workload": "database",
-                     "space": {"store_buffer": [4, 16]}},
-        }
-        low = parse_job_request({**body, "priority": 0})
-        high = parse_job_request({**body, "priority": 9})
-        assert low.signature() == high.signature()
-
-    @pytest.mark.parametrize("payload,fragment", [
-        ({"kind": "tune"}, "'tune'"),
-        ({"kind": "tune", "tune": {"workload": "nosuch",
-                                   "space": {"store_buffer": [4]}}},
-         "'tune.workload'"),
-        ({"kind": "tune", "tune": {"workload": "database",
-                                   "strategy": "anneal",
-                                   "space": {"store_buffer": [4]}}},
-         "'tune.strategy'"),
-        ({"kind": "tune", "tune": {"workload": "database", "budget": 0,
-                                   "space": {"store_buffer": [4]}}},
-         "'tune.budget'"),
-        ({"kind": "tune", "tune": {"workload": "database", "budget": 9999,
-                                   "space": {"store_buffer": [4]}}},
-         "'tune.budget'"),
-        ({"kind": "tune", "tune": {"workload": "database"}},
-         "'tune.space'"),
-        ({"kind": "tune", "tune": {"workload": "database",
-                                   "space": {"warp_drive": [1]}}},
-         "valid axes"),
-        ({"kind": "tune", "tune": {"workload": "database",
-                                   "space": {"scout": ["sp9"]}}},
-         "sp9"),
-    ])
-    def test_bad_tune_payloads_raise_protocol_error(
-            self, payload, fragment):
-        with pytest.raises(ProtocolError) as excinfo:
-            parse_job_request(payload)
-        assert fragment.lower() in str(excinfo.value).lower()
-
     @pytest.mark.parametrize("payload,fragment", [
         ("not a dict", "JSON object"),
         ({}, "'kind'"),
@@ -181,7 +123,7 @@ class TestParseJobRequest:
         }))
         assert request.kind == "simulate"
 
-    @pytest.mark.parametrize("version", [1, 0, "2", None])
+    @pytest.mark.parametrize("version", [1, 0, "2", None, 3])
     def test_unsupported_version_is_structured_400(self, version):
         with pytest.raises(ProtocolError) as excinfo:
             parse_job_request(wire({
@@ -205,6 +147,22 @@ class TestParseJobRequest:
             }))
         assert excinfo.value.status == 400
         assert repr(field) in str(excinfo.value)
+
+    def test_search_kind_is_structured_400_naming_the_kinds(self):
+        # The design-space search kind is gone from v4; its submission is
+        # answered with the valid kinds, whatever fields it carries.
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_job_request(wire({
+                "v": PROTOCOL_VERSION, "kind": "tune",
+                "tune": {"workload": "database",
+                         "space": {"store_buffer": [4, 16]}},
+            }))
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+        assert "'kind' must be one of" in message
+        for kind in ("sweep", "simulate", "figure", "estimate"):
+            assert repr(kind) in message
+        assert "'tune'" not in message.split("one of", 1)[1]
 
     def test_priority_excluded_from_signature(self):
         body = {
@@ -235,20 +193,6 @@ class TestWireRoundTrips:
                       "axes": {"store_prefetch": ["sp0", "sp1"]}},
         })
         assert JobRequest.from_dict(wire(request.to_dict())) == request
-
-    def test_tune_request_round_trip(self):
-        request = parse_job_request({
-            "kind": "tune",
-            "priority": 1,
-            "backend": "event",
-            "tune": {"workload": "tpcw", "variant": "wc",
-                     "strategy": "genetic", "budget": 12, "seed": 11,
-                     "space": {"scout": ["hws0", "hws1"],
-                               "store_queue": [16, 64]}},
-        })
-        back = JobRequest.from_dict(wire(request.to_dict()))
-        assert back == request
-        assert back.tune.space.grid() == request.tune.space.grid()
 
     def test_sweep_spec_round_trip(self):
         spec = SweepSpec.build(

@@ -29,7 +29,6 @@ from repro.estimate import EpiEstimate
 from repro.estimate import estimate as estimate_verb
 from repro.service import JobState, ServiceClient, ServiceError
 from repro.smt import run_smt
-from repro.tune import TuneResult
 
 SMALL = ExperimentSettings(warmup=1500, measure=4000, seed=11,
                            calibrate=False)
@@ -184,32 +183,6 @@ class TestEndToEnd:
         data = client.result(receipt["id"], timeout=240.0)
         assert data == figure2(Workbench(SMALL, cache_dir=None), ["database"])
 
-    def test_tune_job_returns_best_config(self, service, client):
-        service.start_worker()
-        receipt = client.submit_tune(
-            "database", strategy="grid", budget=2,
-            scout=["none", "hws2"],
-        )
-        status = client.wait(receipt["id"], timeout=240.0)
-        assert status["state"] == "done"
-        result = status["result"]
-        assert result["kind"] == "tune"
-        assert result["best"]["knobs"]["scout"] == "hws2"
-        assert result["best"]["epi_per_1000"] > 0
-        assert "tune:database" in result["summary"]
-        decoded = TuneResult.from_dict(result["tune_result"])
-        assert decoded.evaluations == 2
-        # identical resubmission resumes from the daemon's shared cache
-        again = client.submit_tune(
-            "database", strategy="grid", budget=2,
-            scout=["none", "hws2"],
-        )
-        second = client.wait(again["id"], timeout=240.0)
-        resumed = TuneResult.from_dict(second["result"]["tune_result"])
-        assert resumed.evaluations == 0
-        assert resumed.resumed > 0
-        assert second["result"]["best"] == result["best"]
-
     def test_cancel_queued_job_via_http(self, service, client):
         # the idle worker's slot is taken: the job stays queued
         service.occupy()
@@ -335,6 +308,24 @@ class TestProtocolVersioning:
         # even the error document names the version the server speaks
         from repro.service.protocol import PROTOCOL_VERSION
         assert excinfo.value.payload.get("v") == PROTOCOL_VERSION
+
+    def test_search_submission_is_structured_400(self, client):
+        # v4 has no design-space search kind: a submission of one is
+        # refused on the submit path and told the kinds the server runs.
+        from repro.service.protocol import PROTOCOL_VERSION
+
+        assert not hasattr(client, "submit_tune")
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({
+                "v": PROTOCOL_VERSION,
+                "kind": "tune",
+                "tune": {"workload": "database", "budget": 2,
+                         "space": {"scout": ["none", "hws2"]}},
+            })
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+        assert "'kind' must be one of" in message
+        assert "'sweep'" in message and "'figure'" in message
 
     def test_result_verb_returns_decoded_report(self, service, client):
         service.start_worker()

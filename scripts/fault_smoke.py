@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """CI fault-injection smoke: kill a worker mid-shard, verify recovery.
 
-Runs one workload unsharded (the golden), then sharded across real pool
-workers with a ``kill@M`` fault injected into the shard specs.  The kill
-hard-exits the worker about to simulate the shard holding trace position
-*M*; the engine must recompute that shard from its start in a retry round
-and produce a merged result bit-identical to the golden.
+Runs one workload unsharded (the golden), then sharded once without a
+fault: a job's first sharded run is one whole-trace shard that records
+where later runs may cut.  The next sharded run splits there, across real
+pool workers, with a ``kill@M`` fault injected into the shard specs.  The
+kill hard-exits the worker about to simulate the shard holding trace
+position *M*; the engine must recompute that shard from its start in a
+retry round and produce a merged result bit-identical to the golden.
 
 Exits non-zero (with a diagnostic) on any deviation, so the cache
 directory can be uploaded as a CI artifact for post-mortem.
@@ -49,6 +51,14 @@ def main(argv: list[str] | None = None) -> int:
     runner = EngineRunner(
         settings=settings, cache_dir=args.cache_dir, workers=2, retries=1,
     )
+    spec = JobSpec(workload=args.workload)
+    print(f"fault smoke: first sharded x{args.shards} run records the cuts ...")
+    first = runner.run_sharded(spec, args.shards)
+    print(f"  {first.summary()}")
+    failures = []
+    if not first.ok or first.merged != golden:
+        failures.append("the recording run did not merge to the golden")
+
     spec = JobSpec(workload=args.workload, fault=f"kill@{args.kill_at}")
     print(f"fault smoke: sharded x{args.shards}, kill@{args.kill_at} ...")
     report = runner.run_sharded(spec, args.shards)
@@ -58,7 +68,11 @@ def main(argv: list[str] | None = None) -> int:
         mark = "ok" if job.ok else f"FAILED: {job.error}"
         print(f"  {job.spec.describe():<48} {mark} attempts={job.attempts}")
 
-    failures = []
+    if report.plan.shard_count < 2:
+        failures.append(
+            f"the run after the recording one was not split "
+            f"({report.plan.describe()})"
+        )
     if not report.ok:
         failures.append("sharded run did not recover from the kill")
     if report.merged != golden:

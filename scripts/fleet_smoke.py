@@ -3,8 +3,11 @@
 
 Starts a coordinator without a local worker and two worker *processes*
 (the same ``mlpsim serve --workers 0`` / ``mlpsim worker --join`` entry
-points a user runs), submits a sharded simulate job, SIGKILLs one worker
-while it holds a leased, unfinished shard, and then asserts:
+points a user runs) and submits a sharded simulate job twice.  The first
+run has no recorded cuts: it must report one whole-trace shard, which
+records them.  The second (on the reference backend, so the result store
+does not answer it) splits at the recorded cuts; one worker is SIGKILLed
+while it holds a leased, unfinished shard of it, and the smoke asserts:
 
 1. the coordinator evicts the dead worker and requeues its shard;
 2. the surviving worker recomputes the shard: the job took a second
@@ -171,10 +174,24 @@ def main(argv: list[str] | None = None) -> int:
         )
 
         client = ServiceClient(url, timeout=30.0)
+        job = {"workload": args.workload, "variant": "pc"}
+        failures = []
+        recording = client.wait(client.submit({
+            "kind": "simulate", "job": job, "shards": args.shards,
+        })["id"], timeout=300.0)
+        plan = (recording.get("result") or {}).get("sharded", {})
+        print(f"fleet smoke: first sharded run: {plan.get('plan')}")
+        if recording["state"] != "done" or (
+            plan.get("requested"), plan.get("shard_count"),
+        ) != (args.shards, 1):
+            failures.append(
+                f"the first sharded run was not one recording shard: "
+                f"{recording['state']} {plan}"
+            )
+
         receipt = client.submit({
-            "kind": "simulate",
-            "job": {"workload": args.workload, "variant": "pc"},
-            "shards": args.shards,
+            "kind": "simulate", "job": job, "shards": args.shards,
+            "backend": "reference",
         })
         job_id = receipt["id"]
         print(f"fleet smoke: sharded job {job_id} submitted")
@@ -209,7 +226,6 @@ def main(argv: list[str] | None = None) -> int:
         )
 
         status = client.wait(job_id, timeout=300.0)
-        failures = []
         if status["state"] != "done":
             failures.append(
                 f"job ended {status['state']}: {status.get('error', '')}"
@@ -222,6 +238,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"  rounds={sharded['rounds']} attempts={attempts} "
                 f"plan={sharded['plan']}"
             )
+            if sharded["shard_count"] < 2:
+                failures.append(
+                    "the run after the recording one was not split "
+                    f"({sharded['plan']})"
+                )
             if sharded["rounds"] < 2:
                 failures.append(
                     "the killed shard was never re-leased (rounds < 2)"

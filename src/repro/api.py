@@ -202,10 +202,12 @@ def run(
 
         result = api.run("database", backend="reference")
 
-    *shards* > 1 segments the trace at probed quiescent boundaries and fans
-    the segments across *workers* processes through the fault-tolerant
-    sharded execution path (a failed shard is recomputed from its start);
-    the returned result is bit-identical to an unsharded run.
+    *shards* > 1 runs through the fault-tolerant sharded execution path
+    (a failed shard is recomputed from its start): the trace is cut at the
+    quiescent boundaries an earlier run of the same inputs recorded and the
+    segments fan out across *workers* processes.  The first such run has
+    no record, so it runs as one shard and records one.  The returned
+    result is bit-identical to an unsharded run either way.
 
     *trace* names a directory to write a JSONL epoch trace into
     (rendered by ``mlpsim trace`` / ``mlpsim obs report``); *obs* passes
@@ -335,8 +337,9 @@ def sweep(
     records come back workload-major in grid order, deterministically.
 
     *shards* > 1 runs every grid point through the fault-tolerant sharded
-    path (:meth:`EngineRunner.run_sharded`) — long traces split at
-    quiescent boundaries, failed shards retry, results stay bit-identical.
+    path (:meth:`EngineRunner.run_sharded`) — traces split at recorded
+    quiescent boundaries (a point's first run is one shard that records
+    them), failed shards retry, results stay bit-identical.
 
     *backend* runs every grid point on the named execution backend.
     Results are bit-identical across backends.
@@ -411,14 +414,16 @@ def shard_plan(
     cache_dir: Any = "auto",
     bench: Optional[Workbench] = None,
     **core_changes: Any,
-) -> ShardPlan:
-    """The deterministic shard plan a sharded :func:`run` would use.
+) -> Optional[ShardPlan]:
+    """The deterministic shard plan a sharded :func:`run` would use now.
 
-    Probes the simulation's quiescent epoch boundaries (cached per
-    configuration + trace) and returns the :class:`ShardPlan` — inspect
-    ``plan.shards`` for the spans, ``plan.shard_count`` for how many
-    shards the trace actually supports (boundary-starved traces yield
-    fewer than requested, never unsafe cuts).
+    Reads the quiescent boundaries an earlier sharded run of the same
+    inputs recorded in the artifact cache; it simulates nothing and loads
+    no trace.  ``None`` means no run has recorded them yet, so the next
+    sharded run is one whole-trace shard.  Inspect ``plan.shards`` for
+    the spans, ``plan.shard_count`` for how many shards the trace actually
+    supports (boundary-starved traces yield fewer than requested, never
+    unsafe cuts).
     """
     from .engine.runner import JobSpec
 
@@ -428,9 +433,9 @@ def shard_plan(
         workload=profile,
         variant=variant,
         config=config,
-        core_changes=tuple(sorted(core_changes.items())),
+        core_changes=tuple(sorted(_coerce_core_changes(core_changes).items())),
     )
-    return shard_plan_for(bench, spec, shards)
+    return shard_plan_for(bench.artifacts, bench.settings, spec, shards)
 
 
 def connect(

@@ -147,8 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="segment the trace at quiescent epoch boundaries and run the "
-             "shards in parallel (result is bit-identical to unsharded)",
+        help="run the trace in up to N shards in parallel, cut at the "
+             "quiescent epoch boundaries an earlier sharded run of the same "
+             "inputs recorded; a first run is one shard and records them "
+             "(result is bit-identical to unsharded)",
     )
     run.add_argument(
         "--workers", type=int, default=None,
@@ -831,7 +833,8 @@ def _run(args, settings: ExperimentSettings) -> int:
             backend=args.backend or "",
         )
         report = runner.run_sharded(spec, args.shards)
-        print(f"# plan: {report.plan.describe()}", file=sys.stderr)
+        if report.plan is not None:
+            print(f"# plan: {report.plan.describe()}", file=sys.stderr)
         for job in report.jobs:
             print(f"  {job.spec.describe():52s} [{job.status}]")
         print(f"# {report.summary()}", file=sys.stderr)

@@ -158,7 +158,7 @@ class MlpSimulator:
           (a position from a shard plan); a cursor that moves past it
           raises :class:`ShardBoundaryError`.
         - *quiescent_log* collects ``(pos, cur)`` at every quiescent epoch
-          boundary — the probe behind shard planning.
+          boundary — the record shard planning cuts at.
 
         The result counts the instructions from *start* to *stop* (or to
         the end of the trace).
@@ -191,7 +191,7 @@ class MlpSimulator:
                     )
                 # The cursor can sit at the boundary for several epochs
                 # (a stalled instruction retries there); stop at the first
-                # quiescent one, the point the shard probe logged.
+                # quiescent one, the point the quiescent log recorded.
                 if is_quiescent(state):
                     # The unit is drained at a quiescent boundary, so
                     # finalize only copies the accumulated store statistics.

@@ -375,11 +375,12 @@ class ShardedReport:
     round); ``merged`` is the exact whole-run :class:`SimulationResult`
     when every shard succeeded, ``None`` otherwise.  Once ``merged``
     exists the per-shard results are dropped (``result`` is ``None``):
-    the merge was their only reader.
+    the merge was their only reader.  ``plan`` is ``None`` only when a
+    job's first, whole-trace shard failed before its length was known.
     """
 
     spec: JobSpec
-    plan: Any  # repro.shard.plan.ShardPlan
+    plan: Any  # Optional[repro.shard.plan.ShardPlan]
     jobs: List[JobResult] = field(default_factory=list)
     rounds: int = 1
     wall_time: float = 0.0
@@ -906,24 +907,21 @@ class EngineRunner:
             )
         return self._serial_bench
 
-    def run_sharded(
-        self,
-        spec: JobSpec,
-        shards: int,
-        plan: Any = None,
-    ) -> "ShardedReport":
+    def run_sharded(self, spec: JobSpec, shards: int) -> "ShardedReport":
         """Execute one simulate job as a fault-tolerant sharded run.
 
-        The trace is segmented at probed quiescent boundaries (*plan*, or
-        :func:`repro.shard.execute.shard_plan_for` if omitted), the shards
-        fan out across the worker pool as independent jobs, and the
-        per-shard results merge into a result bit-identical to an unsharded
-        run.  Failed shards are recomputed from their start in follow-up
-        rounds (up to ``retries`` extra rounds) with a **fresh pool** — the
-        recovery path for a worker process dying mid-shard, which breaks
-        the whole pool.  Shards that already succeeded are never re-run.
+        The trace is segmented at recorded quiescent boundaries
+        (:func:`repro.shard.execute.shard_plan_for`), the shards fan out
+        across the worker pool as independent jobs, and the per-shard
+        results merge into a result bit-identical to an unsharded run.
+        Until a run of the same inputs has recorded its boundaries, the
+        job runs as one whole-trace shard that records them.  Failed
+        shards are recomputed from their start in follow-up rounds (up to
+        ``retries`` extra rounds) with a **fresh pool** — the recovery
+        path for a worker process dying mid-shard, which breaks the whole
+        pool.  Shards that already succeeded are never re-run.
         """
-        from ..shard.execute import shard_plan_for
+        from ..shard.execute import settled_plan, shard_plan_for, shard_specs
         from ..shard.merge import merge_results
 
         if spec.action != "simulate":
@@ -933,24 +931,16 @@ class EngineRunner:
         if shards < 1:
             raise EngineConfigError(f"shard count must be >= 1, got {shards}")
         start_time = time.perf_counter()
-        if plan is None:
-            plan = shard_plan_for(self._planning_bench(), spec, shards)
-        base = spec.describe()
-        shard_specs = [
-            replace(
-                spec,
-                shard_start=lo,
-                shard_stop=hi,
-                label=f"{base} shard[{lo}:{hi})",
-            )
-            for lo, hi in plan.shards
-        ]
+        plan = shard_plan_for(
+            self._planning_bench().artifacts, self.settings, spec, shards,
+        )
+        parts = shard_specs(spec, plan)
         final: Dict[int, JobResult] = {}
-        pending = list(range(len(shard_specs)))
+        pending = list(range(len(parts)))
         rounds = 0
         while pending:
             rounds += 1
-            report = self.run([shard_specs[i] for i in pending])
+            report = self.run([parts[i] for i in pending])
             still_failed = []
             for index, job in zip(pending, report.jobs):
                 if index in final:  # a retry round: count every execution
@@ -961,10 +951,11 @@ class EngineRunner:
             pending = still_failed
             if pending and rounds > self.retries:
                 break
-        jobs = [final[i] for i in range(len(shard_specs))]
+        jobs = [final[i] for i in range(len(parts))]
         merged: Optional[SimulationResult] = None
         if not pending:
             merged = merge_results([job.result for job in jobs])
+            plan = settled_plan(plan, shards, merged)
             # The merge is the only reader of the per-shard results: the
             # report carries each shard's epochs once, inside `merged`.
             jobs = [replace(job, result=None) for job in jobs]

@@ -56,10 +56,10 @@ __all__ = [
 #: request without ``"v"`` (curl, the pre-versioning form) is accepted.
 #: Version 3 dropped the checkpoint fields of job specs and results;
 #: version 4 dropped the design-space search job kind and its request
-#: field (an exhaustive ``sweep`` covers that space).  It
-#: lives with the encoding it versions (:mod:`repro.service.protocol`
-#: re-exports it).
-PROTOCOL_VERSION = 4
+#: field (an exhaustive ``sweep`` covers that space); version 5 dropped
+#: the probe-identity fields of shard plans.  It lives with the encoding
+#: it versions (:mod:`repro.service.protocol` re-exports it).
+PROTOCOL_VERSION = 5
 
 
 class SerializeError(TypeError):

@@ -22,11 +22,13 @@ one in-process :class:`~repro.fleet.worker.FleetWorker` thread (``--workers
   extends across nodes and across coordinator restarts, but never across
   settings or code.
 
-The coordinator runs **no simulations itself** (``estimate`` is pure
-arithmetic and is answered on submit).  A dispatcher thread expands each
-claimed job into tasks: sweep grid points, :class:`ShardPlan` shards for
-sharded simulates, or — for a figure job, whose driver cannot be split —
-one task carrying the whole request.  Claiming is gated on the
+The coordinator runs **no simulations and loads no traces** (``estimate``
+is pure arithmetic and is answered on submit).  A dispatcher thread
+expands each claimed job into tasks: sweep grid points, the shards of a
+sharded simulate's :class:`ShardPlan` (read from the quiescent log an
+earlier run recorded in the shared store; one whole-trace shard, which
+records it, until then), or — for a figure job, whose driver cannot be
+split — one task carrying the whole request.  Claiming is gated on the
 *pending* backlog only, so the dispatcher plans the next job while the
 current one's tasks execute.  Workers long-poll
 ``/v1/fleet/lease``, execute specs through their own
@@ -68,7 +70,7 @@ from ..engine.cache import (
 )
 from ..engine.runner import JobResult, JobSpec, RunReport, ShardedReport
 from ..errors import ProtocolError, SaturatedError, UnknownWorkerError
-from ..harness.experiment import ExperimentSettings, Workbench
+from ..harness.experiment import ExperimentSettings
 from ..obs.context import format_traceparent, new_span_id
 from ..obs.logging import get_logger, setup_logging
 from ..obs.metrics import MetricsRegistry
@@ -201,16 +203,13 @@ class FleetCoordinator:
         self.draining = False
         self._stopping = False
         self._started_at: Optional[float] = None
-        #: job id -> (job, ShardPlan or None); guards job assembly.
+        #: sharded job id -> (ShardPlan or None, its spec); the lock
+        #: guards job assembly.
         self._assembly_lock = threading.Lock()
         self._plans: Dict[str, Any] = {}
         #: Completion-rate window for Retry-After: (monotonic, cost units).
         self._rate_lock = threading.Lock()
         self._completions: List[Tuple[float, float]] = []
-        #: Planning bench (shard plans, sweep expansion); built lazily so a
-        #: coordinator that only serves cached results never touches traces.
-        self._bench: Optional[Workbench] = None
-        self._bench_lock = threading.Lock()
 
         self._frontend = _AsyncFrontend(self, host, port)
         self._dispatcher = threading.Thread(
@@ -251,9 +250,7 @@ class FleetCoordinator:
         self._evictor.join(timeout=5.0)
         # A stopped coordinator is cyclic garbage (the router, the queue
         # and the front end point back at it), so what it holds lives
-        # until a full collection: drop the traces now.
-        with self._bench_lock:
-            self._bench = None
+        # until a full collection: drop the cached payloads now.
         self.artifacts.clear_memory()
 
     def begin_drain(self) -> None:
@@ -443,14 +440,6 @@ class FleetCoordinator:
 
     # ------------------------------------------------------------ expansion --
 
-    def _planning_bench(self) -> Workbench:
-        with self._bench_lock:
-            if self._bench is None:
-                self._bench = Workbench(
-                    self.settings, artifacts=self.artifacts,
-                )
-            return self._bench
-
     def _expand_job(self, job: Job) -> List[TaskRecord]:
         """Expand one claimed job into leasable engine tasks."""
         request = job.request
@@ -479,17 +468,15 @@ class FleetCoordinator:
             if backend:
                 spec = replace(spec, backend=backend)
             if request.shards > 1:
-                plan = self._plan_shards(spec, request.shards)
-                base = spec.describe()
-                specs = [
-                    replace(
-                        spec,
-                        shard_start=lo,
-                        shard_stop=hi,
-                        label=f"{base} shard[{lo}:{hi})",
-                    )
-                    for lo, hi in plan.shards
-                ]
+                from ..shard.execute import shard_plan_for, shard_specs
+
+                # A plan from the recorded quiescent log, or None: then one
+                # whole-trace shard runs and records it.  Either way the
+                # coordinator loads no trace and runs no simulation.
+                plan = shard_plan_for(
+                    self.artifacts, self.settings, spec, request.shards,
+                )
+                specs = shard_specs(spec, plan)
                 with self._assembly_lock:
                     self._plans[job.id] = (plan, spec)
             else:
@@ -514,11 +501,6 @@ class FleetCoordinator:
         return estimate_job_cost(spec, self.settings).scaled(
             len(request.workloads)
         )
-
-    def _plan_shards(self, spec: JobSpec, shards: int) -> Any:
-        from ..shard.execute import shard_plan_for
-
-        return shard_plan_for(self._planning_bench(), spec, shards)
 
     def _dispatch_loop(self) -> None:
         """Claim queued jobs and hand their tasks to the router.
@@ -728,6 +710,7 @@ class FleetCoordinator:
         if planned is None:
             return simulate_payload(report)
 
+        from ..shard.execute import settled_plan
         from ..shard.merge import merge_results
 
         plan, base_spec = planned
@@ -737,7 +720,7 @@ class FleetCoordinator:
         # task's leases, so a re-leased shard reports each execution.
         sharded = ShardedReport(
             spec=base_spec,
-            plan=plan,
+            plan=settled_plan(plan, request.shards, merged),
             jobs=[
                 replace(r, result=None, attempts=t.attempts)
                 for r, t in zip(results, tasks)

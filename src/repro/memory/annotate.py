@@ -58,25 +58,19 @@ class AnnotatedTrace(list):
     classification, as ``(Instruction, AccessInfo)`` pairs.
 
     A list that also owns the configuration-free data derived from it, so
-    each is computed once per trace and freed with the trace:
-
-    ``skip_tables``  the ``event`` backend's wakeup tables
-                     (:func:`repro.core.backends.events.build_skip_tables`);
-    ``fingerprint``  the shard planner's identity
-                     (:func:`repro.shard.plan.trace_fingerprint`).
-
-    Both start as ``None`` and are filled by their first user.  An
-    annotated trace is not mutated after annotation.  Derived data never
-    travels: a pickle carries only the pairs, and a slice is a plain list.
-    A trace can be weakly referenced, so a test can tell that it was freed.
+    it is computed once per trace and freed with the trace:
+    ``skip_tables``, the ``event`` backend's wakeup tables
+    (:func:`repro.core.backends.events.build_skip_tables`), starts as
+    ``None`` and is filled by its first user.  An annotated trace is not
+    mutated after annotation.  Derived data never travels: a pickle
+    carries only the pairs, and a slice is a plain list.
     """
 
-    __slots__ = ("skip_tables", "fingerprint", "__weakref__")
+    __slots__ = ("skip_tables",)
 
     def __init__(self, pairs: Iterable[Tuple[Instruction, AccessInfo]] = ()):
         super().__init__(pairs)
         self.skip_tables = None
-        self.fingerprint = None
 
     def __reduce__(self):
         return (AnnotatedTrace, (), None, iter(self))

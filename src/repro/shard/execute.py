@@ -1,9 +1,13 @@
-"""Shard planning and execution against a Workbench.
+"""Shard planning and execution.
 
 :func:`shard_plan_for` turns an engine :class:`~repro.engine.runner.JobSpec`
-into a :class:`~repro.shard.plan.ShardPlan`: it resolves the job's effective
-configuration and annotated trace exactly the way the simulation path does,
-then probes (or cache-hits) the quiescent boundary log and picks cuts.
+into a :class:`~repro.shard.plan.ShardPlan` from the job's recorded
+quiescent log alone: it loads no trace and runs no simulation, so the
+fleet coordinator plans without either.  With no log recorded yet it
+returns ``None`` and the job runs as one whole-trace shard
+(:func:`shard_specs`), whose plan takes its length from its result
+(:func:`settled_plan`).  ``EngineRunner.run_sharded``, ``api.run(shards=)``,
+``mlpsim run --shards`` and the fleet all plan this way.
 
 :func:`run_shard_job` executes one shard: it runs a fresh simulator over
 the **whole** annotated trace from the shard's start to its planned stop
@@ -11,9 +15,10 @@ the **whole** annotated trace from the shard's start to its planned stop
 the same instructions the unsharded run saw, the trace's skip tables are
 the ones every other job over it uses, and the run stops exactly at the
 planned boundary (the simulator refuses a non-quiescent overshoot).  A
-shard that dies is recomputed from its start by whoever runs it next: the
-engine's retry round, or the fleet worker that leases it after the first
-one was evicted.
+shard spanning the whole trace logs its quiescent boundaries as it runs
+and records them for the next run of the same inputs.  A shard that dies
+is recomputed from its start by whoever runs it next: the engine's retry
+round, or the fleet worker that leases it after the first one was evicted.
 
 ``JobSpec.fault`` drives the recovery tests and the CI fault smoke.  The
 one fault, ``"kill@M"``, kills the attempt about to simulate the shard
@@ -25,59 +30,77 @@ retry demonstrates real recovery instead of dying again.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
-from typing import Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from ..core.backend import resolve_backend
 from ..core.results import SimulationResult
 from ..engine.cache import ArtifactCache, content_key
 from ..errors import FaultInjectedError, ShardBoundaryError
-from .plan import (
-    ShardPlan,
-    build_plan,
-    plan_cache_key,
-    probe_quiescent_points,
-    trace_fingerprint,
-)
+from .plan import PROBE_KIND, ShardPlan, build_plan, probe_key
 
 if TYPE_CHECKING:
     from ..core.window import WindowObserver
     from ..engine.runner import JobSpec
-    from ..harness.experiment import Workbench
+    from ..harness.experiment import ExperimentSettings, Workbench
     from ..obs.profile import PhaseProfiler
 
-__all__ = ["kill_position", "run_shard_job", "shard_plan_for"]
+__all__ = [
+    "kill_position",
+    "run_shard_job",
+    "settled_plan",
+    "shard_plan_for",
+    "shard_specs",
+]
 
 
 def shard_plan_for(
-    bench: "Workbench", spec: "JobSpec", shards: int,
-) -> ShardPlan:
-    """A deterministic shard plan for the run *spec* describes.
+    artifacts: ArtifactCache,
+    settings: "ExperimentSettings",
+    spec: "JobSpec",
+    shards: int,
+) -> Optional[ShardPlan]:
+    """The shard plan for the run *spec* describes, or ``None`` while no
+    run of it has recorded its quiescent log in *artifacts*.
 
-    The probe (one serial simulation logging quiescent boundaries) is
-    cached in the bench's artifact cache by (configuration, trace
-    fingerprint); replanning at a different shard count reuses it.
+    Replanning at another shard count reuses the same record.
     """
-    annotated = bench.annotated(
-        spec.workload, spec.variant, spec.memory_config, spec.sharing,
-        spec.tag,
-    )
-    config = bench.resolved_config(
-        spec.workload, spec.variant, spec.config, **dict(spec.core_changes),
-    )
-    config_key = content_key("simconfig", config)
-    fingerprint = trace_fingerprint(annotated)
-    points = bench.artifacts.get_or_create(
-        "shard-probe",
-        plan_cache_key(config_key, fingerprint),
-        lambda: probe_quiescent_points(
-            annotated, config, spec.backend or None,
-        ),
-    )
-    return build_plan(
-        len(annotated), points, shards,
-        config_key=config_key, fingerprint=fingerprint,
+    recorded = artifacts.get(PROBE_KIND, probe_key(settings, spec))
+    if recorded is None:
+        return None
+    instructions, points = recorded
+    return build_plan(instructions, points, shards)
+
+
+def shard_specs(
+    spec: "JobSpec", plan: Optional[ShardPlan],
+) -> List["JobSpec"]:
+    """The engine jobs that run *spec* under *plan*: one per span, or one
+    whole-trace shard (which records the log) when *plan* is ``None``."""
+    spans = plan.shards if plan is not None else ((0, -1),)
+    base = spec.describe()
+    return [
+        dataclasses.replace(
+            spec,
+            shard_start=lo,
+            shard_stop=hi,
+            label=f"{base} shard[{lo}:{hi if hi >= 0 else ''})",
+        )
+        for lo, hi in spans
+    ]
+
+
+def settled_plan(
+    plan: Optional[ShardPlan], requested: int, merged: SimulationResult,
+) -> ShardPlan:
+    """*plan*, or for a run that had none, the one-shard plan its whole-
+    trace *merged* result spans."""
+    if plan is not None:
+        return plan
+    return ShardPlan(
+        instructions=merged.instructions, requested=requested, cuts=(),
     )
 
 
@@ -164,17 +187,23 @@ def run_shard_job(
     # The last shard runs to the end of the trace, where the final drain
     # commits what is still in flight.
     stop_at: Optional[int] = stop if stop < n else None
+    # A whole-trace shard logs every quiescent boundary it passes: the
+    # record later runs of these inputs are split at.
+    log: Optional[List] = [] if start == 0 and stop_at is None else None
 
     # Every backend honours the shard span and is bit-identical to the
     # reference loop, so shard merging stays exact regardless of which one
     # runs the segment.
     backend = resolve_backend(spec.backend or None)
-    if profiler is not None:
-        with profiler.phase("simulate"):
-            return backend.simulate(
-                config, annotated, observer=observer,
-                start=start, stop=stop_at,
-            )
-    return backend.simulate(
-        config, annotated, observer=observer, start=start, stop=stop_at,
-    )
+    phase = (profiler.phase("simulate") if profiler is not None
+             else contextlib.nullcontext())
+    with phase:
+        result = backend.simulate(
+            config, annotated, observer=observer, start=start, stop=stop_at,
+            quiescent_log=log,
+        )
+    if log is not None:
+        bench.artifacts.put(
+            PROBE_KIND, probe_key(bench.settings, spec), (n, log),
+        )
+    return result

@@ -4,15 +4,21 @@ A shard boundary must be a position the simulation passes through with no
 machine state carried across it — otherwise a fresh simulator started on
 the suffix would diverge.  Statically such positions cannot be recognized
 (whether the store buffer is drained at position *p* depends on the whole
-dynamics up to *p*), so the segmenter runs one instrumented *probe*
-simulation that logs every quiescent epoch boundary (see
-:func:`repro.core.window.is_quiescent`), and cuts are chosen from that
-log.  The probe costs one serial run per (configuration, trace) pair and is
-cached as a ``shard-probe`` artifact, so a sweep of sharded runs — or a
-re-run after a crash — pays it once.  The probe runs on the job's
-execution backend: every backend logs the same quiescent points (the
-``event`` backend never skips an epoch boundary), and the fast one turns
-planning from one reference-speed simulation into one event-speed one.
+dynamics up to *p*), so cuts are chosen from the *quiescent log* of a real
+run: every quiescent epoch boundary it passed (see
+:func:`repro.core.window.is_quiescent`).  No run is made to get it.  A
+sharded job whose log is not recorded yet runs as one whole-trace shard,
+and that shard logs its quiescent boundaries as it goes
+(:func:`repro.shard.execute.run_shard_job`), so the job's first run costs
+one simulation and later runs of the same inputs split at the recorded
+points.  Every backend logs the same points (the ``event`` backend never
+skips an epoch boundary), so the record does not depend on which one ran.
+
+The record is a ``shard-probe`` artifact keyed by the job's inputs
+(:func:`probe_key`): the experiment settings plus the
+:class:`~repro.engine.runner.JobSpec` without its shard bounds, label,
+fault or backend.  It holds ``(trace length, points)``, so a planner —
+the fleet coordinator included — reads it without loading the trace.
 
 Exactness argument: at a quiescent boundary every comparison the simulator
 will make from then on is either positional (and all recorded state is
@@ -28,42 +34,38 @@ over the same span, field for field.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from ..config import SimulationConfig
-from ..core.backend import resolve_backend
 from ..engine import serialize
-from ..engine.cache import content_key, stable_token
+from ..engine.cache import content_key
 from ..errors import ShardBoundaryError
-from ..memory.annotate import AnnotatedTrace
 
-__all__ = [
-    "ShardPlan",
-    "build_plan",
-    "probe_quiescent_points",
-    "trace_fingerprint",
-]
+if TYPE_CHECKING:
+    from ..engine.runner import JobSpec
+    from ..harness.experiment import ExperimentSettings
+
+__all__ = ["PROBE_KIND", "ShardPlan", "build_plan", "probe_key"]
+
+#: The artifact-cache kind of recorded quiescent logs.
+PROBE_KIND = "shard-probe"
 
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A deterministic segmentation of one (trace, configuration) pair.
+    """A deterministic segmentation of one simulation's trace.
 
     ``cuts`` are strictly increasing positions in ``(0, instructions)``; the
     plan yields ``len(cuts) + 1`` shards.  When the trace offers fewer
-    quiescent boundaries than ``requested - 1``, the plan degrades to the
-    boundaries that exist (never to an unsafe cut): ``shard_count`` may be
-    smaller than ``requested``.  ``config_key``/``trace_fingerprint``
-    identify what was probed, so executing a plan against different inputs
-    fails loudly instead of merging garbage.
+    quiescent boundaries than ``requested - 1``, or none are recorded yet,
+    the plan degrades to the boundaries that exist (never to an unsafe
+    cut): ``shard_count`` may be smaller than ``requested``.
     """
 
     instructions: int
     requested: int
     cuts: Tuple[int, ...]
-    config_key: str = ""
-    trace_fingerprint: str = ""
 
     @property
     def bounds(self) -> Tuple[int, ...]:
@@ -99,31 +101,10 @@ class ShardPlan:
             last = cut
 
 
-def probe_quiescent_points(
-    trace: AnnotatedTrace,
-    config: SimulationConfig,
-    backend: Optional[str] = None,
-) -> List[Tuple[int, int]]:
-    """Every quiescent epoch boundary of one simulation, as (pos, cur).
-
-    One full serial simulation of *trace* under *config* on *backend*
-    (resolved like any job's: ``None`` means ``$REPRO_BACKEND`` or the
-    default) — the cacheable half of shard planning.  The log does not
-    depend on the backend, so neither does the ``shard-probe`` cache key.
-    """
-    log: List[Tuple[int, int]] = []
-    resolve_backend(backend).simulate(config, trace, quiescent_log=log)
-    return log
-
-
 def build_plan(
-    instructions: int,
-    points: List[Tuple[int, int]],
-    shards: int,
-    config_key: str = "",
-    fingerprint: str = "",
+    instructions: int, points: List[Tuple[int, int]], shards: int,
 ) -> ShardPlan:
-    """Choose cuts from probed quiescent *points* nearest an even split.
+    """Choose cuts from recorded quiescent *points* nearest an even split.
 
     Deterministic: for each interior target ``i * n / shards`` the nearest
     quiescent position wins (ties break low); duplicates collapse, so
@@ -141,45 +122,24 @@ def build_plan(
             chosen.add(best)
         cuts = sorted(chosen)
     plan = ShardPlan(
-        instructions=instructions,
-        requested=shards,
-        cuts=tuple(cuts),
-        config_key=config_key,
-        trace_fingerprint=fingerprint,
+        instructions=instructions, requested=shards, cuts=tuple(cuts),
     )
     plan.validate()
     return plan
 
 
-def trace_fingerprint(trace: AnnotatedTrace) -> str:
-    """A cheap, stable identity for an annotated trace.
+def probe_key(settings: "ExperimentSettings", spec: "JobSpec") -> str:
+    """Where the quiescent log of the run *spec* describes is recorded.
 
-    Hashes the length plus a deterministic sample of (instruction,
-    annotation) pairs — enough to tell traces apart without tokenizing
-    hundreds of thousands of entries.  An :class:`AnnotatedTrace` keeps
-    its fingerprint, so planning many jobs over one trace hashes it once.
+    The log depends on what is simulated, not on how or in which pieces:
+    shard bounds, label, fault and backend are left out of the key, and
+    the knobs count in any order (the wire keeps the submitted order).
     """
-    fingerprint = getattr(trace, "fingerprint", None)
-    if fingerprint is not None:
-        return fingerprint
-    n = len(trace)
-    if n == 0:
-        fingerprint = content_key("trace-fp", 0)
-    else:
-        step = max(1, n // 64)
-        sample = [trace[i] for i in range(0, n, step)]
-        sample.append(trace[-1])
-        fingerprint = content_key("trace-fp", n, stable_token(sample))
-    if isinstance(trace, AnnotatedTrace):
-        trace.fingerprint = fingerprint
-    return fingerprint
-
-
-def plan_cache_key(
-    config_key: str, fingerprint: str, extra: Optional[str] = None,
-) -> str:
-    """Artifact-cache key for a probe of one (configuration, trace) pair."""
-    return content_key("shard-probe", config_key, fingerprint, extra)
+    whole = dataclasses.replace(
+        spec, shard_start=-1, shard_stop=-1, label="", fault="", backend="",
+        core_changes=tuple(sorted(spec.core_changes)),
+    )
+    return content_key(PROBE_KIND, settings, whole)
 
 
 serialize.register(ShardPlan)

@@ -1,18 +1,15 @@
 """Derived data lives with its annotated trace.
 
 An :class:`AnnotatedTrace` owns what is derived from it alone — the event
-backend's skip tables and the shard planner's fingerprint — so each is
-built once per trace per process, never travels in a pickle or a slice,
-and is freed with the trace.
+backend's skip tables — so they are built once per trace per process,
+never travel in a pickle or a slice, and are freed with the trace.
 """
 
 from __future__ import annotations
 
-import gc
 import pickle
 import sys
 import threading
-import weakref
 from collections import Counter
 
 import pytest
@@ -26,8 +23,6 @@ from repro.harness import ExperimentSettings
 from repro.harness.experiment import Workbench
 from repro.memory.annotate import AnnotatedTrace
 from repro.service.client import ServiceClient
-from repro.shard import plan as shard_plan
-from repro.shard import shard_plan_for
 from repro.trace.annotated import (
     Annotation,
     decode_annotation,
@@ -38,7 +33,8 @@ SMALL = ExperimentSettings(warmup=1500, measure=4000, seed=11,
                            calibrate=False)
 
 #: Both ``database`` and ``specjbb`` offer a quiescent cut at this sizing
-#: (``specjbb`` has none at SMALL's), so every job below runs two shards.
+#: (``specjbb`` has none at SMALL's), so every job below runs two shards
+#: once its first run has recorded where to cut.
 SHARDABLE = ExperimentSettings(warmup=1500, measure=8000, seed=11,
                                calibrate=False)
 
@@ -87,13 +83,11 @@ class TestListType:
         decoded = decode_annotation(encode_annotation(annotation)).trace
         assert type(decoded) is AnnotatedTrace
         assert decoded == trace
-        assert decoded.skip_tables is None and decoded.fingerprint is None
+        assert decoded.skip_tables is None
 
     def test_pickle_carries_no_derived_data(self, trace):
         resolve_backend("event").simulate(SimulationConfig(), trace)
-        shard_plan.trace_fingerprint(trace)
         assert trace.skip_tables is not None
-        assert trace.fingerprint is not None
         # The pickle is that of the same pairs with nothing derived, and
         # the plain list's plus the class reference (the memo indices it
         # shifts can cost a few bytes more): the tables alone hold three
@@ -103,7 +97,7 @@ class TestListType:
         assert 0 < len(pickled) - len(pickle.dumps(list(trace))) < 100
         copy = pickle.loads(pickled)
         assert type(copy) is AnnotatedTrace and copy == trace
-        assert copy.skip_tables is None and copy.fingerprint is None
+        assert copy.skip_tables is None
 
     def test_slice_inherits_nothing(self, trace):
         resolve_backend("event").simulate(SimulationConfig(), trace)
@@ -143,45 +137,27 @@ class TestListType:
                 == resolve_backend("reference").simulate(config, trace))
 
 
-class TestFingerprint:
-    def test_planning_two_configurations_hashes_once(self, monkeypatch):
-        bench = Workbench(SMALL, cache_dir=None)
-        calls = []
-        real = shard_plan.stable_token
-
-        def counting(value):
-            calls.append(value)
-            return real(value)
-
-        monkeypatch.setattr(shard_plan, "stable_token", counting)
-        for store_buffer in (8, 16):
-            shard_plan_for(bench, JobSpec(
-                workload="database",
-                core_changes=(("store_buffer", store_buffer),),
-            ), 2)
-        assert len(calls) == 1
-        trace = bench.annotated("database", "pc")
-        assert trace.fingerprint == shard_plan.trace_fingerprint(trace)
-        assert len(calls) == 1
-
-
 class TestOneBuildPerTrace:
     def test_engine_serial_path(self, tmp_path, builds):
         runner = EngineRunner(settings=SHARDABLE,
                               cache_dir=tmp_path / "cache", workers=1)
         for workload, store_buffer in JOBS:
-            report = runner.run_sharded(JobSpec(
+            spec = JobSpec(
                 workload=workload,
                 core_changes=(("store_buffer", store_buffer),),
-            ), 2)
+            )
+            runner.run_sharded(spec, 2).raise_on_failure()  # records
+            report = runner.run_sharded(spec, 2)
             report.raise_on_failure()
             assert len(report.jobs) == 2
         _built_once_each(builds)
         assert len(builds) == 2  # one trace per workload
 
-    def test_in_process_fleet_worker(self, builds):
+    def test_in_process_fleet_worker(self, tmp_path, builds):
+        # The coordinator reads the recorded cuts from the shared store.
         coordinator = FleetCoordinator(
-            port=0, settings=SHARDABLE, cache_dir=None, lease_ttl=1.0,
+            port=0, settings=SHARDABLE, cache_dir=str(tmp_path / "cache"),
+            lease_ttl=1.0,
         ).start()
         worker = FleetWorker(coordinator.url, name="w0",
                              lease_wait=1.0).join()
@@ -190,40 +166,26 @@ class TestOneBuildPerTrace:
         try:
             client = ServiceClient(coordinator.url)
             for workload, store_buffer in JOBS:
-                receipt = client.submit({
-                    "kind": "simulate", "shards": 2,
-                    "job": {"workload": workload,
-                            "core_changes": {"store_buffer": store_buffer}},
-                })
-                status = client.wait(receipt["id"], timeout=120)
-                assert status["state"] == "done", status
-                report = ShardedReport.from_dict(status["result"]["report"])
-                assert len(report.jobs) == 2
+                # The first run records on the table-less reference
+                # backend; the second splits on the event backend.
+                for backend, shards in (("reference", 1), ("event", 2)):
+                    receipt = client.submit({
+                        "kind": "simulate", "shards": 2, "backend": backend,
+                        "job": {"workload": workload,
+                                "core_changes": {
+                                    "store_buffer": store_buffer}},
+                    })
+                    status = client.wait(receipt["id"], timeout=120)
+                    assert status["state"] == "done", status
+                    report = ShardedReport.from_dict(
+                        status["result"]["report"],
+                    )
+                    assert len(report.jobs) == shards
         finally:
             coordinator.begin_drain()
             worker.request_stop()
             thread.join(timeout=15.0)
             coordinator.stop()
-        # The coordinator's planning probes and the worker's shards each
-        # hold their own copy of both traces: at most four builds.
+        # Only the worker holds the traces: one build each.
         _built_once_each(builds)
-        assert len(builds) <= 4
-
-
-class TestStoppedCoordinator:
-    def test_stop_frees_the_planning_traces(self):
-        coordinator = FleetCoordinator(
-            port=0, settings=SMALL, cache_dir=None,
-        ).start()
-        planned = coordinator._planning_bench().annotated("database", "pc")
-        shard_plan_for(coordinator._planning_bench(),
-                       JobSpec(workload="database"), 2)
-        alive = weakref.ref(planned)
-        del planned
-        gc.collect()
-        gc.disable()
-        try:
-            coordinator.stop()
-            assert alive() is None
-        finally:
-            gc.enable()
+        assert len(builds) == 2

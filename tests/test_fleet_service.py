@@ -52,6 +52,14 @@ def golden(cache_dir):
     return Workbench(SMALL, cache_dir=cache_dir).run("database")
 
 
+def _record_quiescent_log(cache_dir, job):
+    """Run the simulate *job* (its wire form) sharded once, so its
+    quiescent log is in the shared store and the fleet's next run of it
+    splits; the coordinator never records one itself."""
+    runner = EngineRunner(settings=SMALL, cache_dir=str(cache_dir), workers=1)
+    runner.run_sharded(JobSpec.coerce(job), 2).raise_on_failure()
+
+
 def _post(url, path, body):
     request = urllib.request.Request(
         f"{url}{path}", data=json.dumps(body).encode("utf-8"),
@@ -134,20 +142,27 @@ class TestFleetExecution:
         assert report.jobs[0].result == golden
 
     def test_sharded_result_decodes_to_sharded_report(
-        self, fleet_factory, golden,
+        self, fleet_factory, cache_dir,
     ):
         fleet = fleet_factory(workers=1)
         client = fleet.client()
         receipt = client.submit({
             "kind": "simulate",
-            "job": {"workload": "database", "variant": "pc"},
+            "job": {"workload": "database", "variant": "pc",
+                    "core_changes": {"store_buffer": 20}},
             "shards": 2,
         })
         report = client.result(receipt["id"], timeout=120)
         assert isinstance(report, ShardedReport)
-        assert report.merged == golden
         status = client.status(receipt["id"])
-        assert ServiceClient.decode_report(status).merged == golden
+        # A first run has no recorded cuts: one whole-trace shard.
+        assert status["result"]["sharded"]["requested"] == 2
+        assert status["result"]["sharded"]["shard_count"] == 1
+        assert ServiceClient.decode_report(status).merged == report.merged
+        plain = Workbench(SMALL, cache_dir=cache_dir).run(
+            "database", store_buffer=20,
+        )
+        assert report.merged == plain
 
     def test_sweep_spreads_over_two_workers(self, fleet_factory, golden):
         fleet = fleet_factory(workers=2, max_inflight=1)
@@ -184,6 +199,9 @@ class TestFleetExecution:
         the merged result must equal the straight-through golden bit for
         bit.
         """
+        _record_quiescent_log(
+            cache_dir, {"workload": "database", "variant": "pc"},
+        )
         fleet = fleet_factory(workers=0, lease_ttl=0.3)
         url = fleet.coord.url
         zombie = _post(url, "/v1/fleet/register", {"name": "zombie"})
@@ -221,6 +239,7 @@ class TestFleetExecution:
         assert status["state"] == "done"
 
         assert status["result"]["sharded"]["rounds"] == 2  # re-leased
+        assert status["result"]["sharded"]["shard_count"] == 2
         report = ShardedReport.from_dict(status["result"]["report"])
         assert report.merged == golden
         assert all(job.ok for job in report.jobs)
@@ -232,18 +251,16 @@ class TestFleetExecution:
         assert fleet.coord.registry.evicted_total == 1
 
     def test_sharded_status_ships_each_epoch_once(
-        self, fleet_factory, golden,
+        self, fleet_factory, cache_dir,
     ):
         # Only the merge reads the per-shard results, so the finished
         # status carries the epochs once: inside the merged result.
+        job = {"workload": "database", "variant": "pc",
+               "core_changes": {"store_buffer": 12}}
+        _record_quiescent_log(cache_dir, job)
         fleet = fleet_factory(workers=1)
         client = fleet.client()
-        receipt = client.submit({
-            "kind": "simulate",
-            "job": {"workload": "database", "variant": "pc",
-                    "core_changes": {"store_buffer": 12}},
-            "shards": 2,
-        })
+        receipt = client.submit({"kind": "simulate", "job": job, "shards": 2})
         status = client.wait(receipt["id"], timeout=120)
         assert status["state"] == "done"
         report = ShardedReport.from_dict(status["result"]["report"])
@@ -589,17 +606,69 @@ class TestFleetBackpressure:
 
 
 
+class TestCoordinatorIsAControlPlane:
+    """Expanding a job into tasks reads the shared store at most: the
+    coordinator never loads a trace and never simulates."""
+
+    def test_expansion_loads_no_trace_and_runs_no_simulation(
+        self, cache_dir, monkeypatch,
+    ):
+        from repro.core.backend import backend_names, resolve_backend
+        from repro.service.jobqueue import Job
+        from repro.service.protocol import parse_job_request
+
+        recorded = {"workload": "database", "variant": "pc",
+                    "core_changes": {"store_buffer": 24}}
+        _record_quiescent_log(cache_dir, recorded)
+        calls = []
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"the coordinator called {name}")
+            return call
+
+        monkeypatch.setattr(Workbench, "annotated",
+                            forbidden("Workbench.annotated"))
+        for name in backend_names():
+            monkeypatch.setattr(type(resolve_backend(name)), "simulate",
+                                forbidden(f"{name}.simulate"))
+        coord = FleetCoordinator(settings=SMALL, cache_dir=str(cache_dir))
+        bodies = {
+            "recorded sharded": {"kind": "simulate", "shards": 2,
+                                 "job": recorded},
+            "first sharded": {"kind": "simulate", "shards": 2,
+                              "job": {"workload": "specjbb"}},
+            "sweep": {"kind": "sweep", "sweep": {
+                "workloads": ["database"],
+                "axes": {"store_queue": [8, 16]}}},
+            "plain": {"kind": "simulate", "job": {"workload": "tpcw"}},
+        }
+        tasks = {}
+        for label, body in bodies.items():
+            job = Job(id=label, request=parse_job_request(body), key=label)
+            tasks[label] = coord._expand_job(job)
+        assert calls == []
+        assert {label: len(t) for label, t in tasks.items()} == {
+            "recorded sharded": 2, "first sharded": 1, "sweep": 2,
+            "plain": 1,
+        }
+        [whole] = tasks["first sharded"]
+        assert (whole.spec.shard_start, whole.spec.shard_stop) == (0, -1)
+
+
 class TestPlanAhead:
     """The dispatcher plans the next job while the current one executes,
     and the pending-task gate still bounds the backlog."""
 
     @staticmethod
-    def _sharded(queue):
+    def _two_tasks(queue):
+        """A job that fans out into two tasks: a two-point sweep."""
         return {
-            "kind": "simulate", "shards": 2,
-            "job": {
-                "workload": "database", "variant": "pc",
-                "core_changes": {"store_queue": queue},
+            "kind": "sweep",
+            "sweep": {
+                "workloads": ["database"], "variant": "pc",
+                "axes": {"store_queue": [queue, queue + 1]},
             },
         }
 
@@ -611,20 +680,20 @@ class TestPlanAhead:
         # An HTTP-only worker with two slots: it leases, never completes.
         holder = _post(url, "/v1/fleet/register", {"name": "holder"})
         client = fleet.client()
-        first = client.submit(self._sharded(4))["id"]
+        first = client.submit(self._two_tasks(4))["id"]
         lease = _post(url, "/v1/fleet/lease",
                       {"worker": holder["worker"], "max": 2, "wait": 20})
         assert sorted(t["task"] for t in lease["tasks"]) == [
             f"{first}.0", f"{first}.1",
         ]
-        second = client.submit(self._sharded(8))["id"]
+        second = client.submit(self._two_tasks(8))["id"]
         deadline = time.monotonic() + 30.0
         while (
             not coord.router.job_tasks(second)
             and time.monotonic() < deadline
         ):
             time.sleep(0.02)
-        # Expanded while the first job's shards are still out.
+        # Expanded while the first job's tasks are still out.
         assert [t.state for t in coord.router.job_tasks(second)] == [
             "pending", "pending",
         ]
@@ -636,7 +705,7 @@ class TestPlanAhead:
         # Two pending tasks cover both slots: later jobs stay queued, and
         # pending never exceeds the slots plus one job's fan-out.
         slots, fan_out = 2, 2
-        later = [client.submit(self._sharded(q))["id"] for q in (16, 32)]
+        later = [client.submit(self._two_tasks(q))["id"] for q in (16, 32)]
         deadline = time.monotonic() + 0.5
         while time.monotonic() < deadline:
             assert coord.router.counts()["pending"] <= slots + fan_out

@@ -3,10 +3,15 @@
 Each test injects a fault through ``JobSpec.fault`` and asserts the
 recovery contract: the killed shard is recomputed from its start on a
 retry, shards that already succeeded are not rerun, and the merged result
-is still bit-identical to the straight-through golden.
+is still bit-identical to the straight-through golden.  A job's first
+sharded run is one whole-trace shard that records where later runs may
+cut, so the tests that kill one shard of several record that log first
+with a fault-free run.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -32,6 +37,15 @@ def _runner(tmp_path, **kwargs):
     return EngineRunner(**kwargs)
 
 
+def _recorded(runner, spec, shards):
+    """*spec*, after a fault-free sharded run recorded its quiescent log
+    (the fault is not part of the record's key)."""
+    runner.run_sharded(
+        dataclasses.replace(spec, fault=""), shards,
+    ).raise_on_failure()
+    return spec
+
+
 def _holds(job, position):
     return job.spec.shard_start <= position < job.spec.shard_stop
 
@@ -51,10 +65,13 @@ class TestFaultParsing:
 class TestKillRecovery:
     def test_pool_worker_kill_recovers(self, tmp_path, golden):
         runner = _runner(tmp_path, workers=2)
-        spec = JobSpec(workload="database", fault="kill@1200")
+        spec = _recorded(
+            runner, JobSpec(workload="database", fault="kill@1200"), 2,
+        )
         report = runner.run_sharded(spec, 2)
         report.raise_on_failure()
         assert report.merged == golden
+        assert report.plan.shard_count == 2
         assert report.rounds == 2  # the kill broke the whole pool round
         (killed,) = [job for job in report.jobs if _holds(job, 1200)]
         assert killed.attempts == 2
@@ -84,7 +101,9 @@ class TestKillRecovery:
 class TestCompletedShardsNotRecomputed:
     def test_only_faulted_shards_rerun(self, tmp_path, golden):
         runner = _runner(tmp_path)
-        spec = JobSpec(workload="database", fault="kill@1200")
+        spec = _recorded(
+            runner, JobSpec(workload="database", fault="kill@1200"), 2,
+        )
         report = runner.run_sharded(spec, 2)
         report.raise_on_failure()
         assert report.merged == golden

@@ -1,14 +1,16 @@
-"""Shard probes are backend-independent.
+"""Recorded quiescent logs are backend-independent.
 
-Shard planning picks cuts from the quiescent epoch boundaries one probe
-simulation logs.  The probe may run on any execution backend, so every
-backend must log exactly the reference oracle's ``(pos, cur)`` points —
-and therefore yield the same cuts — on every workload, consistency
-variant and store-side configuration that changes where the machine
-drains.
+Shard planning picks cuts from the quiescent epoch boundaries a job's
+first, whole-trace shard logs as it runs.  That shard may run on any
+execution backend, and the record is keyed without it, so every backend
+must log exactly the reference oracle's ``(pos, cur)`` points — and
+therefore yield the same cuts — on every workload, consistency variant
+and store-side configuration that changes where the machine drains.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -17,7 +19,9 @@ from repro.core import MlpSimulator
 from repro.core.backend import BACKEND_ENV_VAR, backend_names, resolve_backend
 from repro.harness import ExperimentSettings
 from repro.harness.experiment import Workbench
-from repro.shard.plan import build_plan, probe_quiescent_points
+from repro.engine.runner import JobSpec
+from repro.shard.execute import run_shard_job, shard_plan_for
+from repro.shard.plan import build_plan
 from repro.workloads import WORKLOADS
 
 #: Quiescent boundaries are rare (a few per thousand instructions), so
@@ -55,8 +59,16 @@ def test_every_backend_probes_the_reference_points(bench, workload, variant):
         golden = []
         MlpSimulator(config).run(trace, quiescent_log=golden)
         probed += bool(golden)
-        # The planner's own probe, whichever backend it defaults to.
-        assert probe_quiescent_points(trace, config) == golden
+        # What a job's first, whole-trace shard records, on whichever
+        # backend it defaults to.
+        spec = JobSpec(workload=workload, variant=variant,
+                       core_changes=tuple(sorted(changes.items())))
+        run_shard_job(bench, dataclasses.replace(spec, shard_start=0))
+        for shards in (2, 3, 4):
+            assert (
+                shard_plan_for(bench.artifacts, bench.settings, spec, shards)
+                == build_plan(len(trace), golden, shards)
+            )
         for name in backend_names():
             log = []
             resolve_backend(name).simulate(config, trace, quiescent_log=log)

@@ -1078,10 +1078,8 @@ def _cmd_fleet(args) -> int:
             f"hb={worker.get('heartbeat_age_seconds', 0.0):.1f}s ago"
             f"{flags}"
         )
-    outstanding = status.get("outstanding_cost_units", 0)
-    if outstanding:
-        print(f"outstanding predicted cost: {outstanding} units "
-              f"(retry-after hint {status.get('retry_after_hint')}s)")
+    print(f"outstanding tasks: {status.get('outstanding_tasks', 0)} "
+          f"(retry-after hint {status.get('retry_after_hint')}s)")
     return 0
 
 

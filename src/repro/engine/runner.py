@@ -66,7 +66,6 @@ from ..obs.context import (
 )
 from ..obs.metrics import MetricsRegistry
 from ..obs.options import ObsOptions
-from ..obs.profile import PhaseProfiler
 from ..obs.recorder import EpochTimelineRecorder
 from ..obs.trace import Tracer
 from ..workloads import WorkloadProfile
@@ -604,11 +603,10 @@ class EngineTelemetry:
 # ---------------------------------------------------------------- worker --
 
 #: One Workbench per worker process, built by the pool initializer; the
-#: obs state (options, per-process tracer, phase profiler) rides along.
+#: obs state (options, per-process tracer) rides along.
 _WORKER_BENCH: Optional[Workbench] = None
 _WORKER_OBS: Optional[ObsOptions] = None
 _WORKER_TRACER: Optional[Tracer] = None
-_WORKER_PROFILER: Optional[PhaseProfiler] = None
 
 
 def _build_bench(
@@ -630,22 +628,17 @@ def _init_worker(
     profiles: Dict[str, WorkloadProfile],
     obs: Optional[ObsOptions] = None,
 ) -> None:
-    global _WORKER_BENCH, _WORKER_OBS, _WORKER_TRACER, _WORKER_PROFILER
+    global _WORKER_BENCH, _WORKER_OBS, _WORKER_TRACER
     _WORKER_BENCH = _build_bench(settings, cache_dir, profiles)
     _WORKER_OBS = obs
     if obs is not None:
         _WORKER_TRACER = obs.open_tracer()
-        if obs.profile_phases:
-            _WORKER_PROFILER = PhaseProfiler(
-                sample_rate=obs.sample_rate, tracer=_WORKER_TRACER,
-            )
 
 
 def execute_job(
     bench: Workbench,
     spec: JobSpec,
     observer: Optional[WindowObserver] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> Optional[SimulationResult]:
     """Run one job against *bench* (shared by the serial and worker paths)."""
     if spec.contexts > 1:
@@ -656,15 +649,6 @@ def execute_job(
             )
         from ..smt import run_smt
 
-        if profiler is not None:
-            with profiler.phase("simulate"):
-                return run_smt(
-                    bench, spec.workload,
-                    contexts=spec.contexts, scheduler=spec.scheduler,
-                    variant=spec.variant, memory_config=spec.memory_config,
-                    sharing=spec.sharing, tag=spec.tag, config=spec.config,
-                    **dict(spec.core_changes),
-                )
         return run_smt(
             bench, spec.workload,
             contexts=spec.contexts, scheduler=spec.scheduler,
@@ -675,34 +659,14 @@ def execute_job(
     if spec.sharded:
         from ..shard.execute import run_shard_job
 
-        return run_shard_job(bench, spec, observer=observer, profiler=profiler)
+        return run_shard_job(bench, spec, observer=observer)
     if spec.action == "annotate":
-        if profiler is not None:
-            with profiler.phase("annotate"):
-                bench.annotated(
-                    spec.workload, spec.variant, spec.memory_config,
-                    spec.sharing, spec.tag,
-                )
-        else:
-            bench.annotated(
-                spec.workload, spec.variant, spec.memory_config,
-                spec.sharing, spec.tag,
-            )
+        bench.annotated(
+            spec.workload, spec.variant, spec.memory_config,
+            spec.sharing, spec.tag,
+        )
         return None
     if spec.action == "simulate":
-        if profiler is not None:
-            with profiler.phase("simulate"):
-                return bench.run(
-                    spec.workload,
-                    variant=spec.variant,
-                    memory_config=spec.memory_config,
-                    sharing=spec.sharing,
-                    tag=spec.tag,
-                    config=spec.config,
-                    observer=observer,
-                    backend=spec.backend or None,
-                    **dict(spec.core_changes),
-                )
         return bench.run(
             spec.workload,
             variant=spec.variant,
@@ -722,7 +686,6 @@ def _run_job(
     spec: JobSpec,
     obs: Optional[ObsOptions] = None,
     tracer: Optional[Tracer] = None,
-    profiler: Optional[PhaseProfiler] = None,
 ) -> Dict[str, Any]:
     """Execute one job, capturing status, timing and cache deltas."""
     observer: Optional[WindowObserver] = None
@@ -742,7 +705,7 @@ def _run_job(
     start = time.perf_counter()
     hits_before, misses_before = bench.artifacts.stats.snapshot()
     try:
-        result = execute_job(bench, spec, observer=observer, profiler=profiler)
+        result = execute_job(bench, spec, observer=observer)
         status, error = "ok", ""
     except Exception as exc:  # reported per-job, never crashes the batch
         result = None
@@ -775,8 +738,7 @@ def _run_job_in_worker(
     set_correlation_id(corr)
     set_parent_span_id(parent_span)
     return _run_job(
-        _WORKER_BENCH, spec,
-        obs=_WORKER_OBS, tracer=_WORKER_TRACER, profiler=_WORKER_PROFILER,
+        _WORKER_BENCH, spec, obs=_WORKER_OBS, tracer=_WORKER_TRACER,
     )
 
 
@@ -850,10 +812,9 @@ class EngineRunner:
         #: Reused across serial batches so a long-lived caller (a fleet
         #: worker) keeps its in-memory artifact tier warm between jobs.
         self._serial_bench: Optional[Workbench] = None
-        #: This process's tracer/profiler (serial batches and batch-level
-        #: spans); opened lazily so an obs-less runner never touches disk.
+        #: This process's tracer (serial batches and batch-level spans);
+        #: opened lazily so an obs-less runner never touches disk.
         self._tracer: Optional[Tracer] = None
-        self._profiler: Optional[PhaseProfiler] = None
         self.keep_pool = keep_pool
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -863,10 +824,6 @@ class EngineRunner:
             return None
         if self._tracer is None and self.obs.trace_dir is not None:
             self._tracer = self.obs.open_tracer()
-            if self.obs.profile_phases:
-                self._profiler = PhaseProfiler(
-                    sample_rate=self.obs.sample_rate, tracer=self._tracer,
-                )
         return self._tracer
 
     def run(self, jobs: Sequence[JobSpec]) -> RunReport:
@@ -982,10 +939,7 @@ class EngineRunner:
             attempts = 0
             while True:
                 attempts += 1
-                payload = _run_job(
-                    bench, spec,
-                    obs=self.obs, tracer=tracer, profiler=self._profiler,
-                )
+                payload = _run_job(bench, spec, obs=self.obs, tracer=tracer)
                 if payload["status"] == "ok" or attempts > self.retries:
                     break
             out.append(JobResult(spec=spec, attempts=attempts, **payload))

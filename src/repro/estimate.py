@@ -1,10 +1,9 @@
-"""The canonical ECM-style analytical EPI model — the ``estimate`` verb.
+"""The ECM-style analytical EPI model — the ``estimate`` verb.
 
-One model, two consumers, zero simulation:
+One model, zero simulation:
 
 - :func:`epochs_per_inst` — the base epochs-per-instruction prediction
-  from published workload statistics.  The fleet's routing cost model
-  (:mod:`repro.fleet.cost`) charges jobs by it.
+  from published workload statistics.
 - :func:`predicted_epi_per_1000` — the base model extended with
   per-knob sensitivity scales (store prefetch, SB/SQ sizing, coalescing,
   consistency, SLE, scouting, window sizing), calibrated gentle (see the

@@ -1,6 +1,6 @@
 """repro.fleet — distributed multi-worker execution for the service layer.
 
-One coordinator (asyncio front end + job queue + cost-aware router) and N
+One coordinator (asyncio front end + job queue + priority router) and N
 pull-based workers, speaking the service's versioned wire protocol.  This
 is the only server: ``mlpsim serve`` is a coordinator plus one in-process
 worker.  See DESIGN.md ("Distributed fleet") for the topology, the lease
@@ -16,21 +16,18 @@ Quick start::
     # repro.api.connect(coord.url).
 """
 
-from .cost import CostEstimate, estimate_job_cost
 from .frontend import FleetCoordinator, local_worker, serve_fleet
 from .registry import WorkerInfo, WorkerRegistry
 from .router import Router, TaskRecord
 from .worker import FleetWorker, run_worker
 
 __all__ = [
-    "CostEstimate",
     "FleetCoordinator",
     "FleetWorker",
     "Router",
     "TaskRecord",
     "WorkerInfo",
     "WorkerRegistry",
-    "estimate_job_cost",
     "local_worker",
     "run_worker",
     "serve_fleet",

@@ -13,8 +13,8 @@ one in-process :class:`~repro.fleet.worker.FleetWorker` thread (``--workers
   admission control in front of it (429/503 + ``Retry-After``,
   priority-aware shedding),
 - a :class:`~repro.fleet.registry.WorkerRegistry` (lease heartbeats,
-  drain, eviction) and a :class:`~repro.fleet.router.Router` (cost-aware
-  LPT placement, bounded per-worker in-flight),
+  drain, eviction) and a :class:`~repro.fleet.router.Router` (priority,
+  then arrival order; bounded per-worker in-flight),
 - the content-addressed :class:`~repro.engine.cache.ArtifactCache` as the
   cluster-wide shared result store: completed job payloads are published
   under the request signature, the coordinator's experiment settings and
@@ -57,8 +57,9 @@ import signal
 import threading
 import time
 import urllib.parse
+from collections import deque
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.backend import backend_names
 from ..engine import serialize
@@ -68,7 +69,7 @@ from ..engine.cache import (
     resolve_cache_dir,
     result_salt,
 )
-from ..engine.runner import JobResult, JobSpec, RunReport, ShardedReport
+from ..engine.runner import JobResult, RunReport, ShardedReport
 from ..errors import ProtocolError, SaturatedError, UnknownWorkerError
 from ..harness.experiment import ExperimentSettings
 from ..obs.context import format_traceparent, new_span_id
@@ -84,7 +85,6 @@ from ..service.executor import (
     sweep_payload,
 )
 from ..service.protocol import PROTOCOL_VERSION, JobRequest, parse_job_request
-from .cost import CostEstimate, estimate_job_cost
 from .federation import MetricsFederation
 from .registry import WorkerRegistry
 from .router import RequestOutcome, Router, TaskRecord
@@ -207,9 +207,10 @@ class FleetCoordinator:
         #: guards job assembly.
         self._assembly_lock = threading.Lock()
         self._plans: Dict[str, Any] = {}
-        #: Completion-rate window for Retry-After: (monotonic, cost units).
+        #: Completion-rate window for Retry-After: monotonic timestamps of
+        #: the latest task completions.
         self._rate_lock = threading.Lock()
-        self._completions: List[Tuple[float, float]] = []
+        self._completions: Deque[float] = deque(maxlen=50)
 
         self._frontend = _AsyncFrontend(self, host, port)
         self._dispatcher = threading.Thread(
@@ -316,20 +317,19 @@ class FleetCoordinator:
     def _retry_after_hint(self) -> float:
         """Predicted seconds until the backlog has drained appreciably.
 
-        Outstanding predicted cost divided by the observed completion rate
-        (cost units/second over the recent completion window).  Before any
-        completion has been observed the hint falls back to the lease TTL.
+        Outstanding tasks (pending + leased) divided by the measured task
+        completion rate over the last 50 completions, clamped to [1, 60]
+        seconds.  Before two completions have been seen the hint falls
+        back to the lease TTL.
         """
-        outstanding = self.router.outstanding_cost()
         with self._rate_lock:
-            window = self._completions[-50:]
-            if len(window) >= 2:
-                elapsed = max(1e-6, window[-1][0] - window[0][0])
-                rate = sum(units for _, units in window[1:]) / elapsed
-            else:
-                rate = 0.0
-        if rate <= 0:
-            return self.registry.lease_ttl
+            done = len(self._completions)
+            if done < 2:
+                return self.registry.lease_ttl
+            span = self._completions[-1] - self._completions[0]
+        rate = (done - 1) / max(1e-6, span)
+        counts = self.router.counts()
+        outstanding = counts["pending"] + counts["leased"]
         return min(60.0, max(1.0, outstanding / rate))
 
     def submit(self, payload: Any) -> Tuple[Job, bool]:
@@ -453,7 +453,6 @@ class FleetCoordinator:
                     spec=None,
                     request=replace(request, backend=backend),
                     priority=job.priority,
-                    cost=self._request_cost(request),
                     corr=job.id,
                 )
             ]
@@ -488,19 +487,10 @@ class FleetCoordinator:
                 index=index,
                 spec=spec,
                 priority=job.priority,
-                cost=estimate_job_cost(spec, self.settings),
                 corr=job.id,
             )
             for index, spec in enumerate(specs)
         ]
-
-    def _request_cost(self, request: JobRequest) -> CostEstimate:
-        """A rough cost for a whole-request task: one plain simulate per
-        figure workload."""
-        spec = JobSpec(workload=request.workloads[0])
-        return estimate_job_cost(spec, self.settings).scaled(
-            len(request.workloads)
-        )
 
     def _dispatch_loop(self) -> None:
         """Claim queued jobs and hand their tasks to the router.
@@ -542,7 +532,6 @@ class FleetCoordinator:
                 self._tracer.event(
                     "fleet_job_expanded", corr=job.id, job=job.id,
                     tasks=len(tasks),
-                    cost_units=round(sum(t.cost.units for t in tasks), 1),
                 )
             _log.info(
                 "job %s expanded into %d task(s): %s",
@@ -575,10 +564,9 @@ class FleetCoordinator:
 
     # ----------------------------------------------------------- completion --
 
-    def _record_completion_rate(self, task: TaskRecord) -> None:
+    def _record_completion_rate(self) -> None:
         with self._rate_lock:
-            self._completions.append((time.monotonic(), task.cost.units))
-            del self._completions[:-200]
+            self._completions.append(time.monotonic())
 
     def complete_task(
         self,
@@ -602,7 +590,7 @@ class FleetCoordinator:
             self.metrics.observe(
                 "task_exec", max(0.0, time.monotonic() - task.leased_at),
             )
-            self._record_completion_rate(task)
+            self._record_completion_rate()
         elif task.state == "pending":
             self.metrics.inc("fleet_tasks_retried_total")
         elif task.state == "failed":
@@ -839,7 +827,6 @@ class FleetCoordinator:
                 self._tracer.event(
                     "fleet_task_leased", corr=task.corr, task=task.id,
                     worker=worker_id, attempt=task.attempts,
-                    cost_units=round(task.cost.units, 1),
                 )
         return {
             "tasks": [self._lease_entry(task) for task in granted],
@@ -938,9 +925,7 @@ class FleetCoordinator:
             "task_table": self.router.status_payload()[:200],
             "queue_depth": self.queue.depth(),
             "jobs": self.queue.counts_by_state(),
-            "outstanding_cost_units": round(
-                self.router.outstanding_cost(), 1,
-            ),
+            "outstanding_tasks": counts["pending"] + counts["leased"],
             "retry_after_hint": round(self._retry_after_hint(), 1),
             "draining": self.draining,
         }
@@ -1010,11 +995,6 @@ class FleetCoordinator:
             "fleet_tasks_requeued_total",
             lambda: self.router.requeued_total,
             help="task leases returned to the pending pool",
-        )
-        self.metrics.gauge(
-            "fleet_outstanding_cost_units",
-            lambda: self.router.outstanding_cost(),
-            help="predicted cost units pending or leased",
         )
         self.metrics.gauge(
             "fleet_lease_age_oldest_seconds",

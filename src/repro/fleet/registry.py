@@ -41,7 +41,6 @@ class WorkerInfo:
     #: Cumulative accounting, updated by the router on lease/complete.
     tasks_done: int = 0
     tasks_failed: int = 0
-    cost_done: float = 0.0
 
     def age(self, now: float) -> float:
         return now - self.last_heartbeat
@@ -55,7 +54,6 @@ class WorkerInfo:
             "heartbeat_age_seconds": round(self.age(now), 3),
             "tasks_done": self.tasks_done,
             "tasks_failed": self.tasks_failed,
-            "cost_done": round(self.cost_done, 1),
         }
 
 

@@ -1,4 +1,4 @@
-"""Task table and cost-aware placement of engine jobs on fleet workers.
+"""Task table and priority placement of engine jobs on fleet workers.
 
 One service *job* (a sweep, a sharded simulate) expands into one or more
 *tasks*, each a single :class:`~repro.engine.runner.JobSpec` — the unit a
@@ -6,21 +6,17 @@ worker leases, executes and completes.  A figure job is one task
 that carries the whole :class:`~repro.service.protocol.JobRequest`
 instead, and its worker answers with a :class:`RequestOutcome`.  The
 router owns the task table and decides, when a worker asks for work,
-which tasks it gets:
-
-- strict priority first (the job's service priority),
-- then **largest predicted cost first** within a priority (classic LPT —
-  longest-processing-time — placement: handing the big shards out early
-  keeps the makespan of a sharded sweep near the balanced optimum without
-  knowing worker speeds),
-- FIFO as the final tie-break, so equal work is served fairly.
+which tasks it gets: strict priority first (the job's service priority),
+then arrival order.  Workers pull, and :meth:`Router.wants_more` keeps
+at most one slot-set of tasks (plus one job's fan-out) pending, so there
+is never a deep backlog for a cleverer order to rearrange.
 
 Placement is bounded: a worker never holds more than ``max_inflight``
 leased tasks (or, if larger, its runner pool size, so every engine
 process of a big worker has a task), which is the fleet's backpressure
-primitive — the
-coordinator can translate "every worker is at its in-flight bound and the
-queue is deep" into a 429 with a cost-derived ``Retry-After``.
+primitive — the coordinator can translate "every worker is at its
+in-flight bound and the queue is deep" into a 429 with a ``Retry-After``
+sized from the measured task completion rate.
 
 Waiting is event-driven: the router's condition is signalled whenever a
 task is leased, completed or released, so the coordinator's dispatcher
@@ -46,7 +42,6 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union,
 )
 
-from .cost import CostEstimate
 from .registry import WorkerInfo, WorkerRegistry
 
 if TYPE_CHECKING:
@@ -80,7 +75,6 @@ class TaskRecord:
     index: int  # position within the job's spec list (result ordering)
     spec: Optional["JobSpec"]
     priority: int
-    cost: CostEstimate
     corr: str = ""
     state: str = "pending"  # pending | leased | done | failed
     worker_id: str = ""
@@ -108,13 +102,12 @@ class TaskRecord:
             "worker": self.worker_id,
             "attempts": self.attempts,
             "priority": self.priority,
-            "cost_units": round(self.cost.units, 1),
             "label": self.label,
         }
 
 
 class Router:
-    """Thread-safe task table with cost-aware, bounded lease placement."""
+    """Thread-safe task table with priority-ordered, bounded leases."""
 
     def __init__(
         self,
@@ -137,22 +130,19 @@ class Router:
         #: task became pending or a leased task settled.  Must not block.
         self.on_ready: Optional[Callable[[], None]] = None
         self._tasks: Dict[str, TaskRecord] = {}
-        #: Min-heap of (-priority, -cost, seq, task_id): priority desc, then
-        #: predicted cost desc (LPT), then submission order.  Entries are
-        #: lazily invalidated — a popped id whose task is gone or no longer
-        #: pending is skipped — so drop/forget never have to scan the heap,
-        #: and idle lease polls never re-sort anything.
-        self._pending: List[Tuple[float, float, int, str]] = []
+        #: Min-heap of (-priority, seq, task_id): priority desc, then
+        #: submission order.  Entries are lazily invalidated — a popped id
+        #: whose task is gone or no longer pending is skipped — so
+        #: drop/forget never have to scan the heap, and idle lease polls
+        #: never re-sort anything.
+        self._pending: List[Tuple[int, int, str]] = []
         self._seq = itertools.count()
         self.requeued_total = 0
         self.leased_total = 0
 
     def _push_pending(self, task: TaskRecord) -> None:
         task.queued_at = time.monotonic()
-        heapq.heappush(
-            self._pending,
-            (-task.priority, -task.cost.units, task.seq, task.id),
-        )
+        heapq.heappush(self._pending, (-task.priority, task.seq, task.id))
 
     def _signal(self, ready: bool = False) -> None:
         """Wake the dispatcher and, when *ready*, parked lease polls;
@@ -213,7 +203,7 @@ class Router:
                 return []
             granted: List[TaskRecord] = []
             while self._pending and len(granted) < budget:
-                _, _, _, tid = heapq.heappop(self._pending)
+                _, _, tid = heapq.heappop(self._pending)
                 task = self._tasks.get(tid)
                 if task is None or task.state != "pending":
                     continue  # lazily-invalidated entry (job shed/forgotten)
@@ -261,7 +251,6 @@ class Router:
                 task.result = result
                 if worker is not None:
                     worker.tasks_done += 1
-                    worker.cost_done += task.cost.units
             elif task.attempts <= self.retries:
                 task.state = "pending"
                 task.worker_id = ""
@@ -348,14 +337,6 @@ class Router:
                 if task.state == "leased":
                     held[task.worker_id] = held.get(task.worker_id, 0) + 1
             return held
-
-    def outstanding_cost(self) -> float:
-        """Predicted cost units still pending or leased."""
-        with self._lock:
-            return sum(
-                task.cost.units for task in self._tasks.values()
-                if task.state in ("pending", "leased")
-            )
 
     def _slots(self) -> int:
         return sum(

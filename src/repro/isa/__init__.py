@@ -13,7 +13,6 @@ from .opcodes import (
     InstructionClass,
     is_load_like,
     is_memory_access,
-    is_serializing,
     is_store_like,
 )
 from .registers import NUM_REGISTERS, REG_NONE, RegisterAllocator
@@ -26,6 +25,5 @@ __all__ = [
     "RegisterAllocator",
     "is_load_like",
     "is_memory_access",
-    "is_serializing",
     "is_store_like",
 ]

@@ -1,9 +1,11 @@
 """Instruction classes and their ordering semantics.
 
 The epoch MLP model cares about a small taxonomy of instruction behaviour:
-whether an instruction reads memory, writes memory, transfers control, or
-serializes the pipeline under a given memory consistency model.  This module
-defines that taxonomy and the predicates the simulator uses.
+whether an instruction reads memory, writes memory or transfers control.
+This module defines that taxonomy and its predicates.  What a serializing
+class does under each memory consistency model is decided in one place,
+the simulator's ``_serial_handlers`` table
+(:class:`~repro.core.mlpsim.MlpSimulator`).
 
 The SPARC TSO flavour contributes ``CAS`` (``casa``: an atomic load+store
 used for lock acquisition) and ``MEMBAR``.  The PowerPC weak-consistency
@@ -15,8 +17,6 @@ converted TSO lock sequences into their WC equivalents.
 from __future__ import annotations
 
 import enum
-
-from ..config import ConsistencyModel
 
 
 class InstructionClass(enum.Enum):
@@ -58,23 +58,6 @@ _CONTROL = frozenset({
     InstructionClass.RETURN,
 })
 
-# Instructions that terminate the window under processor consistency because
-# they require the store buffer and store queue to drain before executing.
-_PC_SERIALIZING = frozenset({
-    InstructionClass.CAS,
-    InstructionClass.MEMBAR,
-})
-
-# Under weak consistency, the casa/membar idiom is replaced by
-# lwarx/stwcx/isync: isync waits only for the lock acquisition itself, and
-# lwsync merely orders stores across it.  Neither drains the store queue, so
-# neither is a *store*-serializing window termination.  ``stwcx`` still
-# synchronizes the lock word, and ``isync`` discards speculative fetch; we
-# model isync as serializing execution (but not store-queue drain).
-_WC_SERIALIZING = frozenset({
-    InstructionClass.ISYNC,
-})
-
 
 def is_load_like(kind: InstructionClass) -> bool:
     """True when the instruction reads memory (loads, atomics, lwarx)."""
@@ -94,16 +77,3 @@ def is_memory_access(kind: InstructionClass) -> bool:
 def is_control(kind: InstructionClass) -> bool:
     """True when the instruction redirects fetch."""
     return kind in _CONTROL
-
-
-def is_serializing(kind: InstructionClass, model: ConsistencyModel) -> bool:
-    """True when *kind* drains/serializes the pipeline under *model*.
-
-    Under PC (TSO), ``casa`` and ``membar`` force all earlier stores to be
-    performed before they execute.  Under WC, only ``isync`` serializes
-    execution, and it does **not** wait for the store queue to drain — the
-    distinction at the heart of the paper's PC-vs-WC gap.
-    """
-    if model is ConsistencyModel.PC:
-        return kind in _PC_SERIALIZING
-    return kind in _WC_SERIALIZING

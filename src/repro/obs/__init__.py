@@ -9,8 +9,6 @@ One package shared by the simulator core, the engine and the service:
   registry behind ``/metrics`` (JSON and Prometheus),
 - :mod:`repro.obs.recorder` — :class:`EpochTimelineRecorder`, the
   ``WindowObserver`` that streams per-epoch events,
-- :mod:`repro.obs.profile` — deterministic sampling profiler for engine
-  phases,
 - :mod:`repro.obs.report` — renderers behind ``mlpsim trace`` and
   ``mlpsim obs report``,
 - :mod:`repro.obs.timeline` — fleet job phase decomposition and
@@ -21,7 +19,7 @@ One package shared by the simulator core, the engine and the service:
   API/CLI thread down to worker processes.
 
 Everything is standard library only, and everything is pay-for-what-you-
-use: with no tracer, recorder or profiler attached the hot paths keep
+use: with no tracer or recorder attached the hot paths keep
 their existing ``is None`` fast checks and golden results stay
 bit-identical.  Imports are pay-for-what-you-use too: the names below are
 exported lazily, so importing one submodule loads only that submodule.
@@ -46,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".logging": ("get_logger", "setup_logging"),
     ".metrics": ("MetricsRegistry", "percentile"),
     ".options": ("ObsOptions",),
-    ".profile": ("PhaseProfiler",),
     ".recorder": ("STALL_CONDITIONS", "EpochTimelineRecorder"),
     ".report": ("render_report", "render_timeline", "summarize"),
     ".timeline": (
@@ -76,7 +73,6 @@ __all__ = [
     "MetricsRegistry",
     "ObsOptions",
     "PHASES",
-    "PhaseProfiler",
     "STALL_CONDITIONS",
     "Span",
     "Tracer",

@@ -38,12 +38,6 @@ class ObsOptions:
         Attach an :class:`~repro.obs.recorder.EpochTimelineRecorder` to
         every simulator run so each epoch close / termination / store
         stall becomes a trace event.
-    profile_phases:
-        Time engine phases with a sampling
-        :class:`~repro.obs.profile.PhaseProfiler`.
-    sample_rate:
-        Fraction of phase entries the profiler times (deterministic
-        every-N-th stride).
     trace_max_bytes:
         Size-based rotation threshold for trace files (0 disables
         rotation).  When a process's ``trace-<pid>.jsonl`` would exceed
@@ -53,8 +47,6 @@ class ObsOptions:
 
     trace_dir: Optional[str] = None
     trace_epochs: bool = True
-    profile_phases: bool = False
-    sample_rate: float = 1.0
     trace_max_bytes: int = 0
 
     @classmethod
@@ -65,7 +57,7 @@ class ObsOptions:
     @property
     def enabled(self) -> bool:
         """Whether any observation is requested at all."""
-        return self.trace_dir is not None or self.profile_phases
+        return self.trace_dir is not None
 
     def open_tracer(self) -> Optional[Tracer]:
         """The tracer on this process's per-PID file, or ``None`` if off.

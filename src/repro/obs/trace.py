@@ -12,7 +12,7 @@ Event schema (every event is one flat JSON object):
 ``kind``   event kind: ``span_start`` / ``span_end``, or a domain kind —
            ``epoch`` (one per epoch close), ``termination`` (one per
            window termination), ``store_stall`` (store buffer/queue
-           saturation ended the window), ``phase`` (profiler sample), ...
+           saturation ended the window), ...
 ``name``   human-readable event/span name
 ``corr``   correlation ID (from :mod:`repro.obs.context`; ties a service
            job to its engine batches and simulator runs)

@@ -30,7 +30,6 @@ retry demonstrates real recovery instead of dying again.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
 from typing import List, Optional, TYPE_CHECKING
@@ -45,7 +44,6 @@ if TYPE_CHECKING:
     from ..core.window import WindowObserver
     from ..engine.runner import JobSpec
     from ..harness.experiment import ExperimentSettings, Workbench
-    from ..obs.profile import PhaseProfiler
 
 __all__ = [
     "kill_position",
@@ -164,7 +162,6 @@ def run_shard_job(
     bench: "Workbench",
     spec: "JobSpec",
     observer: Optional["WindowObserver"] = None,
-    profiler: Optional["PhaseProfiler"] = None,
 ) -> SimulationResult:
     """Simulate the shard *spec* describes against *bench*."""
     annotated = bench.annotated(
@@ -195,13 +192,10 @@ def run_shard_job(
     # reference loop, so shard merging stays exact regardless of which one
     # runs the segment.
     backend = resolve_backend(spec.backend or None)
-    phase = (profiler.phase("simulate") if profiler is not None
-             else contextlib.nullcontext())
-    with phase:
-        result = backend.simulate(
-            config, annotated, observer=observer, start=start, stop=stop_at,
-            quiescent_log=log,
-        )
+    result = backend.simulate(
+        config, annotated, observer=observer, start=start, stop=stop_at,
+        quiescent_log=log,
+    )
     if log is not None:
         bench.artifacts.put(
             PROBE_KIND, probe_key(bench.settings, spec), (n, log),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from repro.config import (
     SimulationConfig,
     StorePrefetchMode,
 )
+from repro.harness import ExperimentSettings
 from repro.isa import Instruction, InstructionClass
 from repro.memory.annotate import AccessInfo
 
@@ -99,3 +101,75 @@ def small_sim(small_core) -> SimulationConfig:
 @pytest.fixture
 def memory_config() -> MemoryConfig:
     return MemoryConfig()
+
+
+#: Small, uncalibrated sizing for fleets under test.
+FLEET_SETTINGS = ExperimentSettings(warmup=1500, measure=4000, seed=11,
+                                    calibrate=False)
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    """One artifact store per test module (a fleet's shared store)."""
+    return tmp_path_factory.mktemp("fleet-cache")
+
+
+class _Fleet:
+    """A coordinator plus N thread workers, torn down deterministically.
+
+    Workers run as threads (the real thing is a process; the wire
+    protocol is identical either way).
+    """
+
+    def __init__(self, cache_dir, workers=1, **coord_kwargs):
+        from repro.fleet import FleetCoordinator
+
+        coord_kwargs.setdefault("lease_ttl", 1.0)
+        coord_kwargs.setdefault("settings", FLEET_SETTINGS)
+        self.coord = FleetCoordinator(
+            port=0, cache_dir=str(cache_dir), **coord_kwargs,
+        ).start()
+        self.workers = []
+        self.threads = []
+        for index in range(workers):
+            self.add_worker(f"w{index}")
+
+    def add_worker(self, name, obs=None):
+        from repro.fleet import FleetWorker
+
+        worker = FleetWorker(
+            self.coord.url, name=name, lease_wait=1.0, obs=obs,
+        ).join()
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        self.workers.append(worker)
+        self.threads.append(thread)
+        return worker
+
+    def client(self, **kwargs):
+        from repro.service.client import ServiceClient
+
+        return ServiceClient(self.coord.url, **kwargs)
+
+    def stop(self):
+        self.coord.begin_drain()
+        for worker in self.workers:
+            worker.request_stop()
+        for thread in self.threads:
+            thread.join(timeout=15.0)
+        self.coord.stop()
+
+
+@pytest.fixture
+def fleet_factory(cache_dir):
+    """Build fleets on the module's ``cache_dir``; all stop at teardown."""
+    fleets = []
+
+    def make(workers=1, **kwargs):
+        fleet = _Fleet(cache_dir, workers=workers, **kwargs)
+        fleets.append(fleet)
+        return fleet
+
+    yield make
+    for fleet in fleets:
+        fleet.stop()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import time
+
 import pytest
 
 from repro.cli import main
@@ -248,6 +251,41 @@ class TestFleetTopRendering:
                          "latency": {}}, {"tasks": {}},
         )
         assert "no federated worker series yet" in frame
+
+
+class TestCliFleetStatus:
+    def test_status_text_and_json(self, capsys, fleet_factory):
+        fleet = fleet_factory(workers=0)
+        # An idle registered worker keeps admission open and leases
+        # nothing, so the submitted job's one task stays outstanding.
+        idler = fleet.coord.registry.register(name="idler")
+        fleet.client().submit({
+            "kind": "simulate", "job": {"workload": "database"},
+        })
+        deadline = time.monotonic() + 10.0
+        while (
+            fleet.coord.router.counts()["pending"] < 1
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.02)  # the dispatcher expands the job
+
+        url = fleet.coord.url
+        code, out, _ = run_cli(capsys, "fleet", "status", "--url", url)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("1 worker(s); queue depth 0")
+        assert lines[1].split()[:2] == [idler.id, "idler"]
+        assert "done=0" in lines[1]
+        assert lines[2].startswith("outstanding tasks: 1 ")
+
+        code, out, _ = run_cli(
+            capsys, "fleet", "status", "--url", url, "--json",
+        )
+        assert code == 0
+        status = json.loads(out)
+        assert [w["name"] for w in status["workers"]] == ["idler"]
+        assert status["outstanding_tasks"] == 1
+        assert status["tasks"]["pending"] == 1
 
 
 class TestCliSmt:

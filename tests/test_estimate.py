@@ -144,12 +144,6 @@ class TestSpecSurface:
         assert api.EpiEstimate is EpiEstimate
 
 
-class TestSharedModelConsumers:
-    def test_fleet_cost_imports_the_canonical_model(self):
-        from repro.fleet import cost
-
-        assert cost.epochs_per_inst is epochs_per_inst
-
 class TestSerialization:
     def test_round_trip_is_exact(self):
         guess = estimate("database", contexts=2, scout="hws2")

@@ -12,20 +12,15 @@ import pytest
 from repro.engine.runner import JobResult, JobSpec
 from repro.errors import UnknownWorkerError
 from repro.fleet import Router, TaskRecord, WorkerRegistry
-from repro.fleet.cost import CostEstimate
 
 
-def _task(task_id, job_id="j1", index=0, priority=0, units=1.0):
+def _task(task_id, job_id="j1", index=0, priority=0, spec=None):
     return TaskRecord(
         id=task_id,
         job_id=job_id,
         index=index,
-        spec=JobSpec(workload="database"),
+        spec=spec or JobSpec(workload="database"),
         priority=priority,
-        cost=CostEstimate(
-            units=units, instructions=100,
-            predicted_epochs=1.0, predicted_misses=1.0,
-        ),
     )
 
 
@@ -97,15 +92,25 @@ class TestRouterLeasing:
         worker = registry.register(name="w")
         return Router(registry, **kwargs), worker
 
-    def test_lease_orders_by_priority_then_cost(self):
+    def test_lease_orders_by_priority_then_arrival(self):
         router, worker = self._router(max_inflight=10)
+        # Job A: two short shard spans.  Job B, submitted after it at the
+        # same priority: one whole-trace simulate on the slower reference
+        # backend, the task a biggest-first (LPT) order would hand out
+        # first.  Arrival wins; only a higher priority jumps the line.
+        span = JobSpec(workload="database", shard_start=0, shard_stop=1000)
         router.add_tasks([
-            _task("small", priority=0, units=1.0),
-            _task("urgent", priority=5, units=0.5),
-            _task("big", priority=0, units=9.0),
+            _task("a0", job_id="A", spec=span),
+            _task("a1", job_id="A", index=1, spec=span),
         ])
-        granted = router.lease(worker.id, max_tasks=3)
-        assert [t.id for t in granted] == ["urgent", "big", "small"]
+        router.add_tasks([
+            _task("b0", job_id="B", spec=JobSpec(
+                workload="database", backend="reference",
+            )),
+            _task("urgent", job_id="C", priority=5),
+        ])
+        granted = router.lease(worker.id, max_tasks=4)
+        assert [t.id for t in granted] == ["urgent", "a0", "a1", "b0"]
 
     def test_fifo_breaks_cost_ties(self):
         router, worker = self._router(max_inflight=10)
@@ -236,11 +241,15 @@ class TestRouterCompletion:
         router.forget_job("j1")
         assert router.complete(worker.id, "t1", _ok()) is None
 
-    def test_outstanding_cost_and_forget(self):
+    def test_outstanding_counts_and_forget(self):
         router, worker = self._leased()
-        assert router.outstanding_cost() == pytest.approx(2.0)
+        assert router.counts() == {
+            "pending": 0, "leased": 2, "done": 0, "failed": 0,
+        }
         router.complete(worker.id, "t1", _ok())
-        assert router.outstanding_cost() == pytest.approx(1.0)
+        assert router.counts() == {
+            "pending": 0, "leased": 1, "done": 1, "failed": 0,
+        }
         router.forget_job("j1")
         assert router.counts() == {
             "pending": 0, "leased": 0, "done": 0, "failed": 0,

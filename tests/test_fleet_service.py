@@ -29,22 +29,16 @@ from repro.engine import serialize
 from repro.engine.runner import (
     EngineRunner, JobResult, JobSpec, RunReport, ShardedReport,
 )
-from repro.fleet import FleetCoordinator, FleetWorker
-from repro.harness import ExperimentSettings
+from repro.fleet import FleetCoordinator, FleetWorker, TaskRecord
 from repro.harness.experiment import Workbench
 from repro.service import JobState
 from repro.service.client import ServiceClient, ServiceError
 
-SMALL = ExperimentSettings(warmup=1500, measure=4000, seed=11,
-                           calibrate=False)
+from conftest import FLEET_SETTINGS as SMALL
 
-
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    # One shared artifact store for the whole module: traces, annotations,
-    # shard probes and finished service results — exactly how a real fleet
-    # shares state.
-    return tmp_path_factory.mktemp("fleet-cache")
+# Every test here shares conftest's module-scoped ``cache_dir``: traces,
+# annotations, shard probes and finished service results live in one
+# store, exactly how a real fleet shares state.
 
 
 @pytest.fixture(scope="module")
@@ -67,56 +61,6 @@ def _post(url, path, body):
     )
     with urllib.request.urlopen(request, timeout=30.0) as response:
         return json.loads(response.read())
-
-
-class _Fleet:
-    """A coordinator plus N thread workers, torn down deterministically."""
-
-    def __init__(self, cache_dir, workers=1, **coord_kwargs):
-        coord_kwargs.setdefault("lease_ttl", 1.0)
-        coord_kwargs.setdefault("settings", SMALL)
-        self.coord = FleetCoordinator(
-            port=0, cache_dir=str(cache_dir), **coord_kwargs,
-        ).start()
-        self.workers = []
-        self.threads = []
-        for index in range(workers):
-            self.add_worker(f"w{index}")
-
-    def add_worker(self, name, obs=None):
-        worker = FleetWorker(
-            self.coord.url, name=name, lease_wait=1.0, obs=obs,
-        ).join()
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        self.workers.append(worker)
-        self.threads.append(thread)
-        return worker
-
-    def client(self, **kwargs):
-        return ServiceClient(self.coord.url, **kwargs)
-
-    def stop(self):
-        self.coord.begin_drain()
-        for worker in self.workers:
-            worker.request_stop()
-        for thread in self.threads:
-            thread.join(timeout=15.0)
-        self.coord.stop()
-
-
-@pytest.fixture
-def fleet_factory(cache_dir):
-    fleets = []
-
-    def make(workers=1, **kwargs):
-        fleet = _Fleet(cache_dir, workers=workers, **kwargs)
-        fleets.append(fleet)
-        return fleet
-
-    yield make
-    for fleet in fleets:
-        fleet.stop()
 
 
 class TestFleetExecution:
@@ -604,6 +548,38 @@ class TestFleetBackpressure:
         assert excinfo.value.status == 503
         assert fleet.client().health()["status"] == "draining"
 
+    def test_retry_after_is_outstanding_tasks_over_completion_rate(
+        self, cache_dir,
+    ):
+        coord = FleetCoordinator(
+            port=0, cache_dir=str(cache_dir), settings=SMALL, lease_ttl=2.5,
+        )
+        assert coord._retry_after_hint() == 2.5  # no rate measured yet
+        coord._record_completion_rate()
+        assert coord._retry_after_hint() == 2.5  # one completion: no rate
+        worker = coord.registry.register(name="w")
+        coord.router.add_tasks([
+            TaskRecord(
+                id=f"t{i}", job_id="j", index=i,
+                spec=JobSpec(workload="database"), priority=0,
+            )
+            for i in range(10)
+        ])
+        coord.router.lease(worker.id, max_tasks=2)  # 8 pending + 2 leased
+
+        def hint(*stamps):
+            coord._completions.clear()
+            coord._completions.extend(stamps)
+            return coord._retry_after_hint()
+
+        # 4 completions over 1.5 s: 2 tasks/s, so 10 tasks take 5 s.
+        assert hint(100.0, 100.5, 101.0, 101.5) == pytest.approx(5.0)
+        assert hint(100.0, 100.001) == 1.0   # 1000 tasks/s: floor
+        assert hint(100.0, 200.0) == 60.0    # 0.01 tasks/s: ceiling
+        # Only the latest 50 completions count: old ones age out.
+        stale = [0.0] * 10
+        recent = [100.0 + i / 2 for i in range(50)]  # 2 tasks/s
+        assert hint(*stale, *recent) == pytest.approx(5.0)
 
 
 class TestCoordinatorIsAControlPlane:
@@ -1136,13 +1112,13 @@ coord.stop()
 _UNSALTED_MODULES = (
     "repro", "repro._lazy", "repro.errors", "repro.names",
     "repro.engine", "repro.engine.cache",
-    "repro.fleet", "repro.fleet.cost", "repro.fleet.federation",
+    "repro.fleet", "repro.fleet.federation",
     "repro.fleet.frontend", "repro.fleet.registry", "repro.fleet.router",
     "repro.fleet.worker",
     "repro.service", "repro.service.client", "repro.service.jobqueue",
     "repro.obs", "repro.obs.context", "repro.obs.logging",
-    "repro.obs.metrics", "repro.obs.options", "repro.obs.profile",
-    "repro.obs.recorder", "repro.obs.trace",
+    "repro.obs.metrics", "repro.obs.options", "repro.obs.recorder",
+    "repro.obs.trace",
 )
 
 

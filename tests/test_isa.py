@@ -13,7 +13,6 @@ from repro.isa import (
     RegisterAllocator,
     is_load_like,
     is_memory_access,
-    is_serializing,
     is_store_like,
 )
 from repro.isa.opcodes import is_control
@@ -55,21 +54,6 @@ class TestClassification:
 
 
 class TestSerialization:
-    def test_casa_serializes_under_pc_only(self):
-        assert is_serializing(InstructionClass.CAS, ConsistencyModel.PC)
-        assert not is_serializing(InstructionClass.CAS, ConsistencyModel.WC)
-
-    def test_membar_serializes_under_pc(self):
-        assert is_serializing(InstructionClass.MEMBAR, ConsistencyModel.PC)
-
-    def test_isync_serializes_under_wc_only(self):
-        assert is_serializing(InstructionClass.ISYNC, ConsistencyModel.WC)
-        assert not is_serializing(InstructionClass.ISYNC, ConsistencyModel.PC)
-
-    def test_lwsync_never_serializes_execution(self):
-        for model in ConsistencyModel:
-            assert not is_serializing(InstructionClass.LWSYNC, model)
-
     def test_only_pc_barriers_drain_the_store_queue(self):
         """The paper's central asymmetry: casa/membar drain under PC; no
         WC barrier in the lock idiom drains the store queue.  The core

@@ -15,13 +15,14 @@ from repro.config import (
     SimulationConfig,
     StorePrefetchMode,
 )
-from repro.core import MlpSimulator, TerminationCondition, TriggerKind
+from repro.core import TerminationCondition, TriggerKind
+from repro.core.backend import resolve_backend
 from repro.isa import InstructionClass as IC
 
 from conftest import annotated
 
 
-def run(trace, **core_kwargs):
+def run(trace, backend="reference", **core_kwargs):
     defaults = dict(
         store_buffer=2,
         store_queue=2,
@@ -30,7 +31,7 @@ def run(trace, **core_kwargs):
     )
     defaults.update(core_kwargs)
     config = SimulationConfig(core=CoreConfig(**defaults))
-    return MlpSimulator(config).run(trace)
+    return resolve_backend(backend).simulate(config, trace)
 
 
 @pytest.fixture
@@ -70,16 +71,21 @@ class TestExample1:
         assert result.mlp == pytest.approx(2.0)
 
 
+def serialized(serializer, miss=IC.STORE):
+    """A missing store (or load), then *serializer*, then a missing load."""
+    return [
+        annotated(miss, miss=True, dest=4, address=0x1000),
+        annotated(serializer, dest=7, address=0x9000),
+        annotated(IC.LOAD, miss=True, dest=5, address=0x6000),
+    ]
+
+
 class TestExample2:
     """Missing store, serializing instruction, missing load."""
 
     @pytest.fixture
     def trace(self):
-        return [
-            annotated(IC.STORE, miss=True, address=0x1000),
-            annotated(IC.MEMBAR),
-            annotated(IC.LOAD, miss=True, dest=5, address=0x6000),
-        ]
+        return serialized(IC.MEMBAR)
 
     def test_two_epochs(self, trace):
         result = run(trace)
@@ -97,6 +103,60 @@ class TestExample2:
         result = run(trace)
         assert result.epochs[1].load_misses == 1
         assert result.epochs[1].store_misses == 0
+
+
+@pytest.mark.parametrize("backend", ["reference", "event"])
+class TestExample2Serializers:
+    """Example 2 with each serializing class under each consistency model:
+    which ones end the epoch is the core's per-model handler table."""
+
+    @pytest.mark.parametrize("serializer", [IC.CAS, IC.MEMBAR])
+    def test_pc_casa_and_membar_drain_the_store(self, backend, serializer):
+        result = run(serialized(serializer), backend)
+        assert result.epoch_count == 2
+        assert result.epochs[0].termination is (
+            TerminationCondition.STORE_SERIALIZE
+        )
+        assert result.epochs[0].store_misses == 1
+        assert result.epochs[1].load_misses == 1
+
+    def test_wc_casa_does_not_end_the_epoch(self, backend):
+        result = run(
+            serialized(IC.CAS), backend, consistency=ConsistencyModel.WC,
+        )
+        assert result.epoch_count == 1
+        assert result.epochs[0].store_misses == 1
+        assert result.epochs[0].load_misses == 1
+
+    def test_wc_isync_waits_for_a_missing_load(self, backend):
+        result = run(
+            serialized(IC.ISYNC, miss=IC.LOAD), backend,
+            consistency=ConsistencyModel.WC,
+        )
+        assert result.epoch_count == 2
+        assert result.epochs[0].termination is (
+            TerminationCondition.OTHER_SERIALIZE
+        )
+        assert [e.load_misses for e in result.epochs] == [1, 1]
+
+    def test_wc_isync_does_not_wait_for_a_missing_store(self, backend):
+        result = run(
+            serialized(IC.ISYNC), backend, consistency=ConsistencyModel.WC,
+        )
+        assert result.epoch_count == 1
+
+    def test_pc_isync_executes_freely(self, backend):
+        result = run(serialized(IC.ISYNC, miss=IC.LOAD), backend)
+        assert result.epoch_count == 1
+        assert result.epochs[0].load_misses == 2
+
+    @pytest.mark.parametrize("model", list(ConsistencyModel))
+    @pytest.mark.parametrize("miss", [IC.STORE, IC.LOAD])
+    def test_lwsync_never_ends_the_epoch(self, backend, model, miss):
+        result = run(
+            serialized(IC.LWSYNC, miss=miss), backend, consistency=model,
+        )
+        assert result.epoch_count == 1
 
 
 class TestExample3:

@@ -16,7 +16,6 @@ from repro.harness.experiment import Workbench
 from repro.obs import (
     ObsOptions,
     EpochTimelineRecorder,
-    PhaseProfiler,
     Tracer,
     load_events,
     render_report,
@@ -162,29 +161,3 @@ class TestReporting:
         assert "termination conditions" in text
         assert "instruction_miss" in text
         assert "span" in text
-
-
-class TestPhaseProfiler:
-    def test_samples_every_entry_at_full_rate(self):
-        profiler = PhaseProfiler()
-        for _ in range(5):
-            with profiler.phase("annotate"):
-                pass
-        summary = profiler.summary()
-        assert summary["annotate"]["entries"] == 5
-        assert summary["annotate"]["sampled"] == 5
-
-    def test_strided_sampling(self):
-        profiler = PhaseProfiler(sample_rate=0.25)
-        for _ in range(8):
-            with profiler.phase("simulate"):
-                pass
-        summary = profiler.summary()
-        assert summary["simulate"]["entries"] == 8
-        assert summary["simulate"]["sampled"] == 2
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            PhaseProfiler(sample_rate=0.0)
-        with pytest.raises(ValueError):
-            PhaseProfiler(sample_rate=1.5)

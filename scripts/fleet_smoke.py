@@ -6,15 +6,22 @@ Starts a coordinator without a local worker and two worker *processes*
 points a user runs) and submits a sharded simulate job twice.  The first
 run has no recorded cuts: it must report one whole-trace shard, which
 records them.  The second (on the reference backend, so the result store
-does not answer it) splits at the recorded cuts; one worker is SIGKILLed
-while it holds a leased, unfinished shard of it, and the smoke asserts:
+does not answer it) splits at the recorded cuts.  One worker, the victim,
+is SIGKILLed while it holds a leased, unfinished shard of it, and how long
+a shard runs plays no part in that: the victim runs the first job alone,
+is SIGSTOPped while its next lease long-poll is parked on the coordinator
+(a parked poll renews a stopped worker's heartbeat, nothing else can),
+and only then is the second job submitted.  The parked poll takes a shard
+the stopped victim cannot finish; once ``/v1/fleet/status`` shows that
+lease, the victim is SIGKILLed and the survivor starts.  The smoke
+asserts:
 
 1. the coordinator evicts the dead worker and requeues its shard;
 2. the surviving worker recomputes the shard: the job took a second
    round, and the shard reports ``attempts > 1``;
 3. the merged result is bit-identical to a direct single-process run;
-4. the job's trace — coordinator plus both worker processes, across the
-   SIGKILL and the re-lease — joins into ONE connected span tree, and
+4. the job's trace — the coordinator's lease to the victim, the SIGKILL
+   and the survivor's re-lease — joins into ONE connected span tree, and
    its five-phase decomposition reconciles with the measured wall time
    within 5%;
 5. ``/metrics`` carries both workers' federated labeled series
@@ -58,6 +65,11 @@ from repro.obs import (
 from repro.service.client import ServiceClient
 
 
+#: The coordinator's lease TTL (s).  A worker, or a lease poll parked for
+#: it, renews every third of it; three missed TTLs evict the worker.
+LEASE_TTL = 1.0
+
+
 def _get(url: str, path: str) -> dict:
     with urllib.request.urlopen(f"{url}{path}", timeout=10.0) as response:
         return json.loads(response.read())
@@ -89,9 +101,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", default="database")
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--warmup", type=int, default=3000)
-    # Large enough that one shard runs for whole seconds even on a fast
-    # host: the SIGKILL must land while the victim still holds a leased,
-    # *unfinished* shard, and that window is the shard's execution time.
     parser.add_argument("--measure", type=int, default=60000)
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--log-dir", default=".")
@@ -128,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     coordinator = subprocess.Popen(
         mlpsim + sizing + [
             "serve", "--workers", "0", "--port", "0",
-            "--lease-ttl", "1.0", "--max-inflight", "1",
+            "--lease-ttl", str(LEASE_TTL), "--max-inflight", "1",
             "--drain-timeout", "120",
             "--trace-dir", trace_dir,
         ],
@@ -148,7 +157,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fleet smoke: coordinator at {url}")
 
         workers = {}
-        for name in ("victim", "survivor"):
+
+        def start_worker(name):
             log = open(os.path.join(args.log_dir, f"fleet-{name}.log"), "w")
             proc = subprocess.Popen(
                 mlpsim + [
@@ -159,19 +169,26 @@ def main(argv: list[str] | None = None) -> int:
             )
             workers[name] = proc
             procs.append(proc)
+
+        def worker_status(name):
+            for worker in _get(url, "/v1/fleet/status")["workers"]:
+                if worker["name"] == name:
+                    return worker
+            return None
+
+        start_worker("victim")
         _wait_for(
-            lambda: _get(url, "/healthz")["fleet"]["workers"] == 2,
-            30.0, "both workers to register",
+            lambda: worker_status("victim"), 30.0, "the victim to register",
         )
-        print("fleet smoke: 2 workers registered")
-        # A worker's totals ride on its heartbeats: let both report once,
-        # so the victim has series to retain after it is killed.
+        # A worker's totals ride on its heartbeats: let the victim report
+        # once, so it has series to retain after it is killed.
         _wait_for(
-            lambda: {"victim", "survivor"} <= _federated(
+            lambda: "victim" in _federated(
                 _get(url, "/metrics?format=json"),
             ),
-            30.0, "both workers to report metrics",
+            30.0, "the victim to report metrics",
         )
+        print("fleet smoke: worker 'victim' registered")
 
         client = ServiceClient(url, timeout=30.0)
         job = {"workload": args.workload, "variant": "pc"}
@@ -189,17 +206,35 @@ def main(argv: list[str] | None = None) -> int:
                 f"{recording['state']} {plan}"
             )
 
+        # The victim ran that job and at once long-polls for the next
+        # lease, whose wait (10 s) outlasts what follows.  Stop it, and
+        # prove the poll is parked: while the victim is stopped, only a
+        # parked poll keeps its heartbeat fresh.  A stop that lands
+        # between two polls shows an ageing heartbeat; resume and retry
+        # well inside the eviction grace.
+        victim = workers["victim"]
+        renew = LEASE_TTL / 3.0
+        for _ in range(10):
+            os.kill(victim.pid, signal.SIGSTOP)
+            ages = []
+            for pause in (3 * renew, renew):
+                time.sleep(pause)
+                ages.append(worker_status("victim")["heartbeat_age_seconds"])
+            if max(ages) < 2 * renew:
+                break
+            os.kill(victim.pid, signal.SIGCONT)
+            time.sleep(0.2)
+        else:
+            raise TimeoutError("the victim never parked a lease poll")
+        print(f"fleet smoke: victim stopped with a parked lease poll "
+              f"(heartbeat ages {ages})")
+
         receipt = client.submit({
             "kind": "simulate", "job": job, "shards": args.shards,
             "backend": "reference",
         })
         job_id = receipt["id"]
         print(f"fleet smoke: sharded job {job_id} submitted")
-
-        # Kill the victim while it holds a leased, unfinished shard.  It is
-        # SIGSTOPped first, so the lease can be confirmed still open (not
-        # completed in between) before the SIGKILL lands.
-        victim = workers["victim"]
 
         def victim_lease():
             status = _get(url, "/v1/fleet/status")
@@ -209,21 +244,15 @@ def main(argv: list[str] | None = None) -> int:
                 if t["state"] == "leased" and t["worker"] == ids[0]
             ]
 
-        deadline = time.monotonic() + 60.0
-        while True:
-            held = _wait_for(
-                victim_lease, max(0.1, deadline - time.monotonic()),
-                "the victim to lease a shard",
-            )
-            os.kill(victim.pid, signal.SIGSTOP)
-            if set(held) & set(victim_lease() or ()):
-                break
-            os.kill(victim.pid, signal.SIGCONT)  # it finished: next lease
+        # The stopped victim cannot finish what it leased: a lease seen
+        # now is held and unfinished when the SIGKILL lands.
+        held = _wait_for(victim_lease, 30.0, "the victim to lease a shard")
         os.kill(victim.pid, signal.SIGKILL)
         print(
             f"fleet smoke: SIGKILLed worker 'victim' (pid {victim.pid}) "
             f"holding {sorted(held)}"
         )
+        start_worker("survivor")
 
         status = client.wait(job_id, timeout=300.0)
         if status["state"] != "done":
@@ -256,6 +285,17 @@ def main(argv: list[str] | None = None) -> int:
                     "merged fleet result differs from the single-process "
                     "golden"
                 )
+        # The survivor started after the kill; its totals ride on its
+        # heartbeats too.
+        try:
+            _wait_for(
+                lambda: "survivor" in _federated(
+                    _get(url, "/metrics?format=json"),
+                ),
+                30.0, "the survivor to report metrics",
+            )
+        except TimeoutError:
+            pass  # reported as a missing federated worker below
         metrics = _get(url, "/metrics?format=json")
         if metrics["gauges"].get("fleet_workers_evicted_total", 0) < 1:
             failures.append("the dead worker was never evicted")
@@ -271,10 +311,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"{sorted(missing)} (saw {sorted(federated)})"
             )
 
-        # Trace propagation: the job's spans — coordinator + both worker
-        # processes, across the SIGKILL and the re-lease —
-        # must join into one connected tree, and the phase decomposition
-        # must reconcile with the measured wall time.
+        # Trace propagation: the job's spans — coordinator and survivor,
+        # across the SIGKILL and the re-lease — must join into one
+        # connected tree, and the phase decomposition must reconcile with
+        # the measured wall time.
         events = load_events(trace_dir)
         roots = connected_roots(events, job_id)
         if len(roots) != 1:

@@ -1,14 +1,15 @@
 """Content-addressed artifact cache: an in-memory LRU over framed disk entries.
 
-The pipeline's persisted artifacts (calibrated profiles and annotated
-traces) are keyed by a SHA-256 hash of the *content* that produced them —
-the workload profile, experiment settings, trace variant and memory-side
-configuration — and of the *code* that produced them (:func:`schema_salt`
-hashes the sources of the simulation packages), so a key can never serve a
-stale artifact: any input or code change changes the key.  Generated traces
-are not persisted: a warm run never reads one, and regenerating a trace
-costs less than decoding it, so the Workbench keeps them in a memory-only
-instance (``directory=None``).  Values flow through two tiers:
+The pipeline's persisted artifacts (calibrated profiles, annotated traces
+and simulation results) are keyed by a SHA-256 hash of the *content* that
+produced them — the workload profile, experiment settings, trace variant,
+memory-side and core configuration — and of the *code* that produced them
+(:func:`schema_salt` hashes the sources of the simulation packages), so a
+key can never serve a stale artifact: any input or code change changes the
+key.  Generated traces are not persisted: a warm run never reads one, and
+regenerating a trace costs less than decoding it, so the Workbench keeps
+them in a memory-only instance (``directory=None``).  Values flow through
+two tiers:
 
 1. an in-memory LRU (object identity preserved within a process), and
 2. an optional on-disk store (shared between processes and runs).
@@ -301,16 +302,25 @@ class ArtifactCache:
 
     # ------------------------------------------------------------ lookup --
 
-    def get(self, kind: str, key: str, default: Any = None) -> Any:
-        """The cached value, consulting memory then disk."""
+    def get(
+        self, kind: str, key: str, default: Any = None, *,
+        memory: bool = True,
+    ) -> Any:
+        """The cached value, consulting memory then disk.
+
+        ``memory=False`` reads the disk tier alone and keeps what it reads
+        out of the LRU, for values that must not evict the artifacts the
+        LRU holds (:meth:`put` takes the same flag).
+        """
         mem_key = (kind, key)
-        if mem_key in self._memory:
+        if memory and mem_key in self._memory:
             self._memory.move_to_end(mem_key)
             self.stats.memory_hits += 1
             return self._memory[mem_key]
         value = self._read_disk(kind, key)
         if value is not _MISS:
-            self._remember(mem_key, value)
+            if memory:
+                self._remember(mem_key, value)
             self.stats.disk_hits += 1
             return value
         self.stats.misses += 1
@@ -328,9 +338,13 @@ class ArtifactCache:
         self.put(kind, key, value)
         return value
 
-    def put(self, kind: str, key: str, value: Any) -> None:
-        """Insert into the LRU and (when persistent) write through to disk."""
-        self._remember((kind, key), value)
+    def put(
+        self, kind: str, key: str, value: Any, *, memory: bool = True,
+    ) -> None:
+        """Insert into the LRU (unless ``memory=False``) and, when
+        persistent, write through to disk."""
+        if memory:
+            self._remember((kind, key), value)
         self.stats.writes += 1
         if self.directory is None:
             return

@@ -18,11 +18,17 @@ Pipeline per (workload, variant):
    memory only),
 4. annotate through the memory hierarchy, branch predictor and sharing
    model (cached per memory-side configuration),
-5. run MLPsim for each core configuration (cheap; not cached).
+5. run MLPsim for each core configuration (stored per annotation, core
+   configuration and backend when the cache is persistent).
 
 Figure sweeps re-run step 5 dozens of times against one cached annotation,
 mirroring the paper's methodology where cache behaviour is independent of
-the core parameters being swept.
+the core parameters being swept.  A run is a pure function of its
+annotation and core configuration, so :meth:`Workbench.run` looks its
+result up before it touches the annotation: a repeated run reads one small
+entry instead of decoding the annotation and simulating again.  Stored
+results live on disk only, never in the in-memory LRU, so a long sweep
+cannot evict the annotations it replays.
 
 Profiles and annotations are cached by
 :class:`repro.engine.cache.ArtifactCache`: every artifact is keyed by a
@@ -38,8 +44,10 @@ window plus the :class:`~repro.memory.hierarchy.MemoryCounters` its memory
 system left, in the columnar ``MLPN`` format on disk.  No
 :class:`~repro.memory.MemorySystem` outlives :meth:`Workbench.annotated`.
 Traces stay in a bounded in-memory LRU of the Workbench's own: a warm run
-reads only the profile and the annotation, and regenerating a trace costs
-less than decoding it.
+reads only the profile and a stored result or the annotation, and
+regenerating a trace costs less than decoding it.  Each build step runs
+with the cyclic garbage collector paused: it allocates millions of objects
+and no cycles, which the collector would rescan again and again.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from ..memory import (
     annotate_trace,
 )
 from ..multiproc import MultiChipSystem, SharingModel
-from ..trace.annotated import Annotation
+from ..trace.annotated import Annotation, gc_paused
 from ..workloads import WORKLOADS, WorkloadProfile, calibrate_profile
 from ..workloads.calibration import RunPass
 from ..workloads.generator import WorkloadGenerator
@@ -157,16 +165,18 @@ class Workbench:
         run = RunPass(
             settings.total, settings.warmup, SimulationConfig().core.branch,
         )
-        profile = self.artifacts.get_or_create(
-            "profile", key,
-            lambda: calibrate_profile(
-                base,
-                instructions=instructions,
-                warmup=warmup,
-                seed=settings.seed,
-                run=run,
-            ),
-        )
+
+        def calibrate() -> WorkloadProfile:
+            with gc_paused():
+                return calibrate_profile(
+                    base,
+                    instructions=instructions,
+                    warmup=warmup,
+                    seed=settings.seed,
+                    run=run,
+                )
+
+        profile = self.artifacts.get_or_create("profile", key, calibrate)
         if run.trace is not None:
             # Calibration just ran: its last pass generated and annotated
             # this profile's trace exactly as steps 2 and 4 would.
@@ -212,20 +222,21 @@ class Workbench:
     def _build_trace(
         self, workload: str, profile: WorkloadProfile, variant: str
     ) -> List[Instruction]:
-        if variant == "pc":
-            generator = WorkloadGenerator(profile, seed=self.settings.seed)
-            return generator.generate(self.settings.total)
-        base = self.trace(workload, "pc")
-        if variant == "wc":
-            return rewrite_pc_to_wc(base)
-        if variant == "pc_sle":
-            return apply_sle(base)
-        if variant == "wc_sle":
-            return apply_sle(rewrite_pc_to_wc(base))
-        if variant == "pc_tm":
-            return apply_transactional_memory(base)
-        if variant == "wc_tm":
-            return apply_transactional_memory(rewrite_pc_to_wc(base))
+        with gc_paused():
+            if variant == "pc":
+                generator = WorkloadGenerator(profile, seed=self.settings.seed)
+                return generator.generate(self.settings.total)
+            base = self.trace(workload, "pc")
+            if variant == "wc":
+                return rewrite_pc_to_wc(base)
+            if variant == "pc_sle":
+                return apply_sle(base)
+            if variant == "wc_sle":
+                return apply_sle(rewrite_pc_to_wc(base))
+            if variant == "pc_tm":
+                return apply_transactional_memory(base)
+            if variant == "wc_tm":
+                return apply_transactional_memory(rewrite_pc_to_wc(base))
         raise ValueError(f"unknown trace variant {variant!r}")
 
     # -- annotation ------------------------------------------------------------
@@ -305,13 +316,14 @@ class Workbench:
             )
             memory = system.memory
         predictor = BranchPredictor(SimulationConfig().core.branch)
-        annotated = annotate_trace(
-            self.trace(workload, variant),
-            memory,
-            predictor=predictor,
-            system=system,
-            warmup=self.settings.warmup,
-        )
+        with gc_paused():
+            annotated = annotate_trace(
+                self.trace(workload, variant),
+                memory,
+                predictor=predictor,
+                system=system,
+                warmup=self.settings.warmup,
+            )
         return Annotation(annotated, memory.counters())
 
     def memory_for(
@@ -387,12 +399,41 @@ class Workbench:
         default, or ``"reference"``); ``None`` defers to ``$REPRO_BACKEND``
         and then the default.  Every backend returns a bit-identical
         result, so the choice never changes what is measured.
+
+        With a persistent cache, the result and the annotation's counters
+        are stored as a ``simulation`` artifact keyed by the annotation
+        key, the resolved config and the backend name; an unobserved run
+        of a stored key returns the stored result without reading the
+        annotation, and :meth:`memory_for` answers from the stored
+        counters.  An observed run always simulates, so its observer sees
+        every epoch.
         """
-        annotated = self.annotated(workload, variant, memory_config, sharing, tag)
         config = self.resolved_config(workload, variant, config, **core_changes)
-        return resolve_backend(backend).simulate(
-            config, annotated, observer=observer,
-        )
+        simulator = resolve_backend(backend)
+        key = None
+        if self.artifacts.directory is not None:
+            key = content_key(
+                "simulation",
+                self._annotation_key(
+                    self.profile(workload), variant,
+                    memory_config or MemoryConfig(), sharing, tag,
+                ),
+                config, simulator.name,
+            )
+        if key is not None and observer is None:
+            stored = self.artifacts.get("simulation", key, memory=False)
+            if stored is not None:
+                result, counters = stored
+                self._counters[(workload, variant, tag, sharing)] = counters
+                return result
+        annotated = self.annotated(workload, variant, memory_config, sharing, tag)
+        result = simulator.simulate(config, annotated, observer=observer)
+        if key is not None:
+            counters = self.memory_for(workload, variant, sharing, tag)
+            self.artifacts.put(
+                "simulation", key, (result, counters), memory=False,
+            )
+        return result
 
 
 serialize.register(ExperimentSettings, SharingSettings)

@@ -1,12 +1,14 @@
 """The framed, checksummed artifact store behind the Workbench.
 
 A damaged disk entry of any kind is dropped and recomputed, never served
-and never raised; a warm Workbench reproduces a cold one's numbers; the
-key salt follows the simulation code.
+and never raised; a warm Workbench reproduces a cold one's numbers; a
+stored simulation answers a repeated run without the annotation; the key
+salt follows the simulation code.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 import shutil
@@ -17,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.core.backend import backend_names, resolve_backend
+from repro.core.window import WindowObserver
 from repro.engine.cache import (
     FRAME,
     FRAME_VERSION,
@@ -39,6 +43,11 @@ SETTINGS = ExperimentSettings(warmup=10_000, measure=30_000, seed=1)
 def _entry(directory, kind):
     (path,) = (directory / kind).glob("*/*.mlpa")
     return path
+
+
+def _drop_simulations(directory):
+    """Forget stored results, so the next run reads its annotation."""
+    shutil.rmtree(directory / "simulation")
 
 
 def _reframe(data: bytearray) -> None:
@@ -103,7 +112,7 @@ def cache_copy(golden, tmp_path):
 class TestDamagedEntries:
     @pytest.mark.parametrize("kind, damage", [
         (kind, damage)
-        for kind in ("profile", "annotation")
+        for kind in ("profile", "annotation", "simulation")
         for damage in (_truncate, _flip, _foreign_frame)
     ] + [("annotation", _foreign_codec)], ids=lambda value: getattr(
         value, "__name__", value,
@@ -112,6 +121,8 @@ class TestDamagedEntries:
                                        damage):
         path = _entry(cache_copy, kind)
         damage(path)
+        if kind == "annotation":
+            _drop_simulations(cache_copy)
         bench = Workbench(SETTINGS, cache_dir=cache_copy)
         assert bench.run("database") == golden[1]["result"]
         assert bench.profile("database") == golden[1]["profile"]
@@ -126,6 +137,8 @@ class TestDamagedEntries:
         legacy = path.with_suffix(".pkl")
         legacy.write_bytes(pickle.dumps("a stale value"))
         path.unlink()
+        if kind == "annotation":
+            _drop_simulations(cache_copy)
         bench = Workbench(SETTINGS, cache_dir=cache_copy)
         assert bench.run("database") == golden[1]["result"]
         assert bench.artifacts.stats.corrupt == 0
@@ -139,6 +152,95 @@ class TestDamagedEntries:
         assert cache.get("service-result", "k", "missing") == "missing"
         assert (cache.stats.corrupt, cache.stats.misses) == (1, 1)
         assert not cache._path("service-result", "k").exists()
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Call counts of annotation decodes and of each backend's simulate."""
+    calls = {}
+
+    def wrap(owner, attr, label):
+        original = getattr(owner, attr)
+
+        def counting(*args, **kwargs):
+            calls[label] = calls.get(label, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    wrap(codec, "decode_annotation", "decode")
+    for name in backend_names():
+        wrap(type(resolve_backend(name)), "simulate", name)
+    return calls
+
+
+def _simulations(counted):
+    return sum(counted.get(name, 0) for name in backend_names())
+
+
+class _EpochCounter(WindowObserver):
+    def __init__(self):
+        self.epochs = 0
+
+    def on_epoch(self, record):
+        self.epochs += 1
+
+
+# Small and uncalibrated: these tests count calls, not paper numbers.
+SMALL = ExperimentSettings(warmup=2_000, measure=6_000, seed=1,
+                           calibrate=False)
+
+
+class TestStoredSimulations:
+    def test_a_warm_run_reads_neither_annotation_nor_simulator(
+        self, golden, cache_copy, counted,
+    ):
+        bench = Workbench(SETTINGS, cache_dir=cache_copy)
+        assert bench.run("database") == golden[1]["result"]
+        assert bench.memory_for("database") == golden[1]["counters"]
+        assert counted == {}
+        assert bench.artifacts.stats.misses == 0
+
+    def test_each_backend_simulates_once(self, cache_copy, counted):
+        _drop_simulations(cache_copy)
+        bench = Workbench(SETTINGS, cache_dir=cache_copy)
+        results = [
+            bench.run("database", backend=backend)
+            for backend in ("reference", "event", "reference", "event")
+        ]
+        assert counted.get("reference") == counted.get("event") == 1
+        assert all(result == results[0] for result in results)
+
+    def test_an_observed_run_still_drives_its_observer(
+        self, golden, cache_copy, counted,
+    ):
+        observer = _EpochCounter()
+        bench = Workbench(SETTINGS, cache_dir=cache_copy)
+        result = bench.run("database", observer=observer)
+        assert result == golden[1]["result"]
+        assert observer.epochs == result.epoch_count > 0
+        assert _simulations(counted) == 1
+
+    def test_a_memory_only_cache_stores_nothing(self, counted):
+        bench = Workbench(SMALL, cache_dir=None)
+        assert bench.run("database") == bench.run("database")
+        assert _simulations(counted) == 2
+        assert {kind for kind, _ in bench.artifacts._memory} == {
+            "annotation",
+        }
+
+    def test_stored_results_never_evict_an_annotation(self, tmp_path):
+        bench = Workbench(SMALL, cache_dir=tmp_path)
+        annotation = bench.annotated("database")
+        base = bench.simulation_config("database")
+        for index in range(200):
+            bench.run("database", config=dataclasses.replace(
+                base, cpi_on_chip=1.0 + index / 1000,
+            ))
+        assert len(list((tmp_path / "simulation").glob("*/*.mlpa"))) == 200
+        assert bench.artifacts.stats.evictions == 0
+        assert bench.annotated("database") is annotation
+        assert bench.artifacts.stats.disk_hits == 0
 
 
 class TestWarmEqualsCold:
@@ -188,12 +290,13 @@ class TestCacheCli:
         assert cli.main(["--cache-dir", str(cache_copy), "cache",
                          "stats"]) == 0
         out = capsys.readouterr().out
-        assert "3 entries" in out
+        assert "4 entries" in out
         assert "annotation        2 entries" in out
         assert "profile           1 entries" in out
+        assert "simulation        1 entries" in out
         assert cli.main(["--cache-dir", str(cache_copy), "cache", "prune",
                          "--older-than", "0"]) == 0
-        assert "pruned 3 entries" in capsys.readouterr().out
+        assert "pruned 4 entries" in capsys.readouterr().out
         assert not list(cache_copy.rglob("*.mlpa"))
         assert not legacy.exists()
 

@@ -16,12 +16,18 @@ two tiers:
 
 Every disk entry is one frame (``FRAME``: magic, frame version, payload
 format, payload length and a CRC-32), then the payload.  An annotation
-(:class:`repro.trace.annotated.Annotation`) is stored in the columnar
-``MLPN`` format; every other value is pickled.  A read verifies the frame
-before decoding, and decodes with the garbage collector paused.  A bad
-frame, a checksum mismatch or any exception while decoding counts as
-``CacheStats.corrupt``, deletes the entry and is a miss, so a damaged
-entry is recomputed, never served.
+(:class:`repro.trace.annotated.Annotation`) is encoded in the columnar
+``MLPN`` format; every other value is pickled.  Since frame version 2 the
+encoded payload is zlib-compressed at level 1 (``COMPRESS_LEVEL``): a
+default-sizing ``database`` annotation shrinks from 3.6 MB to 0.63 MB for
+~30 ms per write and ~13 ms per read, where level 6 would save another
+~17% at ~5x the write time.  A read verifies the frame and its checksum, then
+decompresses and decodes with the garbage collector paused.  A bad frame,
+a checksum mismatch, a payload that does not decompress or any exception
+while decoding counts as ``CacheStats.corrupt``, deletes the entry and is
+a miss, so a damaged entry is recomputed, never served.  A version-1
+entry (written before compression) is such a foreign frame: a cache from
+before version 2 is rebuilt, entry by entry, on first use.
 
 Disk writes are atomic (temp file + ``os.replace``), so parallel workers
 racing to fill the same key are safe: last writer wins and every reader
@@ -79,10 +85,14 @@ RESULT_SALT_SOURCES = (
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 #: Frame header of every disk entry: magic, frame version, payload format,
-#: payload length and the CRC-32 of the other header fields and the payload.
+#: compressed payload length and the CRC-32 of the other header fields and
+#: the compressed payload.
 FRAME = struct.Struct("<4sH4sQI")
 FRAME_MAGIC = b"MLPA"
-FRAME_VERSION = 1
+FRAME_VERSION = 2
+
+#: zlib level of every payload (see the module docstring for why 1).
+COMPRESS_LEVEL = 1
 
 #: Payload formats: the columnar annotation codec, and pickle for the rest.
 PICKLE_FORMAT = b"PKL5"
@@ -187,6 +197,7 @@ def _encode_entry(value: Any) -> bytes:
     else:
         fmt = PICKLE_FORMAT
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = zlib.compress(payload, COMPRESS_LEVEL)
     header = FRAME.pack(FRAME_MAGIC, FRAME_VERSION, fmt, len(payload), 0)
     crc = zlib.crc32(payload, zlib.crc32(header[:-4]))
     return header[:-4] + crc.to_bytes(4, "little") + payload
@@ -213,6 +224,10 @@ def _decode_entry(data: bytes) -> Any:
         )
     if zlib.crc32(payload, zlib.crc32(view[:FRAME.size - 4])) != crc:
         raise ArtifactCorruptError("entry checksum mismatch")
+    try:
+        payload = zlib.decompress(payload)
+    except zlib.error as exc:
+        raise ArtifactCorruptError(f"entry payload: {exc}") from exc
     if fmt == ANNOTATION_FORMAT:
         return annotation_codec.decode_annotation(payload)
     if fmt == PICKLE_FORMAT:

@@ -1,9 +1,10 @@
-"""The framed, checksummed artifact store behind the Workbench.
+"""The framed, checksummed, compressed artifact store behind the Workbench.
 
-A damaged disk entry of any kind is dropped and recomputed, never served
-and never raised; a warm Workbench reproduces a cold one's numbers; a
-stored simulation answers a repeated run without the annotation; the key
-salt follows the simulation code.
+Every kind round-trips through a compressed version-2 frame; a damaged
+disk entry of any kind, and an uncompressed version-1 entry, is dropped
+and recomputed, never served and never raised; a warm Workbench
+reproduces a cold one's numbers; a stored simulation answers a repeated
+run without the annotation; the key salt follows the simulation code.
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ from repro.core.backend import backend_names, resolve_backend
 from repro.core.window import WindowObserver
 from repro.engine.cache import (
     FRAME,
+    FRAME_MAGIC,
     FRAME_VERSION,
     RESULT_SALT_SOURCES,
     SALT_SOURCES,
     ArtifactCache,
+    _decode_entry,
     result_salt,
     schema_salt,
     source_salt,
 )
+from repro.errors import ArtifactCorruptError
 from repro.harness.experiment import ExperimentSettings, Workbench
 from repro.harness.figures import figure6
 from repro.harness.tables import table1, table3
@@ -56,6 +60,25 @@ def _reframe(data: bytearray) -> None:
     struct.pack_into("<I", data, FRAME.size - 4, crc)
 
 
+def _frame(version: int, fmt: bytes, payload: bytes) -> bytes:
+    """A well-framed entry of *version* around *payload*, taken as is."""
+    data = bytearray(FRAME.pack(FRAME_MAGIC, version, fmt, len(payload), 0))
+    data += payload
+    _reframe(data)
+    return bytes(data)
+
+
+def _header(path):
+    """(version, format) of the entry at *path*."""
+    _, version, fmt, _, _ = FRAME.unpack_from(path.read_bytes())
+    return version, fmt
+
+
+def _payload(path) -> bytes:
+    """The decompressed payload of the version-2 entry at *path*."""
+    return zlib.decompress(path.read_bytes()[FRAME.size:])
+
+
 def _truncate(path):
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
@@ -76,18 +99,22 @@ def _foreign_frame(path):
 
 
 def _foreign_codec(path):
-    """A well-framed annotation of another codec version."""
-    data = bytearray(path.read_bytes())
-    start = FRAME.size
-    assert data[start:start + 4] == codec.MAGIC
-    struct.pack_into("<H", data, start + 4, codec.VERSION + 1)
+    """A well-framed, compressed annotation of another codec version."""
+    version, fmt = _header(path)
+    data = bytearray(_payload(path))
+    assert data[:4] == codec.MAGIC
+    struct.pack_into("<H", data, 4, codec.VERSION + 1)
     inner = zlib.crc32(
-        data[start + codec.HEADER.size:],
-        zlib.crc32(data[start:start + codec.HEADER.size - 4]),
+        data[codec.HEADER.size:], zlib.crc32(data[:codec.HEADER.size - 4]),
     )
-    struct.pack_into("<I", data, start + codec.HEADER.size - 4, inner)
-    _reframe(data)
-    path.write_bytes(bytes(data))
+    struct.pack_into("<I", data, codec.HEADER.size - 4, inner)
+    path.write_bytes(_frame(version, fmt, zlib.compress(bytes(data), 1)))
+
+
+def _version1(path):
+    """The same value as a version-1 entry: an uncompressed payload."""
+    _, fmt = _header(path)
+    path.write_bytes(_frame(1, fmt, _payload(path)))
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +140,7 @@ class TestDamagedEntries:
     @pytest.mark.parametrize("kind, damage", [
         (kind, damage)
         for kind in ("profile", "annotation", "simulation")
-        for damage in (_truncate, _flip, _foreign_frame)
+        for damage in (_truncate, _flip, _foreign_frame, _version1)
     ] + [("annotation", _foreign_codec)], ids=lambda value: getattr(
         value, "__name__", value,
     ).strip("_"))
@@ -129,6 +156,7 @@ class TestDamagedEntries:
         assert bench.memory_for("database") == golden[1]["counters"]
         assert bench.artifacts.stats.corrupt == 1
         # The recomputed entry replaced the damaged one.
+        assert _header(path)[0] == FRAME_VERSION
         assert ArtifactCache(cache_copy).get(kind, path.stem) is not None
 
     @pytest.mark.parametrize("kind", ["profile", "annotation"])
@@ -144,6 +172,20 @@ class TestDamagedEntries:
         assert bench.artifacts.stats.corrupt == 0
         assert legacy.exists() and path.exists()
 
+    def test_a_payload_that_does_not_decompress_is_corrupt(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put("service-result", "k", {"epi": 5.292})
+        path = cache._path("service-result", "k")
+        _, fmt = _header(path)
+        raw = pickle.dumps({"epi": 5.292})
+        path.write_bytes(_frame(FRAME_VERSION, fmt, raw))
+        with pytest.raises(ArtifactCorruptError, match="payload"):
+            _decode_entry(path.read_bytes())
+        cache.clear_memory()
+        assert cache.get("service-result", "k", "missing") == "missing"
+        assert (cache.stats.corrupt, cache.stats.misses) == (1, 1)
+        assert not path.exists()
+
     def test_damaged_entry_of_any_kind_is_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("service-result", "k", {"epi": 5.292})
@@ -152,6 +194,40 @@ class TestDamagedEntries:
         assert cache.get("service-result", "k", "missing") == "missing"
         assert (cache.stats.corrupt, cache.stats.misses) == (1, 1)
         assert not cache._path("service-result", "k").exists()
+
+
+class TestCompressedFrames:
+    def test_every_workbench_kind_round_trips(self, golden):
+        directory, values = golden
+        cache = ArtifactCache(directory)
+        read = {}
+        for kind in ("profile", "annotation", "simulation"):
+            path = _entry(directory, kind)
+            assert _header(path)[0] == FRAME_VERSION == 2
+            read[kind] = cache.get(kind, path.stem)
+        assert read["profile"] == values["profile"]
+        assert read["simulation"] == (values["result"], values["counters"])
+        annotation = read["annotation"]
+        assert annotation.counters == values["counters"]
+        assert codec.encode_annotation(annotation) == _payload(
+            _entry(directory, "annotation"),
+        )
+
+    def test_a_service_result_round_trips(self, tmp_path):
+        value = {"epi": [5.292, 1e-300], "rows": [("db", None)], "n": 2**70}
+        ArtifactCache(tmp_path).put("service-result", "k", value)
+        cache = ArtifactCache(tmp_path)
+        assert _header(cache._path("service-result", "k"))[0] == 2
+        assert cache.get("service-result", "k") == value
+        assert cache.stats.disk_hits == 1
+
+    def test_an_annotation_is_stored_in_a_quarter_of_its_columns(
+        self, golden,
+    ):
+        path = _entry(golden[0], "annotation")
+        annotation = ArtifactCache(golden[0]).get("annotation", path.stem)
+        columns = len(codec.encode_annotation(annotation))
+        assert path.stat().st_size <= 0.25 * columns
 
 
 @pytest.fixture
